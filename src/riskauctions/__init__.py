@@ -11,7 +11,7 @@ from .distributions import (BidProfile, Distribution, NotDifferentiableError,
                             revenue_curve, uniform)
 from .evaluation import (EvalResult, benchmark_ub, check_virtual_utility_identity,
                          eval_mc, eval_posted_exact, eval_second_price_exact,
-                         eval_vcg_exact, evaluate, myerson_revenue,
+                         eval_vcg_exact, evaluate, mc_moments, myerson_revenue,
                          universal_ratio, virtual_utility_identity_stats)
 from .lemmas import (MHR_BOUND, FrontierResult, check_allocation_bound,
                      check_capped_binomial, check_capped_binomial_grid,
@@ -49,7 +49,8 @@ __all__ = [
     "hedge_limited_price", "hedge_unlimited_price", "make_mechanism",
     "parse_mechanism", "run_posted_price", "run_vcg",
     "EvalResult", "benchmark_ub", "eval_mc", "eval_posted_exact",
-    "eval_second_price_exact", "eval_vcg_exact", "evaluate", "myerson_revenue",
+    "eval_second_price_exact", "eval_vcg_exact", "evaluate", "mc_moments",
+    "myerson_revenue",
     "universal_ratio", "virtual_utility_identity_stats",
     "check_virtual_utility_identity",
     "MHR_BOUND", "FrontierResult", "check_allocation_bound",

@@ -427,7 +427,9 @@ class RevenueCurveDistribution(Distribution):
         scalar = np.isscalar(q) or q_arr.ndim == 0
         idx = self._segment_of_q(q_arr)
         with np.errstate(divide="ignore", invalid="ignore"):
-            v = self._intercepts[idx] / q_arr + self._slopes[idx]
+            # on curves ending at R(1) = 0 the last segment can round to
+            # -2.2e-16 near q = 1
+            v = np.maximum(self._intercepts[idx] / q_arr + self._slopes[idx], 0.0)
         out = np.where(q_arr <= self._qs[1], self._prices[0], v)
         return _ret(out, scalar)
 

@@ -3,8 +3,8 @@
 Everything that admits a closed form in quantile space is integrated exactly:
 posted prices (a capped binomial sum), second price with reserve, and
 reserve-free multi-unit VCG (order-statistic densities).  The remaining cases
-fall back to chunked Monte Carlo whose stream is a pure function of the seed,
-so results are bit-reproducible regardless of how work is scheduled.
+fall back to chunked Monte Carlo (`mc_moments`) whose draws are a pure
+function of (seed, samples, n), so results are bit-reproducible.
 """
 from __future__ import annotations
 
@@ -14,7 +14,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from .distributions import Distribution
-from .mechanisms import Mechanism, PostedPriceMechanism, VcgMechanism, batch_outcomes
+from .mechanisms import (Mechanism, PostedPriceMechanism, VcgMechanism, batch_outcomes,
+                         batch_revenue)
 from .numerics import MAX_EXACT_N, binom_pmf, order_stat_pdf_coef
 from .report import LemmaReport
 from .utilities import UtilityFunction, linear
@@ -25,6 +26,7 @@ __all__ = [
     "eval_second_price_exact",
     "eval_vcg_exact",
     "eval_mc",
+    "mc_moments",
     "evaluate",
     "myerson_revenue",
     "benchmark_ub",
@@ -34,6 +36,7 @@ __all__ = [
 ]
 
 MC_CHUNK = 65_536
+MC_BUDGET = 2 ** 22  # bids per chunk: 32 MiB of float64
 MIN_MC_SAMPLES = 1_000
 
 
@@ -118,41 +121,41 @@ def eval_vcg_exact(d: Distribution, n: int, k: int, u: UtilityFunction) -> EvalR
     return EvalResult(mean, "exact")
 
 
-def _chunks(samples: int):
-    idx = 0
-    done = 0
-    while done < samples:
-        size = min(MC_CHUNK, samples - done)
-        yield idx, size
-        idx += 1
-        done += size
+def mc_moments(d: Distribution, n: int, stat, samples: int = 1_000_000,
+               seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo means of per-profile statistics over `samples` profiles of
+    n i.i.d. bids, as (means, 95% CI halfwidths).
 
-
-def _chunk_rng(seed: int, idx: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
-
-
-def eval_mc(m: Mechanism, d: Distribution, n: int, u: UtilityFunction,
-            samples: int = 1_000_000, seed: int = 0) -> EvalResult:
-    """Chunked Monte Carlo; the per-chunk generators are derived from the seed
-    alone so the estimate is a deterministic function of (seed, samples)."""
+    `stat` maps a (rows, n) chunk of bids to a tuple of per-row arrays, one
+    per statistic.  Chunk j holds at most MC_CHUNK rows and MC_BUDGET bids
+    and draws from SeedSequence(entropy=seed, spawn_key=(j,)), so the result
+    is a pure function of (seed, samples, n).
+    """
     if samples < MIN_MC_SAMPLES:
         raise ValueError(f"need at least {MIN_MC_SAMPLES} samples")
     if n < 1:
         raise ValueError("need n >= 1")
-    s = s2 = 0.0
-    count = 0
-    for idx, size in _chunks(samples):
-        bids = d.draw(_chunk_rng(seed, idx), (size, n))
-        _, pay = batch_outcomes(m, bids)
-        vals = np.asarray(u(pay.sum(axis=1)), dtype=float)
-        s += float(vals.sum())
-        s2 += float((vals * vals).sum())
-        count += size
-    mean = s / count
-    var = max((s2 - count * mean * mean) / (count - 1), 0.0)
-    ci = 1.96 * np.sqrt(var / count)
-    return EvalResult(mean, "monte_carlo", float(ci), count)
+    rows = max(1, min(MC_CHUNK, MC_BUDGET // n))
+    s = s2 = None
+    for idx, start in enumerate(range(0, samples, rows)):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
+        vals = stat(d.draw(rng, (min(rows, samples - start), n)))
+        if s is None:
+            s, s2 = np.zeros(len(vals)), np.zeros(len(vals))
+        for i, v in enumerate(vals):
+            v = np.asarray(v, dtype=float)
+            s[i] += v.sum()
+            s2[i] += (v * v).sum()
+    mean = s / samples
+    var = np.maximum((s2 - samples * mean * mean) / (samples - 1), 0.0)
+    return mean, 1.96 * np.sqrt(var / samples)
+
+
+def eval_mc(m: Mechanism, d: Distribution, n: int, u: UtilityFunction,
+            samples: int = 1_000_000, seed: int = 0) -> EvalResult:
+    """Monte Carlo estimate of E[u(revenue)] through `mc_moments`."""
+    mean, ci = mc_moments(d, n, lambda bids: (u(batch_revenue(m, bids)),), samples, seed)
+    return EvalResult(float(mean[0]), "monte_carlo", float(ci[0]), samples)
 
 
 def evaluate(m: Mechanism, d: Distribution, n: int, u: UtilityFunction,
@@ -231,37 +234,23 @@ def virtual_utility_identity_stats(d: Distribution, m: VcgMechanism,
         raise ValueError("the identity applies to single-unit VCG mechanisms")
     if d.top_atom_mass > 0:
         raise ValueError("the identity check needs an atomless distribution")
-    if samples < MIN_MC_SAMPLES:
-        raise ValueError(f"need at least {MIN_MC_SAMPLES} samples")
-    sums = np.zeros(6)  # s_lhs, s2_lhs, s_rhs, s2_rhs, s_diff, s2_diff
-    count = 0
-    for idx, size in _chunks(samples):
-        bids = d.draw(_chunk_rng(seed, idx), (size, n))
+
+    def stat(bids):
         win, pay = batch_outcomes(m, bids)
         lhs = np.asarray(u(pay.sum(axis=1)), dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             phi = np.asarray(u(bids), dtype=float) \
                 - np.asarray(u.derivative(bids), dtype=float) * d.inverse_hazard(bids)
         rhs = np.where(win, phi, 0.0).sum(axis=1)
-        diff = lhs - rhs
-        for off, v in ((0, lhs), (2, rhs), (4, diff)):
-            sums[off] += v.sum()
-            sums[off + 1] += (v * v).sum()
-        count += size
+        return lhs, rhs, lhs - rhs
 
-    def stat(off):
-        mean = float(sums[off] / count)
-        var = max((sums[off + 1] - count * mean * mean) / (count - 1), 0.0)
-        return mean, 1.96 * float(np.sqrt(var / count))
-
-    lhs_mean, lhs_ci = stat(0)
-    rhs_mean, rhs_ci = stat(2)
-    diff_mean, diff_ci = stat(4)
+    mean, ci = mc_moments(d, n, stat, samples, seed)
+    (lhs_mean, rhs_mean, diff_mean), (lhs_ci, rhs_ci, diff_ci) = mean.tolist(), ci.tolist()
     return {
         "lhs_mean": lhs_mean, "lhs_ci": lhs_ci,
         "rhs_mean": rhs_mean, "rhs_ci": rhs_ci,
         "diff_mean": diff_mean, "diff_ci": diff_ci,
-        "samples": count,
+        "samples": samples,
     }
 
 

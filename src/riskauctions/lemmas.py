@@ -13,10 +13,10 @@ import numpy as np
 
 from .distributions import (Distribution, RevenueCurveDistribution, exponential,
                             left_triangle, uniform)
-from .evaluation import (_chunk_rng, _chunks, _quad, _split_points,
-                         check_virtual_utility_identity, eval_posted_exact,
-                         eval_second_price_exact, eval_vcg_exact, myerson_revenue)
-from .mechanisms import VcgMechanism, allocation_probability, batch_outcomes, \
+from .evaluation import (_quad, _split_points, check_virtual_utility_identity,
+                         eval_posted_exact, eval_second_price_exact, eval_vcg_exact,
+                         mc_moments, myerson_revenue)
+from .mechanisms import VcgMechanism, allocation_probability, batch_revenue, \
     hedge_limited_price, hedge_unlimited_price
 from .numerics import binom_pmf, order_stat_cdf, order_stat_pdf_coef
 from .report import LemmaReport, report_from_margin
@@ -225,25 +225,16 @@ def check_vcg_discount(d: Distribution, n: int, k: int, samples: int = 1_000_000
     p_star, q_star = d.monopoly_price()
     m_hedged = VcgMechanism(k, p_star * q_star)
     m_monopoly = VcgMechanism(k, p_star)
-    s = s2 = 0.0
-    s_lhs = s_rhs = 0.0
-    count = 0
-    for idx, size in _chunks(samples):
-        bids = d.draw(_chunk_rng(seed, idx), (size, n))
-        rev1 = batch_outcomes(m_hedged, bids)[1].sum(axis=1)
-        rev2 = batch_outcomes(m_monopoly, bids)[1].sum(axis=1)
-        diff = rev1 - 0.5 * rev2
-        s += float(diff.sum())
-        s2 += float((diff * diff).sum())
-        s_lhs += float(rev1.sum())
-        s_rhs += float(rev2.sum())
-        count += size
-    mean = s / count
-    var = max((s2 - count * mean * mean) / (count - 1), 0.0)
-    ci = 1.96 * float(np.sqrt(var / count))
+
+    def stat(bids):
+        rev1 = batch_revenue(m_hedged, bids)
+        rev2 = batch_revenue(m_monopoly, bids)
+        return rev1 - 0.5 * rev2, rev1, rev2
+
+    (mean, hedged, monopoly), ci = mc_moments(d, n, stat, samples, seed)
     return report_from_margin(
-        f"vcg-discount[{d.label}|n={n},k={k}]", 0.0, mean, 4.0 * ci + 1e-12,
-        count, f"hedged={s_lhs / count:.9g} monopoly={s_rhs / count:.9g}")
+        f"vcg-discount[{d.label}|n={n},k={k}]", 0.0, float(mean), 4.0 * float(ci[0]) + 1e-12,
+        samples, f"hedged={hedged:.9g} monopoly={monopoly:.9g}")
 
 
 def check_hedge_unlimited(d: Distribution, n: int, fam, seed: int = 0) -> LemmaReport:

@@ -88,32 +88,68 @@ class VcgMechanism:
 Mechanism = PostedPriceMechanism | VcgMechanism
 
 
+def _top_bids(b: np.ndarray, j: int) -> list[np.ndarray]:
+    """The j <= n highest bids of each row, in descending order, one vector
+    per rank.  Tall chunks (the Monte Carlo case) take a running max/min
+    insertion over the columns, so every NumPy call spans all rows; short
+    ones, where those n*j calls would cost more than the bids, take one
+    np.partition.  Both give the exact order statistics."""
+    rows, n = b.shape
+    if rows < max(1024, n):
+        p = np.partition(b, range(n - j, n), axis=1)
+        return [p[:, n - 1 - i] for i in range(j)]
+    cols = b.T.copy()
+    top = [np.zeros(rows) for _ in range(j)]
+    for c in range(n):
+        x = cols[c]
+        for i in range(min(c, j - 1) + 1):
+            hi = np.maximum(top[i], x)
+            np.minimum(top[i], x, out=x)
+            top[i] = hi
+    return top
+
+
+def _vcg_order_stats(m: VcgMechanism, b: np.ndarray):
+    """(k-th highest bid, unit price max(reserve, (k+1)-st highest bid)) per
+    row.  With k >= n every bid clearing the reserve wins and pays it, and
+    the k-th highest bid is None."""
+    if m.k >= b.shape[1]:
+        return None, np.full(b.shape[0], float(m.reserve))
+    top = _top_bids(b, m.k + 1)
+    return top[m.k - 1], np.maximum(m.reserve, top[m.k])
+
+
 def batch_outcomes(m: Mechanism, bids) -> tuple[np.ndarray, np.ndarray]:
     """(win mask, payments), vectorized over rows of profiles."""
     b = _as_matrix(bids)
-    rows, n = b.shape
     if isinstance(m, PostedPriceMechanism):
         mask = b >= m.price
         win = mask & (np.cumsum(mask, axis=1) <= m.k)
         pay = np.where(win, m.price, 0.0)
         return win, pay
-    # stable sort on descending bids realizes lower-index tie-breaking
-    order = np.argsort(-b, axis=1, kind="stable")
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.broadcast_to(np.arange(n), (rows, n)).copy(), axis=1)
-    if m.k < n:
-        kth1 = np.take_along_axis(b, order[:, m.k:m.k + 1], axis=1)[:, 0]
-    else:
-        kth1 = np.zeros(rows)
-    unit_price = np.maximum(m.reserve, kth1)
-    win = (ranks < m.k) & (b >= m.reserve)
-    pay = np.where(win, unit_price[:, None], 0.0)
-    return win, pay
+    kth, price = _vcg_order_stats(m, b)
+    win = b >= m.reserve
+    if kth is not None:
+        # bids above the k-th highest win; the slots left go to the bids tied
+        # with it, lowest index first
+        above = b > kth[:, None]
+        tied = b == kth[:, None]
+        slots = m.k - np.count_nonzero(above, axis=1)
+        win &= above | (tied & (np.cumsum(tied, axis=1) <= slots[:, None]))
+    return win, np.where(win, price[:, None], 0.0)
 
 
 def batch_revenue(m: Mechanism, bids) -> np.ndarray:
-    _, pay = batch_outcomes(m, bids)
-    return pay.sum(axis=1)
+    """Revenue of each row of profiles: min(k, #bids at or above the price or
+    reserve) times the unit price.  The Monte Carlo kernel: no per-bid win
+    or payment matrix is built, and the product is rounded once, so for
+    k >= 5 it may differ from summing `batch_outcomes` payments in the last
+    bits."""
+    b = _as_matrix(bids)
+    if isinstance(m, PostedPriceMechanism):
+        return np.minimum(np.count_nonzero(b >= m.price, axis=1), m.k) * m.price
+    _, price = _vcg_order_stats(m, b)
+    return np.minimum(np.count_nonzero(b >= m.reserve, axis=1), m.k) * price
 
 
 def _outcome_from_batch(m: Mechanism, bids) -> MechanismOutcome:

@@ -2,6 +2,7 @@
 import contextlib
 import csv
 import io
+import tracemalloc
 
 import pytest
 
@@ -42,6 +43,18 @@ class TestDist:
         assert code == 2
         assert "unknown distribution kind" in err
 
+    # curves ending at R(1) = 0 whose last price, taken from the left end of
+    # the last segment, rounds to -2.2e-16
+    @pytest.mark.parametrize("spec", [
+        "left-triangle:0.025", "left-triangle:0.068", "left-triangle:0.162",
+        "irregular-example:0.068", "irregular-example:0.07"])
+    def test_curves_ending_at_zero_revenue(self, spec):
+        code, _, err = run(["dist", spec])
+        assert code == 0, err
+        code, out, err = run(["frontier", spec])
+        assert code == 0, err
+        assert "nan" not in out.lower()
+
 
 class TestPrice:
     def test_unlimited_only(self):
@@ -81,6 +94,18 @@ class TestEval:
         row = next(csv.reader(io.StringIO(out.split("\r\n")[1])))
         assert row[5] == "monte_carlo"
         assert float(row[7]) > 0
+
+    def test_huge_n_is_memory_bounded(self):
+        # one 1000 x 20000 draw alone would take 153 MiB
+        tracemalloc.start()
+        try:
+            code, _, err = run(["eval", "--mech", "posted:0.5,2", "--dist", "uniform:0,1",
+                                "--n", "20000", "--samples", "1000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        assert peak < 256 * 2 ** 20
 
     def test_missing_required_flag(self):
         code, _, err = run(["eval", "--dist", "uniform:0,1", "--n", "2"])

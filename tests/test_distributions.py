@@ -122,6 +122,16 @@ class TestLeftTriangle:
             with pytest.raises(SpecParseError):
                 left_triangle(bad)
 
+    @pytest.mark.parametrize("make", [left_triangle, irregular_example])
+    def test_price_never_rounds_below_zero(self, make):
+        # R(1) = 0, and intercept/q + slope on the last segment rounds to
+        # -2.2e-16 or +2.2e-16 at q = 1 for some eps; the clamp lifts only
+        # the negative roundings, to 0
+        for eps in np.linspace(0.001, 0.3, 300):
+            d = make(float(eps))
+            assert d.price(1.0) in (0.0, 2.0 ** -52, 2.0 ** -53)
+            assert d.price(np.linspace(0.9, 1.0, 101)).min() >= 0.0
+
 
 class TestMonopoly:
     def test_builtin_values(self):

@@ -27,12 +27,14 @@ from riskauctions import (
     exponential,
     left_triangle,
     linear,
+    mc_moments,
     myerson_revenue,
     power,
     uniform,
     universal_ratio,
     virtual_utility_identity_stats,
 )
+from riskauctions.evaluation import MC_BUDGET, MC_CHUNK
 
 U01 = uniform(0.0, 1.0)
 
@@ -143,6 +145,27 @@ class TestMonteCarlo:
         r = eval_mc(m, U01, n, linear(), samples=200_000, seed=4)
         assert abs(r.mean_utility - exact) <= 4 * r.ci_halfwidth
         assert r.ci_halfwidth > 0
+
+    @pytest.mark.parametrize("n", [1, 64, 65, 20_000])
+    def test_chunks_stay_within_budget(self, n):
+        class ZeroBids:
+            """Read-only zero chunks: a broadcast view, nothing allocated."""
+            def draw(self, rng, shape):
+                return np.broadcast_to(0.0, shape)
+
+        rows = []
+
+        def stat(bids):
+            rows.append(bids.shape[0])
+            return (np.zeros(bids.shape[0]),)
+
+        samples = 2 * MC_CHUNK + 1
+        mean, ci = mc_moments(ZeroBids(), n, stat, samples, seed=0)
+        assert sum(rows) == samples
+        assert max(rows) * n <= MC_BUDGET
+        # the chunks, and so the generator streams, of every n <= 64 are unchanged
+        assert rows[0] == (MC_CHUNK if n <= 64 else MC_BUDGET // n)
+        assert mean.tolist() == ci.tolist() == [0.0]
 
 
 class TestEvaluateDispatch:

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskauctions import (
@@ -37,6 +37,27 @@ def binom_pmf_fractions(n, p):
     """Exact Binomial(n, p) pmf for a rational p."""
     p = Fraction(p)
     return [math.comb(n, x) * p**x * (1 - p) ** (n - x) for x in range(n + 1)]
+
+
+def argsort_outcomes(m, b):
+    """Reference (win, pay): a stable argsort ranks the bids, realizing
+    lower-index tie-breaking, and VCG winners are the top k at or above the
+    reserve paying max(reserve, (k+1)-st highest bid)."""
+    rows, n = b.shape
+    if isinstance(m, PostedPriceMechanism):
+        mask = b >= m.price
+        win = mask & (np.cumsum(mask, axis=1) <= m.k)
+        return win, np.where(win, m.price, 0.0)
+    order = np.argsort(-b, axis=1, kind="stable")
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.broadcast_to(np.arange(n), (rows, n)).copy(), axis=1)
+    if m.k < n:
+        kth1 = np.take_along_axis(b, order[:, m.k:m.k + 1], axis=1)[:, 0]
+    else:
+        kth1 = np.zeros(rows)
+    unit_price = np.maximum(m.reserve, kth1)
+    win = (ranks < m.k) & (b >= m.reserve)
+    return win, np.where(win, unit_price[:, None], 0.0)
 
 
 def allocation_oracle(n, k, q_r):
@@ -141,17 +162,40 @@ class TestOutcomeInvariants:
                 assert o.payments[i] == 0.0
         assert o.revenue == pytest.approx(float(np.sum(o.payments)), abs=1e-12)
 
-    def test_batch_matches_single_runs(self):
-        rng = np.random.default_rng(3)
-        vals = rng.random((64, 4)) * 1.5
-        for m in MECHS:
-            win, pay = batch_outcomes(m, vals)
-            rev = batch_revenue(m, vals)
-            for j in range(vals.shape[0]):
-                o = m.run(vals[j])
-                np.testing.assert_array_equal(win[j], [i in o.winners for i in range(4)])
-                np.testing.assert_allclose(pay[j], o.payments, atol=1e-12)
-                assert rev[j] == pytest.approx(o.revenue, abs=1e-12)
+    @settings(max_examples=200)
+    @given(st.integers(1, 40), st.integers(0, 2 ** 32 - 1), st.booleans(),
+           st.sampled_from(["ties", "atom", "uniform"]),
+           st.sampled_from(["zero", "bid", "random"]), st.data())
+    def test_batch_matches_single_runs(self, n, seed, posted, bid_kind, price_kind, data):
+        k = data.draw(st.integers(1, n + 2), label="k")
+        # 1024 rows take the column pass in batch, 16 rows and m.run np.partition
+        rows = data.draw(st.sampled_from([16, 1024]), label="rows")
+        rng = np.random.default_rng(seed)
+        shape = (rows, n)
+        if bid_kind == "ties":
+            vals = rng.integers(0, 4, shape).astype(float)
+        elif bid_kind == "atom":
+            vals = left_triangle(0.2).draw(rng, shape)
+        else:
+            vals = rng.random(shape) * 1.5
+        price = {"zero": 0.0, "bid": float(vals[rng.integers(rows), rng.integers(n)]),
+                 "random": float(rng.random() * 1.2 * vals.max())}[price_kind]
+        m = PostedPriceMechanism(price, k) if posted else VcgMechanism(k, price)
+        win, pay = batch_outcomes(m, vals)
+        ref_win, ref_pay = argsort_outcomes(m, vals)
+        np.testing.assert_array_equal(win, ref_win)
+        np.testing.assert_array_equal(pay, ref_pay)
+        rev, pay_sum = batch_revenue(m, vals), pay.sum(axis=1)
+        if k <= 4:
+            np.testing.assert_array_equal(rev, pay_sum)
+        else:
+            # min(k, sold) * price rounds once, the row sum once per winner
+            assert np.all(np.abs(rev - pay_sum) <= k * 2.0 ** -52 * pay_sum)
+        for j in range(16):
+            o = m.run(vals[j])
+            np.testing.assert_array_equal(win[j], [i in o.winners for i in range(n)])
+            np.testing.assert_array_equal(pay[j], o.payments)
+            assert o.revenue == float(pay_sum[j])
 
 
 class TestTruthfulness:
