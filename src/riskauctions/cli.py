@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import sys
+
+import numpy as np
 
 from .distributions import Distribution, SpecParseError, exponential, \
     irregular_example, left_triangle, make_distribution, uniform
@@ -30,6 +33,7 @@ from .utilities import (capped, default_family, linear, maximize_single_bidder,
                         optimal_reserve, parse_utility_or_family, power)
 
 MIN_SAMPLES = 1_000
+MAX_GRID = 1_000_000
 
 
 def _fmt(x) -> str:
@@ -84,6 +88,14 @@ def _resolve(args: argparse.Namespace, defaults: dict, svg_ok: bool = False) -> 
         raise SpecParseError(f"samples must be at least {MIN_SAMPLES}")
     if getattr(args, "format", None) == "svg" and not svg_ok:
         raise SpecParseError("svg output applies to dist and frontier only")
+
+
+def _check_grid(grid: int) -> None:
+    """Reject a grid before anything of its size is allocated."""
+    if grid < 1:
+        raise SpecParseError("grid must be positive")
+    if grid > MAX_GRID:
+        raise SpecParseError(f"grid must be at most {MAX_GRID}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -162,17 +174,18 @@ def cmd_dist(args) -> int:
     _resolve(args, {"seed": 42, "samples": 1_000_000, "format": "csv", "grid": 100},
              svg_ok=True)
     d = make_distribution(args.spec)
-    if args.grid < 1:
-        raise SpecParseError("grid must be positive")
-    qs = [(i + 1) / args.grid for i in range(args.grid)]
+    _check_grid(args.grid)
+    qs = np.arange(1, args.grid + 1) / args.grid
+    revenue = d.revenue(qs)
     if args.format == "svg":
-        _emit(_svg_line_plot(qs, [d.revenue(q) for q in qs], "sale probability q",
+        _emit(_svg_line_plot(qs.tolist(), revenue.tolist(), "sale probability q",
                              "expected revenue", d.label), args.out)
         return 0
-    rows = []
-    for q in qs:
-        price = float(d.price(q))
-        rows.append([_fmt(q), _fmt(d.revenue(q)), _fmt(price), _fmt(d.cdf(price))])
+    prices = d.price(qs)
+    cdf = d.cdf(prices)
+    rows = [[_fmt(q), _fmt(r), _fmt(p), _fmt(c)]
+            for q, r, p, c in zip(qs.tolist(), revenue.tolist(), prices.tolist(),
+                                  cdf.tolist())]
     _emit(_csv_text(["q", "revenue", "price", "cdf_at_price"], rows), args.out)
     return 0
 
@@ -313,6 +326,7 @@ def cmd_frontier(args) -> int:
     d = make_distribution(args.spec)
     parsed = parse_utility_or_family(args.family)
     fam = list(parsed.members) if hasattr(parsed, "members") else [parsed]
+    _check_grid(args.grid)
     fr = frontier_search(d, fam, args.grid)
     min_ratio = fr.ratios.min(axis=0)
     if args.format == "svg":
@@ -333,7 +347,10 @@ def cmd_frontier(args) -> int:
 # -- wiring ----------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it as
+    it was and returns a fresh Namespace on each call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="RNG seed for all sampling (default 42)")

@@ -15,6 +15,7 @@ threads; sampling takes an explicit seed.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -135,6 +136,10 @@ class Distribution:
         if s <= 0:
             raise ValueError("cumulative hazard undefined at or above the top of the support")
         return -math.log(s)
+
+    def breakpoints(self) -> tuple[float, ...]:
+        """Interior quantiles where price(q) has a kink or a jump; none here."""
+        return ()
 
     @property
     def support(self) -> tuple[float, float]:
@@ -398,6 +403,11 @@ class RevenueCurveDistribution(Distribution):
         while i + 1 < len(self._prices) and self._prices[i + 1] == self._prices[0]:
             i += 1
         self._atom = float(qs[i])
+        # Plain-float copies for the scalar path of price().
+        self._qs_list = qs.tolist()
+        self._intercepts_list = self._intercepts.tolist()
+        self._slopes_list = self._slopes.tolist()
+        self._price0 = float(self._prices[0])
 
     @property
     def points(self) -> tuple[tuple[float, float], ...]:
@@ -422,7 +432,12 @@ class RevenueCurveDistribution(Distribution):
         idx = np.searchsorted(self._qs, q_arr, side="left") - 1
         return np.clip(idx, 0, len(self._slopes) - 1)
 
+    def breakpoints(self):
+        return tuple(self._qs_list[1:-1])
+
     def price(self, q):
+        if isinstance(q, float):  # also np.float64, a float subclass
+            return self._price_of_float(float(q))
         q_arr = np.asarray(q, dtype=float)
         scalar = np.isscalar(q) or q_arr.ndim == 0
         idx = self._segment_of_q(q_arr)
@@ -432,6 +447,16 @@ class RevenueCurveDistribution(Distribution):
             v = np.maximum(self._intercepts[idx] / q_arr + self._slopes[idx], 0.0)
         out = np.where(q_arr <= self._qs[1], self._prices[0], v)
         return _ret(out, scalar)
+
+    def _price_of_float(self, q: float) -> float:
+        # The array path above, one point at a time: the same bisection, one
+        # divide and one add, so the result is bit-identical to it.  The clamp
+        # copies np.maximum(v, 0.0), which keeps NaN and returns +0.0 for -0.0.
+        if q <= self._qs_list[1]:
+            return self._price0
+        j = min(max(bisect_left(self._qs_list, q) - 1, 0), len(self._slopes_list) - 1)
+        v = self._intercepts_list[j] / q + self._slopes_list[j]
+        return v if v > 0.0 or v != v else 0.0
 
     def revenue(self, q):
         q_arr = np.asarray(q, dtype=float)

@@ -57,10 +57,7 @@ class EvalResult:
 
 def _split_points(d: Distribution, u: UtilityFunction, scale: float) -> list[float]:
     """Quantile-space points where the integrand loses smoothness."""
-    pts: list[float] = []
-    qs = getattr(d, "_qs", None)
-    if qs is not None:
-        pts.extend(float(q) for q in qs[1:-1])
+    pts = list(d.breakpoints())
     if u.kink is not None and scale > 0:
         pts.append(float(d.sale_probability(u.kink / scale)))
     return pts

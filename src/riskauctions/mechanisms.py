@@ -240,6 +240,8 @@ def make_mechanism(kind: str, *, d: Distribution | None = None, n: int | None = 
     if kind == "opt-single":
         if d is None or u is None:
             raise SpecParseError("opt-single mechanism needs a distribution and a utility")
+        if not u.is_smooth:
+            raise SpecParseError(f"opt-single mechanism needs a smooth utility, not {u.label}")
         from .utilities import optimal_reserve
         return VcgMechanism(1, optimal_reserve(d, u), name=f"opt-single:{u.label}")
     raise SpecParseError(f"unknown mechanism kind: {kind!r}")
@@ -255,23 +257,28 @@ def parse_mechanism(spec: str, d: Distribution | None = None):
     head, sep, rest = spec.partition(":")
     if not sep:
         raise SpecParseError(f"malformed mechanism spec: {spec!r}")
+    # Only the conversions below can make a spec malformed; errors raised
+    # while resolving a derived price propagate with their own message.
+    n = None
     try:
         if head == "posted":
             p, k = rest.split(",")
-            return make_mechanism("posted", price=float(p), k=int(k)), None
-        if head == "vcg":
+            kwargs = {"price": float(p), "k": int(k)}
+        elif head == "vcg":
             k, r = rest.split(",")
-            return make_mechanism("vcg", k=int(k), reserve=float(r)), None
-        if head == "hedge":
+            kwargs = {"k": int(k), "reserve": float(r)}
+        elif head == "hedge":
             n, k = (int(x) for x in rest.split(","))
-            return make_mechanism("hedge", d=d, n=n, k=k), n
-        if head == "myerson":
-            return make_mechanism("myerson", d=d, k=int(rest)), None
-        if head == "opt-single":
+            kwargs = {"d": d, "n": n, "k": k}
+        elif head == "myerson":
+            kwargs = {"d": d, "k": int(rest)}
+        elif head == "opt-single":
             from .utilities import parse_utility
-            return make_mechanism("opt-single", d=d, u=parse_utility(rest)), None
+            kwargs = {"d": d, "u": parse_utility(rest)}
+        else:
+            raise SpecParseError(f"unknown mechanism kind: {head!r}")
     except SpecParseError:
         raise
     except (ValueError, TypeError) as exc:
         raise SpecParseError(f"malformed mechanism spec: {spec!r} ({exc})") from exc
-    raise SpecParseError(f"unknown mechanism kind: {head!r}")
+    return make_mechanism(head, **kwargs), n

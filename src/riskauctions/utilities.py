@@ -216,9 +216,7 @@ def maximize_single_bidder(d: Distribution, u: UtilityFunction) -> tuple[float, 
     best bracket.
     """
     qs = np.linspace(0.0, 1.0, SINGLE_BIDDER_GRID + 1)[1:]
-    extra = []
-    if hasattr(d, "_qs"):
-        extra.extend(float(x) for x in d._qs[1:])
+    extra = list(d.breakpoints())
     if u.kink is not None:
         q_kink = float(d.sale_probability(u.kink))
         if 0 < q_kink <= 1:

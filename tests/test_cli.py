@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from riskauctions.cli import main
+from riskauctions.cli import MAX_GRID, build_parser, main
 
 
 def run(argv):
@@ -37,6 +37,20 @@ class TestDist:
         assert out.startswith("<svg ")
         assert "polyline" in out
         assert out.rstrip().endswith("</svg>")
+
+    @pytest.mark.parametrize("command", ["dist", "frontier"])
+    def test_huge_grid_rejected_up_front(self, command):
+        # 10^11 grid points would take 745 GiB; nothing of that size may be built
+        tracemalloc.start()
+        try:
+            code, out, err = run([command, "uniform:0,1", "--grid", "100000000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert err == f"error: grid must be at most {MAX_GRID}\n"
+        assert peak < 16 * 2 ** 20
 
     def test_bad_spec_exits_2(self):
         code, _, err = run(["dist", "frob:1"])
@@ -123,6 +137,24 @@ class TestEval:
                             "uniform:0,1", "--n", "2", "--format", "svg"])
         assert code == 2
         assert "svg output applies to dist and frontier only" in err
+
+    # a well-formed spec whose price cannot be resolved reports why
+    @pytest.mark.parametrize("mech,dist,reason", [
+        ("hedge:20000,5", "uniform:0,1", "limited to n <= 10000"),
+        ("opt-single:linear", "left-triangle:0.05", "no density at the atom"),
+        ("opt-single:linear", "uniform:0.8,1.5", "no sign change"),
+    ])
+    def test_derived_price_errors_are_not_parse_errors(self, mech, dist, reason):
+        code, out, err = run(["eval", "--mech", mech, "--dist", dist])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and reason in err
+        assert "malformed" not in err
+
+    def test_malformed_mechanism_spec(self):
+        code, _, err = run(["eval", "--mech", "hedge:x,2", "--dist", "uniform:0,1"])
+        assert code == 2
+        assert err.startswith("error: malformed mechanism spec: 'hedge:x,2'")
 
 
 class TestLemmas:
@@ -237,3 +269,24 @@ class TestUsageErrors:
     def test_no_subcommand(self):
         code, _, _ = run([])
         assert code == 2
+
+
+class TestParserReuse:
+    COMMANDS = [
+        ["dist", "uniform:0,1", "--zebra"],
+        ["dist", "left-triangle:0.1", "--grid", "7"],
+        ["eval", "--mech", "vcg:1,0.2", "--dist", "exponential:1", "--n", "3"],
+        ["lemmas", "tail"],
+    ]
+
+    def test_one_parser_serves_every_call(self):
+        assert build_parser() is build_parser()
+        first = {}
+        for argv in self.COMMANDS:
+            build_parser.cache_clear()
+            first[tuple(argv)] = run(argv)
+        assert first[tuple(self.COMMANDS[0])][0] == 2
+        parser = build_parser()
+        for argv in self.COMMANDS + self.COMMANDS[::-1]:
+            assert run(argv) == first[tuple(argv)], argv
+        assert build_parser() is parser

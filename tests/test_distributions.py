@@ -206,6 +206,53 @@ class TestVectorization:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+# Revenue curves answer a float q without NumPy; that path must give the
+# same bits as the array path, on and around every breakpoint too.
+EPS_GRID = [float(e) for e in np.linspace(0.001, 0.3, 300)]
+CURVES = st.one_of(
+    st.builds(gen_regular, st.integers(0, 2 ** 31 - 1), st.integers(2, 64)),
+    st.builds(left_triangle, st.sampled_from(EPS_GRID)),
+    st.builds(irregular_example, st.sampled_from(EPS_GRID)),
+)
+SPECIAL_QS = [0.0, -0.0, 1.0, 1.5, 1e300, -0.25, -1.0, math.inf, -math.inf, math.nan,
+              5e-324]
+
+
+def same_bits(a: float, b: float) -> bool:
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+class TestScalarPrice:
+    def test_breakpoints(self):
+        assert uniform(0.0, 1.0).breakpoints() == ()
+        assert exponential(2.0).breakpoints() == ()
+        assert left_triangle(0.1).breakpoints() == (0.1,)
+        assert irregular_example(0.01).breakpoints() == (0.01, 0.02, 0.99)
+        d = gen_regular(5, breakpoints=9)
+        assert d.breakpoints() == tuple(q for q, _ in d.points[1:-1])
+        assert len(d.breakpoints()) == 8
+
+    @given(CURVES, st.data())
+    def test_float_path_is_bit_identical_to_array_path(self, d, data):
+        qs = [q for q, _ in d.points]
+        q1 = qs[1]
+        near = [math.nextafter(q, to) for q in qs for to in (-math.inf, math.inf)]
+        drawn = data.draw(st.lists(st.one_of(
+            st.floats(0.0, 1.0),
+            st.floats(0.0, q1),
+            st.floats(allow_nan=True, allow_infinity=True)), max_size=20))
+        for q in qs + near + SPECIAL_QS + drawn:
+            for x in (q, np.float64(q)):
+                got = d.price(x)
+                assert type(got) is float
+                want = float(d.price(np.array([x]))[0])
+                assert same_bits(got, want), (d.label, q, got, want)
+                if q <= q1:
+                    assert got == d.price(q1)
+
+
 class TestInvariants:
     @pytest.mark.parametrize(
         "d",
