@@ -11,20 +11,21 @@ from .distributions import (BidProfile, Distribution, NotDifferentiableError,
                             revenue_curve, uniform)
 from .evaluation import (EvalResult, benchmark_ub, check_virtual_utility_identity,
                          eval_mc, eval_posted_exact, eval_second_price_exact,
-                         eval_vcg_exact, evaluate, mc_moments, myerson_revenue,
-                         universal_ratio, virtual_utility_identity_stats)
+                         eval_vcg_exact, evaluate, expected_order_stat_price,
+                         mc_moments, myerson_revenue, universal_ratio,
+                         virtual_utility_identity_stats)
 from .lemmas import (MHR_BOUND, FrontierResult, check_allocation_bound,
                      check_capped_binomial, check_capped_binomial_grid,
                      check_half_bound, check_half_bound_sweep,
                      check_hedge_limited, check_hedge_unlimited, check_mhr_bound,
                      check_tail, check_vcg_chain, check_vcg_discount,
-                     default_suite, expected_order_stat_price, frontier_search,
-                     gen_regular, run_selections)
+                     default_suite, frontier_search, gen_regular,
+                     run_selections)
 from .mechanisms import (MechanismOutcome, PostedPriceMechanism, VcgMechanism,
-                         allocation_probability, batch_outcomes, batch_revenue,
-                         hedge_limited_price, hedge_unlimited_price,
-                         make_mechanism, parse_mechanism, run_posted_price,
-                         run_vcg)
+                         allocation_probabilities, allocation_probability,
+                         batch_outcomes, batch_revenue, hedge_limited_price,
+                         hedge_unlimited_price, make_mechanism, parse_mechanism,
+                         run_posted_price, run_vcg)
 from .report import CSV_COLUMNS, LemmaReport, report_from_margin
 from .utilities import (UtilityFamily, UtilityFunction, capped,
                         check_virtual_utility_monotone, default_family, linear,
@@ -45,8 +46,8 @@ __all__ = [
     "parse_utility_or_family", "power", "virtual_utility",
     "check_virtual_utility_monotone",
     "MechanismOutcome", "PostedPriceMechanism", "VcgMechanism",
-    "allocation_probability", "batch_outcomes", "batch_revenue",
-    "hedge_limited_price", "hedge_unlimited_price", "make_mechanism",
+    "allocation_probabilities", "allocation_probability", "batch_outcomes",
+    "batch_revenue", "hedge_limited_price", "hedge_unlimited_price", "make_mechanism",
     "parse_mechanism", "run_posted_price", "run_vcg",
     "EvalResult", "benchmark_ub", "eval_mc", "eval_posted_exact",
     "eval_second_price_exact", "eval_vcg_exact", "evaluate", "mc_moments",

@@ -6,7 +6,8 @@ checks), ``reproduce`` (the headline constants table), ``frontier``
 (single-bidder price sweep).  All numeric output uses 12 significant digits
 and CSV rows end in CRLF, so identical invocations are byte-identical.
 
-Exit codes: 0 success, 1 a verification row failed, 2 usage or parse error.
+Exit codes: 0 success, 1 a verification row failed, 2 usage or parse error,
+3 an unexpected internal error (one line on stderr, no traceback).
 """
 from __future__ import annotations
 
@@ -431,6 +432,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a crash must not read as a failed check (1)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -332,7 +332,7 @@ class Exponential(Distribution):
         q_arr = np.asarray(q, dtype=float)
         scalar = np.isscalar(q) or q_arr.ndim == 0
         with np.errstate(divide="ignore"):
-            out = -np.log(q_arr) / self.rate
+            out = -np.log(q_arr) / self.rate + 0.0  # price(1) is +0, not -0
         return _ret(out, scalar)
 
     def inverse_hazard(self, v):

@@ -25,6 +25,7 @@ __all__ = [
     "eval_posted_exact",
     "eval_second_price_exact",
     "eval_vcg_exact",
+    "expected_order_stat_price",
     "eval_mc",
     "mc_moments",
     "evaluate",
@@ -116,6 +117,21 @@ def eval_vcg_exact(d: Distribution, n: int, k: int, u: UtilityFunction) -> EvalR
 
     mean = _quad(integrand, 0.0, 1.0, _split_points(d, u, float(k)))
     return EvalResult(mean, "exact")
+
+
+def expected_order_stat_price(d: Distribution, t: int, n: int) -> float:
+    """E of price(Q) where Q is the t-th lowest of n uniform quantiles, i.e.
+    the expected t-th highest of n i.i.d. bids."""
+    if t <= 1:
+        raise ValueError("need t > 1 (the top order statistic may lack a mean)")
+    if t > n:
+        raise ValueError("need t <= n")
+    coef = order_stat_pdf_coef(t, n)
+
+    def integrand(q):
+        return coef * q ** (t - 1) * (1.0 - q) ** (n - t) * float(d.price(q))
+
+    return _quad(integrand, 0.0, 1.0, _split_points(d, linear(), 0.0))
 
 
 def mc_moments(d: Distribution, n: int, stat, samples: int = 1_000_000,

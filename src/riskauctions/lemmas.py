@@ -13,12 +13,12 @@ import numpy as np
 
 from .distributions import (Distribution, RevenueCurveDistribution, exponential,
                             left_triangle, uniform)
-from .evaluation import (_quad, _split_points, check_virtual_utility_identity,
-                         eval_posted_exact, eval_second_price_exact, eval_vcg_exact,
-                         mc_moments, myerson_revenue)
-from .mechanisms import VcgMechanism, allocation_probability, batch_revenue, \
+from .evaluation import (check_virtual_utility_identity, eval_posted_exact,
+                         eval_second_price_exact, eval_vcg_exact,
+                         expected_order_stat_price, mc_moments, myerson_revenue)
+from .mechanisms import VcgMechanism, allocation_probabilities, batch_revenue, \
     hedge_limited_price, hedge_unlimited_price
-from .numerics import binom_pmf, order_stat_cdf, order_stat_pdf_coef
+from .numerics import binom_pmf_rows, order_stat_cdf
 from .report import LemmaReport, report_from_margin
 from .utilities import (capped, check_virtual_utility_monotone, default_family,
                         linear, optimal_reserve, power)
@@ -115,6 +115,13 @@ def check_mhr_bound(d: Distribution) -> LemmaReport:
 # -- combinatorial bounds used by the limited-supply analysis ---------------------
 
 
+def _capped_means(n: int, qs) -> tuple[np.ndarray, np.ndarray]:
+    """(qn, E[min(Y, qn)]) for Y ~ Binomial(n, q), one entry per q in qs."""
+    qn = np.asarray(qs, dtype=float) * n
+    caps = np.minimum(np.arange(n + 1), qn[:, None])
+    return qn, (caps * binom_pmf_rows(n, qs)).sum(axis=1)
+
+
 def check_capped_binomial(n: int, q: float, k: int) -> LemmaReport:
     """E[min(Y, qn)] >= 0.25*qn for Y ~ Binomial(n, q) whenever qn >= k/2."""
     if k < 1 or n < 1:
@@ -124,32 +131,34 @@ def check_capped_binomial(n: int, q: float, k: int) -> LemmaReport:
     if q * n < 0.5 * k:
         raise ValueError("precondition qn >= 0.5k violated")
     qn = q * n
-    e = float(np.sum(np.minimum(np.arange(n + 1), qn) * binom_pmf(n, q)))
+    e = float(_capped_means(n, [q])[1][0])
     return report_from_margin(f"capped-binomial[n={n},q={q:g},k={k}]",
                               0.25 * qn, e, 1e-12, 1, f"n={n},q={q:g},k={k}")
 
 
 def check_capped_binomial_grid(n_max: int = 60, q_step: float = 0.01) -> LemmaReport:
     """Exhaustive sweep of the capped-binomial bound; margin is the worst
-    absolute slack E[min(Y, qn)] - 0.25*qn over the admissible grid."""
+    absolute slack E[min(Y, qn)] - 0.25*qn over the admissible grid.  Each
+    q counts once per admissible k (1 <= k <= min(n, 2qn)); the worst
+    instance is the first strict minimum in (n, q) order."""
     steps = round(1.0 / q_step)
+    grid = np.arange(1, steps + 1) / steps
     worst_margin = np.inf
     worst = ""
     instances = 0
     for n in range(1, n_max + 1):
-        y = np.arange(n + 1)
-        for j in range(1, steps + 1):
-            q = j / steps
-            qn = q * n
-            k_max = min(n, int(np.floor(2.0 * qn + 1e-9)))
-            if k_max < 1:
-                continue
-            e = float(np.sum(np.minimum(y, qn) * binom_pmf(n, q)))
-            margin = e - 0.25 * qn
-            instances += k_max
-            if margin < worst_margin:
-                worst_margin = margin
-                worst = f"n={n},q={q:g}: E={e:.9g} vs {0.25 * qn:.9g}"
+        k_max = np.minimum(n, np.floor(2.0 * (grid * n) + 1e-9)).astype(int)
+        admissible = k_max >= 1
+        if not admissible.any():
+            continue
+        qs = grid[admissible]
+        qn, e = _capped_means(n, qs)
+        margin = e - 0.25 * qn
+        instances += int(k_max[admissible].sum())
+        i = int(np.argmin(margin))
+        if margin[i] < worst_margin:
+            worst_margin = margin[i]
+            worst = f"n={n},q={qs[i]:g}: E={e[i]:.9g} vs {0.25 * qn[i]:.9g}"
     return LemmaReport(name=f"capped-binomial[grid n<={n_max}]",
                        passed=bool(worst_margin >= -1e-12), claimed_bound=0.0,
                        observed=float(worst_margin), margin=float(worst_margin),
@@ -159,20 +168,22 @@ def check_capped_binomial_grid(n_max: int = 60, q_step: float = 0.01) -> LemmaRe
 
 def check_allocation_bound(n_max: int = 60) -> LemmaReport:
     """allocation_probability(n, k, q_r) must land in [k/2n, k/n] whenever
-    q_r >= 1/2; margin is the worst distance to either edge of the bracket."""
+    q_r >= 1/2; margin is the worst distance to either edge of the bracket,
+    and the worst instance the first strict minimum in (n, q_r, k) order."""
+    q_rs = np.arange(10, 21) / 20
     worst_margin = np.inf
     worst = ""
     instances = 0
     for n in range(1, n_max + 1):
-        for j in range(10, 21):
-            q_r = j / 20
-            for k in range(1, n + 1):
-                a = allocation_probability(n, k, q_r)
-                margin = min(a - k / (2 * n), k / n - a)
-                instances += 1
-                if margin < worst_margin:
-                    worst_margin = margin
-                    worst = f"n={n},k={k},q_r={q_r:g}: a={a:.9g}"
+        ks = np.arange(1, n + 1)
+        a = np.stack([allocation_probabilities(n, q_r) for q_r in q_rs])
+        lo, hi = a - ks / (2 * n), ks / n - a
+        margin = np.where(hi < lo, hi, lo)  # min(lo, hi), as Python's min picks
+        instances += margin.size
+        j, k = np.unravel_index(int(np.argmin(margin)), margin.shape)
+        if margin[j, k] < worst_margin:
+            worst_margin = margin[j, k]
+            worst = f"n={n},k={k + 1},q_r={q_rs[j]:g}: a={a[j, k]:.9g}"
     return LemmaReport(name=f"allocation-bound[grid n<={n_max}]",
                        passed=bool(worst_margin >= -1e-12), claimed_bound=0.0,
                        observed=float(worst_margin), margin=float(worst_margin),
@@ -181,21 +192,6 @@ def check_allocation_bound(n_max: int = 60) -> LemmaReport:
 
 
 # -- the order-statistic tail bound ------------------------------------------------
-
-
-def expected_order_stat_price(d: Distribution, t: int, n: int) -> float:
-    """E of price(Q) where Q is the t-th lowest of n uniform quantiles, i.e.
-    the expected t-th highest of n i.i.d. bids."""
-    if t <= 1:
-        raise ValueError("need t > 1 (the top order statistic may lack a mean)")
-    if t > n:
-        raise ValueError("need t <= n")
-    coef = order_stat_pdf_coef(t, n)
-
-    def integrand(q):
-        return coef * q ** (t - 1) * (1.0 - q) ** (n - t) * float(d.price(q))
-
-    return _quad(integrand, 0.0, 1.0, _split_points(d, linear(), 0.0))
 
 
 def check_tail(d: Distribution, t: int, n: int) -> LemmaReport:

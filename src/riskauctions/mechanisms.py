@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import BidProfile, Distribution, SpecParseError
-from .numerics import binom_pmf
+from .numerics import binom_pmf, binom_pmf_rows
 
 __all__ = [
     "MechanismOutcome",
@@ -25,6 +25,7 @@ __all__ = [
     "batch_revenue",
     "hedge_unlimited_price",
     "allocation_probability",
+    "allocation_probabilities",
     "hedge_limited_price",
     "make_mechanism",
     "parse_mechanism",
@@ -86,6 +87,9 @@ class VcgMechanism:
 
 
 Mechanism = PostedPriceMechanism | VcgMechanism
+
+# Largest (k, y) block allocation_probabilities builds at once: 4 MiB of float64.
+ALLOCATION_BLOCK_BYTES = 2 ** 22
 
 
 def _top_bids(b: np.ndarray, j: int) -> list[np.ndarray]:
@@ -200,6 +204,27 @@ def allocation_probability(n: int, k: int, q_r: float) -> float:
     y = np.arange(n + 1)
     pmf = binom_pmf(n, q_r)
     return float(np.sum(np.minimum(y, k) * pmf) / n)
+
+
+def allocation_probabilities(n: int, q_r: float) -> np.ndarray:
+    """allocation_probability(n, k, q_r) for k = 1..n, bit for bit, from one
+    pmf.  The (k, y) matrix of min(k, y) is built in blocks of at most
+    ALLOCATION_BLOCK_BYTES, and each row is summed pairwise as the scalar
+    sum is; at q_r = 0 or 1 the pmf is a unit vector, so the sums are exact."""
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    if not 0.0 <= q_r <= 1.0:
+        raise ValueError("q_r must lie in [0, 1]")
+    y = np.arange(n + 1)
+    ks = np.arange(1, n)[:, None]
+    pmf = binom_pmf_rows(n, [q_r])[0]
+    out = np.empty(n)
+    rows = max(1, ALLOCATION_BLOCK_BYTES // (8 * (n + 1)))
+    for lo in range(0, n - 1, rows):
+        k = ks[lo:lo + rows]
+        out[lo:lo + len(k)] = (np.minimum(y, k) * pmf).sum(axis=1) / n
+    out[n - 1] = q_r  # k >= n: every bidder above the price is served
+    return out
 
 
 def hedge_limited_price(d: Distribution, n: int, k: int) -> float:

@@ -68,26 +68,45 @@ def bisect_root(f, lo: float, hi: float, abs_tol: float = 1e-10,
     return 0.5 * (a + b)
 
 
-def binom_pmf(n: int, p: float) -> np.ndarray:
-    """Exact-to-roundoff binomial pmf vector over y = 0..n, in log space."""
+def binom_pmf_rows(n: int, ps) -> np.ndarray:
+    """Binomial pmfs over y = 0..n, one row per success probability in ``ps``
+    (shape (len(ps), n + 1)), exact to roundoff in log space.
+
+    The logs are taken per p with ``math.log``/``math.log1p`` and every
+    operation is elementwise, so each row is the same bits whatever the
+    other rows are.  p = 0 and p = 1 give unit vectors.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > MAX_EXACT_N:
         raise ValueError(f"exact binomial sums are limited to n <= {MAX_EXACT_N}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("success probability must lie in [0, 1]")
+    ps = np.asarray(ps, dtype=float)
+    if ps.ndim != 1:
+        raise ValueError("success probabilities must form a 1-d sequence")
+    ps = ps.tolist()
+    log_p, log_q = [], []
+    for p in ps:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError("success probability must lie in [0, 1]")
+        # p = 0 and p = 1 borrow the logs of p = 1/2, which cannot overflow
+        # exp; their rows are reset below
+        x = p if 0.0 < p < 1.0 else 0.5
+        log_p.append(math.log(x))
+        log_q.append(math.log1p(-x))
     y = np.arange(n + 1)
-    if p == 0.0:
-        out = np.zeros(n + 1)
-        out[0] = 1.0
-        return out
-    if p == 1.0:
-        out = np.zeros(n + 1)
-        out[n] = 1.0
-        return out
-    logpmf = (gammaln(n + 1) - gammaln(y + 1) - gammaln(n - y + 1)
-              + y * math.log(p) + (n - y) * math.log1p(-p))
-    return np.exp(logpmf)
+    g = gammaln(y + 1)  # reversed, it is gammaln(n - y + 1), as y reversed is n - y
+    out = np.exp(gammaln(n + 1) - g - g[::-1]
+                 + y * np.array(log_p)[:, None] + y[::-1] * np.array(log_q)[:, None])
+    for i, p in enumerate(ps):
+        if p == 0.0 or p == 1.0:
+            out[i] = 0.0
+            out[i, 0 if p == 0.0 else n] = 1.0
+    return out
+
+
+def binom_pmf(n: int, p: float) -> np.ndarray:
+    """Binomial pmf vector over y = 0..n: the one-row case of binom_pmf_rows."""
+    return binom_pmf_rows(n, [p])[0]
 
 
 def order_stat_pdf_coef(t: int, n: int) -> float:

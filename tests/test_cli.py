@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from riskauctions import cli
 from riskauctions.cli import MAX_GRID, build_parser, main
 
 
@@ -29,6 +30,13 @@ class TestDist:
                        "0.5,0.25,0.5,0.5\r\n"
                        "0.75,0.1875,0.25,0.25\r\n"
                        "1,0,0,0\r\n")
+
+    def test_no_negative_zero(self):
+        code, out, _ = run(["dist", "exponential:1", "--grid", "4"])
+        assert code == 0
+        assert out.split("\r\n")[4] == "1,0,0,0"
+        fields = [f for row in csv.reader(io.StringIO(out)) for f in row]
+        assert "-0" not in fields
 
     def test_svg(self):
         code, out, _ = run(["dist", "uniform:0,1", "--grid", "50",
@@ -207,6 +215,13 @@ class TestFrontier:
         assert lines[1] == "0,1,0,0,0,0,0,0,0,0,0,0,0,0"
         assert lines[-1].startswith("0.75,0.25,0.75,")
 
+    def test_no_negative_zero(self):
+        code, out, _ = run(["frontier", "exponential:1", "--grid", "4"])
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[1][:3] == ["0", "1", "0"]
+        assert "-0" not in [f for row in rows for f in row]
+
     def test_family_flag(self):
         code, out, _ = run(["frontier", "uniform:0,1", "--grid", "4",
                             "--family", "linear"])
@@ -269,6 +284,25 @@ class TestUsageErrors:
     def test_no_subcommand(self):
         code, _, _ = run([])
         assert code == 2
+
+
+class TestInternalError:
+    def test_crash_exits_3_without_traceback(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "frontier_search", boom)
+        code, out, err = run(["frontier", "uniform:0,1", "--grid", "4"])
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: RuntimeError: boom\n"
+
+    def test_value_errors_still_exit_2(self, monkeypatch):
+        def bad(*args, **kwargs):
+            raise ValueError("bad value")
+
+        monkeypatch.setattr(cli, "frontier_search", bad)
+        assert run(["frontier", "uniform:0,1"]) == (2, "", "error: bad value\n")
 
 
 class TestParserReuse:

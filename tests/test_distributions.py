@@ -94,6 +94,25 @@ class TestExponential:
         with pytest.raises(SpecParseError):
             exponential(-2.0)
 
+    @pytest.mark.parametrize("rate", [1.0, 0.37, 5e3])
+    def test_price_at_one_is_positive_zero(self, rate):
+        d = exponential(rate)
+        assert math.copysign(1.0, d.price(1.0)) == 1.0
+        assert math.copysign(1.0, d.price(np.float64(1.0))) == 1.0
+        assert math.copysign(1.0, d.price(np.array([0.5, 1.0]))[1]) == 1.0
+
+    @given(q=st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, 1e-300, 1.0 - 2.0 ** -53]),
+           rate=st.floats(1e-3, 1e3))
+    def test_price_bits_unchanged_but_the_sign_at_one(self, q, rate):
+        """Adding +0.0 only turns price(1) = -0.0 into +0.0."""
+        d = exponential(rate)
+        with np.errstate(divide="ignore"):
+            want = -np.log(np.array([q])) / rate
+        if q == 1.0:
+            want = np.zeros(1)
+        assert np.float64(d.price(q)).tobytes() == want.tobytes()
+        assert d.price(np.array([q])).tobytes() == want.tobytes()
+
 
 class TestLeftTriangle:
     def test_closed_forms(self):

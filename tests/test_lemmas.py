@@ -38,6 +38,9 @@ from riskauctions import (
     uniform,
 )
 from riskauctions.lemmas import SELECTIONS
+from riskauctions.mechanisms import allocation_probability
+from riskauctions.numerics import binom_pmf
+from riskauctions.report import LemmaReport
 
 U01 = uniform(0.0, 1.0)
 
@@ -83,6 +86,78 @@ class TestMhrBound:
     def test_rejects_non_mhr(self):
         with pytest.raises(ValueError):
             check_mhr_bound(left_triangle(0.01))
+
+
+def loop_capped_binomial_grid(n_max, q_step):
+    """Reference: the capped-binomial sweep with one pmf per (n, q) and a
+    running strict minimum, as the grid check computed it before it worked
+    on pmf rows."""
+    steps = round(1.0 / q_step)
+    worst_margin, worst, instances = np.inf, "", 0
+    for n in range(1, n_max + 1):
+        y = np.arange(n + 1)
+        for j in range(1, steps + 1):
+            q = j / steps
+            qn = q * n
+            k_max = min(n, int(np.floor(2.0 * qn + 1e-9)))
+            if k_max < 1:
+                continue
+            e = float(np.sum(np.minimum(y, qn) * binom_pmf(n, q)))
+            margin = e - 0.25 * qn
+            instances += k_max
+            if margin < worst_margin:
+                worst_margin = margin
+                worst = f"n={n},q={q:g}: E={e:.9g} vs {0.25 * qn:.9g}"
+    return LemmaReport(name=f"capped-binomial[grid n<={n_max}]",
+                       passed=bool(worst_margin >= -1e-12), claimed_bound=0.0,
+                       observed=float(worst_margin), margin=float(worst_margin),
+                       tolerance=1e-12, instances_checked=instances,
+                       worst_instance=worst)
+
+
+def loop_allocation_bound(n_max):
+    """Reference: the allocation bracket with one scalar allocation_probability
+    call per (n, q_r, k) and a running strict minimum."""
+    worst_margin, worst, instances = np.inf, "", 0
+    for n in range(1, n_max + 1):
+        for j in range(10, 21):
+            q_r = j / 20
+            for k in range(1, n + 1):
+                a = allocation_probability(n, k, q_r)
+                margin = min(a - k / (2 * n), k / n - a)
+                instances += 1
+                if margin < worst_margin:
+                    worst_margin = margin
+                    worst = f"n={n},k={k},q_r={q_r:g}: a={a:.9g}"
+    return LemmaReport(name=f"allocation-bound[grid n<={n_max}]",
+                       passed=bool(worst_margin >= -1e-12), claimed_bound=0.0,
+                       observed=float(worst_margin), margin=float(worst_margin),
+                       tolerance=1e-12, instances_checked=instances,
+                       worst_instance=worst)
+
+
+class TestGridChecksMatchPerInstanceLoops:
+    """The row-wise grid checks must report exactly what the per-instance
+    loops report, worst instance and count included."""
+
+    @pytest.mark.parametrize("n_max,q_step", [(60, 0.01), (25, 0.05), (30, 0.003),
+                                              (3, 0.25), (1, 0.5)])
+    def test_capped_binomial_grid(self, n_max, q_step):
+        assert check_capped_binomial_grid(n_max, q_step) == \
+            loop_capped_binomial_grid(n_max, q_step)
+
+    @pytest.mark.parametrize("n_max", [60, 17, 1])
+    def test_allocation_bound(self, n_max):
+        assert check_allocation_bound(n_max) == loop_allocation_bound(n_max)
+
+    @pytest.mark.parametrize("n,q,k", [(10, 0.3, 2), (7, 1.0, 3), (5, 0.5, 5),
+                                       (60, 0.9, 4), (1, 0.5, 1)])
+    def test_single_capped_binomial(self, n, q, k):
+        qn = q * n
+        e = float(np.sum(np.minimum(np.arange(n + 1), qn) * binom_pmf(n, q)))
+        assert check_capped_binomial(n, q, k) == report_from_margin(
+            f"capped-binomial[n={n},q={q:g},k={k}]", 0.25 * qn, e, 1e-12, 1,
+            f"n={n},q={q:g},k={k}")
 
 
 class TestCappedBinomial:

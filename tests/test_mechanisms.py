@@ -15,6 +15,7 @@ from riskauctions import (
     PostedPriceMechanism,
     SpecParseError,
     VcgMechanism,
+    allocation_probabilities,
     allocation_probability,
     batch_outcomes,
     batch_revenue,
@@ -31,6 +32,7 @@ from riskauctions import (
     run_vcg,
     uniform,
 )
+from riskauctions.mechanisms import ALLOCATION_BLOCK_BYTES
 
 
 def binom_pmf_fractions(n, p):
@@ -263,6 +265,47 @@ class TestAllocationProbability:
             allocation_probability(5, 0, 0.5)
         with pytest.raises(ValueError):
             allocation_probability(5, 2, 1.2)
+
+
+def assert_all_k_bit_equal(n, q_r):
+    got = allocation_probabilities(n, q_r)
+    assert got.shape == (n,)
+    for k in range(1, n + 1):
+        want = allocation_probability(n, k, q_r)
+        assert got[k - 1].tobytes() == np.float64(want).tobytes(), (n, k, q_r)
+
+
+class TestAllocationProbabilities:
+    """One pmf for every k must give the scalar function's bits."""
+
+    def test_bit_equal_on_the_q_r_grid(self):
+        for n in range(1, 61):
+            for j in range(21):
+                assert_all_k_bit_equal(n, j / 20)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 120), q_r=st.floats(0.0, 1.0))
+    def test_bit_equal_on_drawn_q_r(self, n, q_r):
+        assert_all_k_bit_equal(n, q_r)
+
+    def test_bit_equal_across_several_blocks(self):
+        n = 1500
+        rows = ALLOCATION_BLOCK_BYTES // (8 * (n + 1))
+        assert 3 <= -(-(n - 1) // rows)  # blocks of k rows
+        for q_r in (0.5, 0.93):
+            assert_all_k_bit_equal(n, q_r)
+
+    def test_signed_zero_at_full_supply(self):
+        assert math.copysign(1.0, allocation_probabilities(3, -0.0)[-1]) == \
+            math.copysign(1.0, allocation_probability(3, 3, -0.0))
+
+    def test_input_validation(self):
+        with pytest.raises(ValueError):
+            allocation_probabilities(0, 0.5)
+        with pytest.raises(ValueError):
+            allocation_probabilities(5, 1.2)
+        with pytest.raises(ValueError):
+            allocation_probabilities(10_001, 0.6)
 
 
 class TestHedgePrices:
