@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import functools
 import io
 import sys
@@ -43,6 +44,14 @@ def _fmt(x) -> str:
     if isinstance(x, (int,)):
         return str(x)
     return f"{float(x):.12g}"
+
+
+def _fmt_toward_zero(x: float) -> str:
+    """``_fmt`` with the 12 digits rounded toward zero, so a printed price never
+    exceeds the computed one (rounding an atom's price up names a price that
+    never sells)."""
+    toward_zero = decimal.Context(prec=12, rounding=decimal.ROUND_DOWN)
+    return _fmt(float(toward_zero.plus(decimal.Decimal(x))))
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -205,8 +214,7 @@ def cmd_price(args) -> int:
         u = parse_utility_or_family(args.utility)
         if hasattr(u, "members"):
             raise SpecParseError("price takes a single utility, not a family")
-        r = optimal_reserve(d, u) if u.is_smooth else maximize_single_bidder(d, u)[0]
-        lines.append(f"r_u_star={_fmt(r)}")
+        lines.append(f"r_u_star={_fmt_toward_zero(maximize_single_bidder(d, u)[0])}")
     _emit("".join(line + "\n" for line in lines), args.out)
     return 0
 

@@ -21,8 +21,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import golden_section_max
-
 __all__ = [
     "SpecParseError",
     "NotDifferentiableError",
@@ -39,12 +37,8 @@ __all__ = [
     "make_distribution",
 ]
 
-# Fixed grid sizes / tolerances for the structural checks.
-REGULARITY_GRID = 10_000
-MHR_GRID = 10_000
-MONOPOLY_GRID = 100_000
+# Relative tolerance of the concavity test on revenue-curve slopes.
 CONCAVITY_TOL = 1e-9
-GOLDEN_REL_TOL = 1e-10
 
 
 class SpecParseError(ValueError):
@@ -103,6 +97,11 @@ class Distribution:
 
     def price(self, q):
         """Price reaching the q highest-value buyers; equals R(q)/q on (0, 1]."""
+        raise NotImplementedError
+
+    def marginal_revenue(self, q):
+        """R'(q) for q in (0, 1]: the slope of the revenue curve, from the left
+        at kinks, so a top atom's marginal revenue is its price."""
         raise NotImplementedError
 
     def revenue(self, q):
@@ -171,51 +170,17 @@ class Distribution:
         return self._monopoly
 
     def _find_monopoly(self) -> tuple[float, float]:
-        # Concave curves are unimodal in q, so a golden-section search is
-        # reliable; anything else gets a dense grid plus local refinement.
-        if self.is_regular():
-            q, _ = golden_section_max(self.revenue, 0.0, 1.0, rel_tol=GOLDEN_REL_TOL)
-        else:
-            grid = np.linspace(0.0, 1.0, MONOPOLY_GRID + 1)[1:]
-            vals = self.revenue(grid)
-            i = int(np.argmax(vals))
-            lo = grid[max(i - 1, 0)]
-            hi = grid[min(i + 1, len(grid) - 1)]
-            q, _ = golden_section_max(self.revenue, lo, hi, rel_tol=GOLDEN_REL_TOL)
-            if self.revenue(grid[i]) > self.revenue(q):
-                q = grid[i]
-        return float(self.price(q)), float(q)
-
-    @cached_property
-    def _regular(self) -> bool:
-        return self._check_regular()
+        raise NotImplementedError
 
     def is_regular(self) -> bool:
-        """True when the revenue curve is concave (nonstrictly, at kinks too)."""
-        return self._regular
-
-    def _check_regular(self) -> bool:
-        qs = np.linspace(0.0, 1.0, REGULARITY_GRID + 1)
-        r = self.revenue(qs)
-        second = r[2:] - 2.0 * r[1:-1] + r[:-2]
-        return bool(np.all(second <= CONCAVITY_TOL))
-
-    @cached_property
-    def _mhr(self) -> bool:
-        return self._check_mhr()
+        """True when the revenue curve is concave (nonstrictly, at kinks too);
+        the closed-form kinds are regular by construction."""
+        return True
 
     def is_mhr(self) -> bool:
-        """True when the hazard rate is nondecreasing where it is defined."""
-        return self._mhr
-
-    def _check_mhr(self) -> bool:
-        # Quantile-spaced v grid; ascending q means descending v, so the
-        # hazard must be nonincreasing along it.
-        ps = np.linspace(1e-6, 1.0 - 1e-6, MHR_GRID)
-        vs = self.quantile(ps)
-        h = 1.0 / self.inverse_hazard(vs)
-        tol = CONCAVITY_TOL * np.maximum(1.0, np.abs(h[1:]))
-        return bool(np.all(h[1:] >= h[:-1] - tol))
+        """True when the hazard rate is nondecreasing where it is defined;
+        the closed-form kinds have a nondecreasing hazard by construction."""
+        return True
 
     # -- sampling ----------------------------------------------------------
 
@@ -278,6 +243,11 @@ class Uniform(Distribution):
         scalar = np.isscalar(q) or q_arr.ndim == 0
         return _ret(self.a + (1.0 - q_arr) * (self.b - self.a), scalar)
 
+    def marginal_revenue(self, q):
+        q_arr = np.asarray(q, dtype=float)
+        scalar = np.isscalar(q) or q_arr.ndim == 0
+        return _ret(self.a + (1.0 - 2.0 * q_arr) * (self.b - self.a), scalar)
+
     def inverse_hazard(self, v):
         v_arr = np.asarray(v, dtype=float)
         if np.any(v_arr < self.a) or np.any(v_arr > self.b):
@@ -333,6 +303,13 @@ class Exponential(Distribution):
         scalar = np.isscalar(q) or q_arr.ndim == 0
         with np.errstate(divide="ignore"):
             out = -np.log(q_arr) / self.rate + 0.0  # price(1) is +0, not -0
+        return _ret(out, scalar)
+
+    def marginal_revenue(self, q):
+        q_arr = np.asarray(q, dtype=float)
+        scalar = np.isscalar(q) or q_arr.ndim == 0
+        with np.errstate(divide="ignore"):
+            out = (-np.log(q_arr) - 1.0) / self.rate
         return _ret(out, scalar)
 
     def inverse_hazard(self, v):
@@ -458,6 +435,15 @@ class RevenueCurveDistribution(Distribution):
         v = self._intercepts_list[j] / q + self._slopes_list[j]
         return v if v > 0.0 or v != v else 0.0
 
+    def marginal_revenue(self, q):
+        # The slope of the segment left of q; on (0, q1] that is the atom price.
+        if isinstance(q, float):
+            j = bisect_left(self._qs_list, q) - 1
+            return self._slopes_list[min(max(j, 0), len(self._slopes_list) - 1)]
+        q_arr = np.asarray(q, dtype=float)
+        scalar = np.isscalar(q) or q_arr.ndim == 0
+        return _ret(self._slopes[self._segment_of_q(q_arr)], scalar)
+
     def revenue(self, q):
         q_arr = np.asarray(q, dtype=float)
         if np.any(q_arr < 0) or np.any(q_arr > 1):
@@ -547,21 +533,15 @@ class RevenueCurveDistribution(Distribution):
 
     # -- structure ------------------------------------------------------------
 
-    def _check_regular(self):
+    def is_regular(self):
         tol = CONCAVITY_TOL * max(1.0, float(np.abs(self._slopes).max()))
         return bool(np.all(np.diff(self._slopes) <= tol))
 
-    def _check_mhr(self):
-        qs = np.linspace(1e-6, 1.0 - 1e-6, MHR_GRID)
-        v = np.asarray(self.price(qs))
-        keep = ~np.isin(v, self._prices)
-        idx = self._segment_of_q(qs[keep])
-        good = self._intercepts[idx] > 0
-        v = v[keep][good]
-        h = 1.0 / (v - self._slopes[idx][good])
-        # ascending q = descending v: hazard must be nonincreasing here
-        tol = CONCAVITY_TOL * np.maximum(1.0, np.abs(h[1:]))
-        return bool(np.all(h[1:] <= h[:-1] + tol))
+    def is_mhr(self):
+        # On a segment R = a + b*q with a > 0 the hazard is q/a, which rises
+        # with q, i.e. falls as the price rises; only constant-price segments
+        # (a = 0, no density) keep it from decreasing.
+        return not bool(np.any(self._intercepts > 0))
 
     def _find_monopoly(self):
         # The maximum of a piecewise-linear curve sits on a breakpoint, so

@@ -50,22 +50,25 @@ def golden_section_max(f, lo: float, hi: float, rel_tol: float = 1e-10,
     return x, f(x)
 
 
-def bisect_root(f, lo: float, hi: float, abs_tol: float = 1e-10,
-                max_iter: int = 200) -> float:
-    """Root of a function that changes sign from <=0 at lo to >=0 at hi."""
-    flo, fhi = f(lo), f(hi)
-    if flo > 0 or fhi < 0:
-        raise ValueError("bisect_root: no sign change on [lo, hi]")
+def bisect_root(f, lo: float, hi: float) -> float:
+    """Sign change of a nonincreasing ``f`` on (lo, hi), to float resolution.
+
+    The ends are taken as f(lo) >= 0 > f(hi) and never evaluated, so ``f``
+    need not be defined there.  Returns the lower end a of the final bracket
+    [a, b]: f(a) >= 0 > f(b) (a = lo if no point reached f >= 0) and no float
+    lies strictly between a and b.  Every step halves the bracket, so on
+    (0, 1] this takes at most 1,074 steps, and 53 to 59 for a change
+    between 0.01 and 1.
+    """
     a, b = lo, hi
-    for _ in range(max_iter):
-        if b - a <= abs_tol:
-            break
+    while True:
         m = 0.5 * (a + b)
-        if f(m) <= 0:
+        if not a < m < b:
+            return a
+        if f(m) >= 0:
             a = m
         else:
             b = m
-    return 0.5 * (a + b)
 
 
 def binom_pmf_rows(n: int, ps) -> np.ndarray:

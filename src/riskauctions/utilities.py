@@ -5,7 +5,7 @@ The risk-adjusted analogue of the marginal-revenue value is
 
     u(v) - u'(v) * (1 - F(v)) / f(v),
 
-whose root is the best reserve for a single bidder under utility u.
+whose sign change is the best reserve for a single bidder under utility u.
 """
 from __future__ import annotations
 
@@ -37,7 +37,6 @@ __all__ = [
 MONOTONE_GRID = 10_000
 MONOTONE_TOL = 1e-8
 SINGLE_BIDDER_GRID = 100_000
-RESERVE_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -69,7 +68,7 @@ class UtilityFunction:
             if a == 1.0:
                 out = np.ones_like(x_arr)
             else:
-                with np.errstate(divide="ignore"):
+                with np.errstate(divide="ignore", over="ignore"):
                     out = np.where(x_arr > 0, a * np.power(x_arr, a - 1.0), np.inf)
         else:
             out = np.where(x_arr < self.param, 1.0, 0.0)
@@ -185,36 +184,40 @@ def virtual_utility(d: Distribution, u: UtilityFunction, v: float) -> float:
 
 
 def optimal_reserve(d: Distribution, u: UtilityFunction) -> float:
-    """Root of the risk-adjusted marginal value; the best single-bidder
-    reserve for a smooth utility on a regular distribution."""
+    """The best single-bidder reserve for a smooth utility on a regular
+    distribution, where the risk-adjusted marginal value changes sign."""
     if not u.is_smooth:
         raise ValueError("optimal_reserve needs a smooth utility; "
                          "use maximize_single_bidder for capped utilities")
-    lo, hi = d.support
-
-    def phi(v):
-        return virtual_utility(d, u, v)
-
-    if not math.isfinite(hi):
-        hi = max(d.quantile(0.5), lo + 1.0)
-        for _ in range(200):
-            if phi(hi) >= 0:
-                break
-            hi *= 2.0
-        else:
-            raise ValueError("no sign change found for the reserve equation")
-    if phi(lo) > 0 or phi(hi) < 0:
-        raise ValueError("no sign change found for the reserve equation")
-    return bisect_root(phi, lo, hi, abs_tol=RESERVE_TOL)
+    if not d.is_regular():
+        raise ValueError("optimal_reserve needs a regular distribution; "
+                         "use maximize_single_bidder for irregular ones")
+    return maximize_single_bidder(d, u)[0]
 
 
 def maximize_single_bidder(d: Distribution, u: UtilityFunction) -> tuple[float, float]:
     """Best posted price for one bidder and its expected utility u(p)*Pr[sale].
 
-    Works for any utility (including capped ones, where the optimum tends to
-    sit at the kink): dense grid plus golden-section refinement around the
-    best bracket.
+    This maximizes g(q) = q * u(price(q)) over the sale probability q.  On a
+    regular distribution g is concave for every utility here (capped ones
+    included), so the optimum is where its slope
+
+        g'(q) = u(p) - u'(p) * (p - R'(q)),   p = price(q),
+
+    changes sign; it is bisected to float resolution, keeping the side where
+    the slope is still >= 0 (the first float past an atom can price above
+    it).  Irregular inputs get a dense grid plus golden-section refinement
+    around the best bracket.
     """
+    if d.is_regular():
+        def slope(q):
+            p = d.price(q)
+            return float(u(p)) - float(u.derivative(p)) * (p - d.marginal_revenue(q))
+
+        q = 1.0 if slope(1.0) >= 0 else bisect_root(slope, 0.0, 1.0)
+        p = float(d.price(q))
+        return p, float(u(p)) * q
+
     qs = np.linspace(0.0, 1.0, SINGLE_BIDDER_GRID + 1)[1:]
     extra = list(d.breakpoints())
     if u.kink is not None:
@@ -249,28 +252,25 @@ def check_virtual_utility_monotone(d: Distribution, u: UtilityFunction,
     accepts any input and reports the worst violating bracket when it fails.
     Kinks and atoms are skipped (no density there).
     """
-    vs = []
-    phis = []
-    if hasattr(d, "_qs"):
-        # piecewise-linear curve: walk segments in ascending-price order
-        lengths = np.diff(d._qs)
-        for j in reversed(range(len(lengths))):
-            if d._intercepts[j] == 0.0:
-                continue
-            n_j = max(int(grid * lengths[j]), 16)
-            seg_q = np.linspace(d._qs[j], d._qs[j + 1], n_j + 2)[1:-1]
-            v = d._intercepts[j] / seg_q + d._slopes[j]
-            v = v[::-1]  # ascending price
-            inv = v - d._slopes[j]
-            vs.append(v)
-            phis.append(np.asarray(u(v)) - np.asarray(u.derivative(v)) * inv)
+    breaks = d.breakpoints()
+    if breaks:
+        # piecewise-linear curve: walk its segments in ascending-price order,
+        # where the inverse hazard is price(q) - R'(q)
+        qs = np.array((0.0,) + breaks + (1.0,))
+        vs, invs = [], []
+        for lo, hi in zip(qs[-2::-1], qs[:0:-1]):
+            seg_q = np.linspace(lo, hi, max(int(grid * (hi - lo)), 16) + 2)[-2:0:-1]
+            v = d.price(seg_q)
+            inv = v - d.marginal_revenue(seg_q)
+            if np.any(inv):  # a constant-price stretch has no density
+                vs.append(v)
+                invs.append(inv)
         v_all = np.concatenate(vs)
-        phi_all = np.concatenate(phis)
+        inv = np.concatenate(invs)
     else:
-        ps = np.linspace(1e-6, 1.0 - 1e-6, grid)
-        v_all = np.asarray(d.quantile(ps))
+        v_all = np.asarray(d.quantile(np.linspace(1e-6, 1.0 - 1e-6, grid)))
         inv = np.asarray(d.inverse_hazard(v_all))
-        phi_all = np.asarray(u(v_all)) - np.asarray(u.derivative(v_all)) * inv
+    phi_all = np.asarray(u(v_all)) - np.asarray(u.derivative(v_all)) * inv
 
     diffs = phi_all[1:] - phi_all[:-1]
     i = int(np.argmin(diffs))

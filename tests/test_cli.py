@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from riskauctions import cli
+from riskauctions import cli, make_distribution, parse_mechanism
 from riskauctions.cli import MAX_GRID, build_parser, main
 
 
@@ -149,8 +149,7 @@ class TestEval:
     # a well-formed spec whose price cannot be resolved reports why
     @pytest.mark.parametrize("mech,dist,reason", [
         ("hedge:20000,5", "uniform:0,1", "limited to n <= 10000"),
-        ("opt-single:linear", "left-triangle:0.05", "no density at the atom"),
-        ("opt-single:linear", "uniform:0.8,1.5", "no sign change"),
+        ("opt-single:linear", "irregular-example:0.01", "needs a regular distribution"),
     ])
     def test_derived_price_errors_are_not_parse_errors(self, mech, dist, reason):
         code, out, err = run(["eval", "--mech", mech, "--dist", dist])
@@ -158,6 +157,18 @@ class TestEval:
         assert out == ""
         assert err.startswith("error: ") and reason in err
         assert "malformed" not in err
+
+    # the best reserve sits on the top atom, and at the bottom of the support
+    @pytest.mark.parametrize("dist,reserve", [("left-triangle:0.05", 20.0),
+                                              ("uniform:0.8,1.5", 0.8)])
+    def test_opt_single_reserve(self, dist, reserve):
+        m, _ = parse_mechanism("opt-single:linear", make_distribution(dist))
+        assert m.reserve == reserve
+        code, out, err = run(["eval", "--mech", "opt-single:linear", "--dist", dist])
+        assert (code, err) == (0, "")
+        _, want, _ = run(["eval", "--mech", f"vcg:1,{reserve!r}", "--dist", dist])
+        rows = [r[1:] for r in csv.reader(io.StringIO(out))]
+        assert rows == [r[1:] for r in csv.reader(io.StringIO(want))]
 
     def test_malformed_mechanism_spec(self):
         code, _, err = run(["eval", "--mech", "hedge:x,2", "--dist", "uniform:0,1"])

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from riskauctions import (
@@ -270,6 +270,35 @@ class TestScalarPrice:
                 assert same_bits(got, want), (d.label, q, got, want)
                 if q <= q1:
                     assert got == d.price(q1)
+
+
+class TestMarginalRevenue:
+    def test_closed_forms(self):
+        assert uniform(1.0, 3.0).marginal_revenue(0.25) == 2.0
+        assert exponential(2.0).marginal_revenue(math.exp(-1.0)) == pytest.approx(0.0, abs=1e-15)
+        assert exponential(2.0).marginal_revenue(1.0) == -0.5
+
+    def test_curve_slope_from_the_left(self):
+        d = left_triangle(0.1)
+        # on (0, q1] the slope is the atom's price, at the kink too
+        assert d.marginal_revenue(0.05) == d.marginal_revenue(0.1) == d.price(0.1) == 10.0
+        assert d.marginal_revenue(math.nextafter(0.1, 1.0)) == -1.0 / 0.9
+        got = d.marginal_revenue(np.array([0.05, 0.1, 0.5, 1.0]))
+        assert got.tolist() == [d.marginal_revenue(q) for q in (0.05, 0.1, 0.5, 1.0)]
+
+    @given(st.one_of(
+        st.builds(gen_regular, st.integers(0, 2 ** 31 - 1), st.integers(2, 64)),
+        st.builds(left_triangle, st.floats(1e-9, 0.49)),
+        st.builds(lambda a, w: uniform(a, a + w), st.floats(0.0, 10.0), st.floats(1e-3, 10.0)),
+        st.builds(exponential, st.floats(1e-3, 1e3)),
+    ), st.floats(0.01, 0.99))
+    def test_matches_central_difference_of_revenue(self, d, q):
+        h = 1e-6
+        assume(all(abs(q - b) > h for b in d.breakpoints()))
+        want = (d.revenue(q + h) - d.revenue(q - h)) / (2 * h)
+        # the truncation error h^2 R'''(q)/6 is below 2e-6 on these inputs (the
+        # exponential's |R'''| = 1/(rate q^2)); rounding adds about 1e-10 * R
+        assert d.marginal_revenue(q) == pytest.approx(want, rel=1e-7, abs=1e-7 * (1 + d.price(q)))
 
 
 class TestInvariants:

@@ -1,4 +1,5 @@
-"""Binomial pmf rows: bit identity with the one-pmf-per-call formula.
+"""Binomial pmf rows: bit identity with the one-pmf-per-call formula; the
+sign-change bisection.
 
 `scalar_binom_pmf` is the log-space formula that evaluated one pmf per call
 before the row form existed; every row must reproduce its bits.
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from riskauctions.numerics import MAX_EXACT_N, binom_pmf, binom_pmf_rows
+from riskauctions.numerics import MAX_EXACT_N, binom_pmf, binom_pmf_rows, bisect_root
 
 SPECIAL_PS = [0.0, 1.0, 1e-300, 1.0 - 2.0 ** -53]
 
@@ -76,3 +77,20 @@ def test_validation_matches_the_scalar_form():
             binom_pmf(5, bad)
     with pytest.raises(ValueError, match="1-d"):
         binom_pmf_rows(5, [[0.5]])
+
+
+@given(st.floats(1e-300, 1.0, exclude_max=True))
+def test_bisect_root_keeps_the_lower_end_at_float_resolution(root):
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return 1.0 if x <= root else -1.0
+
+    assert bisect_root(f, 0.0, 1.0) == root
+    assert 0.0 not in seen and 1.0 not in seen
+    assert len(seen) <= 1074
+
+
+def test_bisect_root_without_a_nonnegative_point_returns_lo():
+    assert bisect_root(lambda x: -1.0, 0.0, 1.0) == 0.0

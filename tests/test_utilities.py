@@ -3,6 +3,8 @@
 Closed-form oracles: for uniform(0,1) the inverse hazard is 1-v, so
 phi(v) = u(v) - u'(v)(1-v); with u(x) = x^a the zero sits at v = a/(1+a).
 """
+import contextlib
+import io
 import math
 
 import numpy as np
@@ -16,11 +18,14 @@ from riskauctions import (
     UtilityFamily,
     capped,
     check_virtual_utility_monotone,
+    cli,
     default_family,
     exponential,
+    gen_regular,
     irregular_example,
     left_triangle,
     linear,
+    make_distribution,
     maximize_single_bidder,
     optimal_reserve,
     parse_family,
@@ -137,6 +142,7 @@ class TestOptimalReserve:
         assert optimal_reserve(d, power(0.5)) == pytest.approx(1.0 / 3.0, abs=1e-9)
         assert optimal_reserve(d, power(1.0 / 3.0)) == pytest.approx(0.25, abs=1e-9)
         assert optimal_reserve(exponential(1.0), linear()) == pytest.approx(1.0, abs=1e-9)
+        assert optimal_reserve(left_triangle(0.05), linear()) == 20.0
 
     @given(st.floats(0.1, 1.0))
     def test_uniform_power_closed_form(self, alpha):
@@ -159,9 +165,8 @@ class TestOptimalReserve:
             optimal_reserve(uniform(0.0, 1.0), capped(0.1))
         with pytest.raises(ValueError):
             optimal_reserve(irregular_example(0.01), linear())
-        # virtual utility strictly positive on the whole interval: no root
-        with pytest.raises(ValueError):
-            optimal_reserve(uniform(2.0, 3.0), linear())
+        # virtual utility positive on the whole support: everyone buys at 2
+        assert optimal_reserve(uniform(2.0, 3.0), linear()) == 2.0
 
 
 class TestMaximizeSingleBidder:
@@ -174,6 +179,9 @@ class TestMaximizeSingleBidder:
         p, val = maximize_single_bidder(d, power(0.5))
         assert (p, val) == pytest.approx(
             (1.0 / 3.0, math.sqrt(1.0 / 3.0) * (2.0 / 3.0)), abs=1e-6)
+        # on the top atom, and at the bottom of the support
+        assert maximize_single_bidder(left_triangle(0.05), linear()) == (20.0, 1.0)
+        assert maximize_single_bidder(uniform(0.8, 1.5), power(0.5))[0] == 0.8
 
     def test_agrees_with_reserve_for_smooth_utilities(self):
         for d in (uniform(0.0, 1.0), exponential(1.0)):
@@ -186,6 +194,62 @@ class TestMaximizeSingleBidder:
         assert (p, val) == pytest.approx((100.0, 1.0), rel=1e-6)
         p, val = maximize_single_bidder(irregular_example(0.01), capped(0.01))
         assert (p, val) == pytest.approx((0.01, 0.01 / 1.01), rel=1e-6)
+
+
+def curve_spec(seed: int, breakpoints: int) -> str:
+    d = gen_regular(seed, breakpoints)
+    return "revenue-curve:" + ";".join(f"{q!r}:{r!r}" for q, r in d.points)
+
+
+# Regular inputs, as CLI specs at full float precision.
+REGULAR_SPECS = st.one_of(
+    st.builds(curve_spec, st.integers(0, 2 ** 31 - 1), st.integers(2, 64)),
+    st.floats(1e-9, 0.49).map(lambda eps: f"left-triangle:{eps!r}"),
+    st.builds(lambda a, w: f"uniform:{a!r},{a + w!r}",
+              st.floats(1e-3, 10.0), st.floats(1e-3, 10.0)),
+    st.floats(1e-3, 1e3).map(lambda rate: f"exponential:{rate!r}"),
+)
+FAMILY = st.sampled_from(default_family().members)
+
+
+class TestSingleBidderSearch:
+    """The quantile-space bisection that serves every regular input."""
+
+    @given(REGULAR_SPECS, FAMILY)
+    def test_beats_a_dense_grid_at_the_returned_price(self, spec, u):
+        d = make_distribution(spec)
+        p, val = maximize_single_bidder(d, u)
+        qs = np.linspace(0.0, 1.0, 20_001)[1:]
+        assert val >= float(np.max(np.asarray(u(d.price(qs))) * qs)) * (1 - 1e-12)
+        # a price one ulp above an atom would sell with far lower probability
+        assert float(u(p)) * d.sale_probability(p) == pytest.approx(val, rel=1e-12)
+
+    @given(st.floats(0.0, 10.0), st.floats(1e-3, 10.0), st.floats(0.01, 1.0))
+    def test_uniform_power_reserve_closed_form(self, a, w, alpha):
+        d = uniform(a, a + w)
+        want = max(alpha * d.b / (1.0 + alpha), a)
+        assert maximize_single_bidder(d, power(alpha))[0] == pytest.approx(want, abs=1e-12)
+
+    @given(REGULAR_SPECS, FAMILY)
+    def test_printed_reserve_never_exceeds_the_computed_one(self, spec, u):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["price", spec, "--utility", u.spec_string]) == 0
+        printed = float(out.getvalue().splitlines()[-1].removeprefix("r_u_star="))
+        r = maximize_single_bidder(make_distribution(spec), parse_utility(u.spec_string))[0]
+        assert r - 1e-11 * abs(r) <= printed <= r
+
+    def test_atom_price_is_printed_rounded_down(self):
+        # nearest rounding gives 304.364896988 (as p_star prints), above the
+        # atom, where nothing sells
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli.main(["price", "left-triangle:0.00328553", "--utility", "linear"])
+        assert out.getvalue().endswith("r_u_star=304.364896987\n")
+        d = left_triangle(0.00328553)
+        assert maximize_single_bidder(d, linear())[0] == 304.3648969877006
+        assert d.sale_probability(304.364896987) >= d.top_atom_mass
+        assert d.sale_probability(304.364896988) == 0.0
 
 
 class TestMonotoneCheck:
