@@ -9,11 +9,10 @@ from .distributions import (BidProfile, Distribution, NotDifferentiableError,
                             RevenueCurveDistribution, SpecParseError, exponential,
                             irregular_example, left_triangle, make_distribution,
                             revenue_curve, uniform)
-from .evaluation import (EvalResult, benchmark_ub, check_virtual_utility_identity,
-                         eval_mc, eval_posted_exact, eval_second_price_exact,
-                         eval_vcg_exact, evaluate, expected_order_stat_price,
-                         mc_moments, myerson_revenue, universal_ratio,
-                         virtual_utility_identity_stats)
+from .evaluation import (EvalResult, check_virtual_utility_identity, eval_mc,
+                         eval_posted_exact, eval_second_price_exact, eval_vcg_exact,
+                         evaluate, expected_order_stat_price, mc_moments,
+                         myerson_revenue, virtual_utility_identity_stats)
 from .lemmas import (MHR_BOUND, FrontierResult, check_allocation_bound,
                      check_capped_binomial, check_capped_binomial_grid,
                      check_half_bound, check_half_bound_sweep,
@@ -49,10 +48,9 @@ __all__ = [
     "allocation_probabilities", "allocation_probability", "batch_outcomes",
     "batch_revenue", "hedge_limited_price", "hedge_unlimited_price", "make_mechanism",
     "parse_mechanism", "run_posted_price", "run_vcg",
-    "EvalResult", "benchmark_ub", "eval_mc", "eval_posted_exact",
+    "EvalResult", "eval_mc", "eval_posted_exact",
     "eval_second_price_exact", "eval_vcg_exact", "evaluate", "mc_moments",
-    "myerson_revenue",
-    "universal_ratio", "virtual_utility_identity_stats",
+    "myerson_revenue", "virtual_utility_identity_stats",
     "check_virtual_utility_identity",
     "MHR_BOUND", "FrontierResult", "check_allocation_bound",
     "check_capped_binomial", "check_capped_binomial_grid", "check_half_bound",

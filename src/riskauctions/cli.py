@@ -22,8 +22,8 @@ import numpy as np
 
 from .distributions import Distribution, SpecParseError, exponential, \
     irregular_example, left_triangle, make_distribution, uniform
-from .evaluation import (eval_second_price_exact, eval_vcg_exact, evaluate,
-                         myerson_revenue, virtual_utility_identity_stats)
+from .evaluation import (eval_vcg_exact, evaluate, myerson_revenue,
+                         virtual_utility_identity_stats)
 from .lemmas import (MHR_BOUND, SELECTIONS, check_allocation_bound,
                      check_capped_binomial_grid, check_hedge_limited,
                      check_hedge_unlimited, check_tail, check_vcg_chain,
@@ -264,10 +264,10 @@ def _reproduce_rows(seed: int, samples: int) -> list[list[str]]:
     def add(name, instance, claimed, computed, passed):
         rows.append([name, instance, _fmt(claimed), _fmt(computed), _fmt(passed)])
 
-    r = check_hedge_unlimited(uniform(0.0, 1.0), 5, default_family(), seed)
+    r = check_hedge_unlimited(uniform(0.0, 1.0), 5, default_family())
     add("hedge-unlimited-floor", "uniform:0,1 n=5", r.claimed_bound, r.observed,
         r.passed)
-    r = check_hedge_unlimited(exponential(1.0), 5, default_family(), seed)
+    r = check_hedge_unlimited(exponential(1.0), 5, default_family())
     add("hedge-unlimited-floor", "exponential:1 n=5", r.claimed_bound, r.observed,
         r.passed)
     fr = frontier_search(left_triangle(0.001), tight_fam, 1000)
@@ -280,10 +280,9 @@ def _reproduce_rows(seed: int, samples: int) -> list[list[str]]:
     add("frontier-ceiling", "irregular-example:0.01", 0.05, fr.best_min_ratio,
         fr.best_min_ratio <= 0.05)
     for n, k, label in ((2, 1, "uniform:0,1 n=2 k=1"), (10, 3, "uniform:0,1 n=10 k=3")):
-        r = check_hedge_limited(uniform(0.0, 1.0), n, k, default_family(), seed,
-                                samples)
+        r = check_hedge_limited(uniform(0.0, 1.0), n, k, default_family())
         add("hedge-limited-floor", label, r.claimed_bound, r.observed, r.passed)
-    r = check_hedge_limited(exponential(1.0), 8, 2, default_family(), seed, samples)
+    r = check_hedge_limited(exponential(1.0), 8, 2, default_family())
     add("hedge-limited-floor", "exponential:1 n=8 k=2", r.claimed_bound, r.observed,
         r.passed)
     for n in (2, 3, 5):
@@ -292,7 +291,7 @@ def _reproduce_rows(seed: int, samples: int) -> list[list[str]]:
             _vickrey_ratio(uniform(0.0, 1.0), n, u) for u in fam)
         add("vickrey-vs-optimal", f"uniform:0,1 n={n}", 1.0 - 1.0 / n, worst,
             worst >= 1.0 - 1.0 / n - 1e-9)
-    r = check_vcg_chain(uniform(0.0, 1.0), 6, 2, default_family(), seed, samples)
+    r = check_vcg_chain(uniform(0.0, 1.0), 6, 2, default_family())
     add("vcg-chain-slack", "uniform:0,1 n=6 k=2", r.claimed_bound, r.observed,
         r.passed)
     r = check_allocation_bound()
@@ -317,7 +316,7 @@ def _reproduce_rows(seed: int, samples: int) -> list[list[str]]:
 
 def _vickrey_ratio(d: Distribution, n: int, u) -> float:
     vick = eval_vcg_exact(d, n, 1, u).mean_utility
-    opt = eval_second_price_exact(d, optimal_reserve(d, u), n, u).mean_utility
+    opt = eval_vcg_exact(d, n, 1, u, optimal_reserve(d, u)).mean_utility
     return vick / opt
 
 

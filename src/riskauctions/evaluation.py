@@ -1,10 +1,11 @@
 """Expected-utility evaluation of mechanisms over i.i.d. bidders.
 
-Everything that admits a closed form in quantile space is integrated exactly:
-posted prices (a capped binomial sum), second price with reserve, and
-reserve-free multi-unit VCG (order-statistic densities).  The remaining cases
-fall back to chunked Monte Carlo (`mc_moments`) whose draws are a pure
-function of (seed, samples, n), so results are bit-reproducible.
+Both mechanisms are evaluated exactly in quantile space: posted prices as a
+capped binomial sum, and k-unit VCG with a reserve as a binomial sum plus one
+order-statistic integral.  Only bidder counts beyond MAX_EXACT_N, and the
+virtual-utility identity check, use chunked Monte Carlo (`mc_moments`), whose
+draws are a pure function of (seed, samples, n), so results are
+bit-reproducible.
 """
 from __future__ import annotations
 
@@ -30,8 +31,6 @@ __all__ = [
     "mc_moments",
     "evaluate",
     "myerson_revenue",
-    "benchmark_ub",
-    "universal_ratio",
     "virtual_utility_identity_stats",
     "check_virtual_utility_identity",
 ]
@@ -85,37 +84,38 @@ def eval_posted_exact(d: Distribution, price: float, n: int, k: int,
 
 def eval_second_price_exact(d: Distribution, reserve: float, n: int,
                             u: UtilityFunction) -> EvalResult:
-    """Single unit, n bidders, pay max(reserve, second highest bid).
+    """Single unit, n bidders, pay max(reserve, second highest bid)."""
+    return eval_vcg_exact(d, n, 1, u, reserve)
 
-    In quantile space the revenue is the reserve when exactly one bidder
-    clears it, and price(q) when the second-highest quantile is q < q_r.
+
+def eval_vcg_exact(d: Distribution, n: int, k: int, u: UtilityFunction,
+                   reserve: float = 0.0) -> EvalResult:
+    """k-unit VCG with a reserve: each winner pays max(reserve, (k+1)-st
+    highest bid).
+
+    In quantile space, j <= k bidders clearing the reserve (probability
+    P[Bin(n, q_r) = j]) pay j * reserve in total; otherwise the (k+1)-st
+    lowest quantile q lies below q_r and k units sell at price(q).
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    if n < 1 or k < 1:
+        raise ValueError("need n >= 1 and k >= 1")
     if reserve < 0:
         raise ValueError("reserve must be nonnegative")
     q_r = float(d.sale_probability(reserve))
-    mean = float(u(reserve)) * n * q_r * (1.0 - q_r) ** (n - 1)
-    if n >= 2 and q_r > 0.0:
-        c = n * (n - 1)
+    mean = 0.0
+    if q_r < 1.0 or k >= n:  # else all n > k bidders clear the reserve
+        j = np.arange(min(k, n) + 1)
+        mean = float(np.sum(u(reserve * j) * binom_pmf(n, q_r)[:len(j)]))
+    if k < n and q_r > 0.0:
+        coef = order_stat_pdf_coef(k + 1, n)
 
         def integrand(q):
-            return float(u(float(d.price(q)))) * c * q * (1.0 - q) ** (n - 2)
+            # w = 0 at q = 0, where price may be infinite: quad reaches it
+            # when q_r is subnormal
+            w = coef * q ** k * (1.0 - q) ** (n - k - 1)
+            return w * float(u(k * float(d.price(q)))) if w else 0.0
 
-        mean += _quad(integrand, 0.0, q_r, _split_points(d, u, 1.0))
-    return EvalResult(mean, "exact")
-
-
-def eval_vcg_exact(d: Distribution, n: int, k: int, u: UtilityFunction) -> EvalResult:
-    """Reserve-free k-unit VCG: revenue is k times the (k+1)-st highest bid."""
-    if not 1 <= k < n:
-        raise ValueError("exact VCG evaluation needs 1 <= k < n")
-    coef = order_stat_pdf_coef(k + 1, n)
-
-    def integrand(q):
-        return coef * q ** k * (1.0 - q) ** (n - k - 1) * float(u(k * float(d.price(q))))
-
-    mean = _quad(integrand, 0.0, 1.0, _split_points(d, u, float(k)))
+        mean += _quad(integrand, 0.0, q_r, _split_points(d, u, float(k)))
     return EvalResult(mean, "exact")
 
 
@@ -173,19 +173,12 @@ def eval_mc(m: Mechanism, d: Distribution, n: int, u: UtilityFunction,
 
 def evaluate(m: Mechanism, d: Distribution, n: int, u: UtilityFunction,
              samples: int = 1_000_000, seed: int = 0) -> EvalResult:
-    """Exact evaluation whenever a closed form applies, Monte Carlo otherwise."""
-    if isinstance(m, PostedPriceMechanism):
-        if n <= MAX_EXACT_N:
-            return eval_posted_exact(d, m.price, n, m.k, u)
+    """Exact evaluation for n <= MAX_EXACT_N, Monte Carlo beyond it."""
+    if n > MAX_EXACT_N:
         return eval_mc(m, d, n, u, samples, seed)
-    if m.k >= n:
-        # no scarcity: everyone at or above the reserve wins and pays it
-        return eval_posted_exact(d, m.reserve, n, n, u)
-    if m.reserve == 0.0:
-        return eval_vcg_exact(d, n, m.k, u)
-    if m.k == 1:
-        return eval_second_price_exact(d, m.reserve, n, u)
-    return eval_mc(m, d, n, u, samples, seed)
+    if isinstance(m, PostedPriceMechanism):
+        return eval_posted_exact(d, m.price, n, m.k, u)
+    return eval_vcg_exact(d, n, m.k, u, m.reserve)
 
 
 # -- revenue benchmark ----------------------------------------------------------
@@ -193,42 +186,11 @@ def evaluate(m: Mechanism, d: Distribution, n: int, u: UtilityFunction,
 
 def myerson_revenue(d: Distribution, n: int, k: int, seed: int = 0,
                     samples: int = 1_000_000) -> tuple[float, float]:
-    """Expected revenue of k-unit VCG with the monopoly reserve, as
-    (estimate, ci_halfwidth); the ci is zero when the value is exact."""
-    if n < 1 or k < 1:
-        raise ValueError("need n >= 1 and k >= 1")
-    p_star, q_star = d.monopoly_price()
-    if k >= n:
-        return n * p_star * q_star, 0.0
-    if k == 1:
-        res = eval_second_price_exact(d, p_star, n, linear())
-        return res.mean_utility, 0.0
-    res = eval_mc(VcgMechanism(k, p_star), d, n, linear(), samples, seed)
+    """Expected revenue of k-unit VCG with the monopoly reserve (Myerson's
+    optimal auction), as (estimate, ci_halfwidth); the ci is zero when the
+    value is exact, which it is for n <= MAX_EXACT_N."""
+    res = evaluate(VcgMechanism(k, d.monopoly_price()[0]), d, n, linear(), samples, seed)
     return res.mean_utility, res.ci_halfwidth
-
-
-def benchmark_ub(d: Distribution, n: int, k: int, u: UtilityFunction,
-                 seed: int = 0, samples: int = 1_000_000) -> float:
-    """u(expected revenue of the optimal risk-neutral mechanism): by concavity
-    this upper-bounds the expected utility of any truthful mechanism."""
-    rev, _ = myerson_revenue(d, n, k, seed, samples)
-    return float(u(rev))
-
-
-def universal_ratio(m: Mechanism, d: Distribution, n: int, k: int, family,
-                    seed: int = 0, samples: int = 1_000_000) -> tuple[float, str]:
-    """min over the family of E[u(Rev(m))] / u(benchmark revenue)."""
-    rev, _ = myerson_revenue(d, n, k, seed, samples)
-    if rev <= 0:
-        raise ValueError("benchmark revenue must be positive")
-    worst = np.inf
-    worst_label = ""
-    for u in family:
-        denom = float(u(rev))
-        ratio = evaluate(m, d, n, u, samples, seed).mean_utility / denom
-        if ratio < worst:
-            worst, worst_label = ratio, u.label
-    return float(worst), worst_label
 
 
 # -- the virtual utility identity ------------------------------------------------

@@ -2,8 +2,9 @@
 
 Each check computes the two sides of one claimed inequality, as exactly as
 the instance allows, and returns a LemmaReport whose margin quantifies how
-much room the bound had.  Exact checks carry tiny float tolerances; Monte
-Carlo checks fold a four-halfwidth confidence allowance into the pass rule.
+much room the bound had.  Every check is exact up to float and quadrature
+error, and carries a tiny tolerance for it, except the virtual-utility
+identity, a Monte Carlo cross-check with a four-halfwidth allowance.
 """
 from __future__ import annotations
 
@@ -14,10 +15,9 @@ import numpy as np
 from .distributions import (Distribution, RevenueCurveDistribution, exponential,
                             left_triangle, uniform)
 from .evaluation import (check_virtual_utility_identity, eval_posted_exact,
-                         eval_second_price_exact, eval_vcg_exact,
-                         expected_order_stat_price, mc_moments, myerson_revenue)
-from .mechanisms import VcgMechanism, allocation_probabilities, batch_revenue, \
-    hedge_limited_price, hedge_unlimited_price
+                         eval_vcg_exact, expected_order_stat_price)
+from .mechanisms import VcgMechanism, allocation_probabilities, hedge_limited_price, \
+    hedge_unlimited_price
 from .numerics import binom_pmf_rows, order_stat_cdf
 from .report import LemmaReport, report_from_margin
 from .utilities import (capped, check_virtual_utility_monotone, default_family,
@@ -209,31 +209,27 @@ def check_tail(d: Distribution, t: int, n: int) -> LemmaReport:
 # -- revenue and utility guarantees of the hedged mechanisms -----------------------
 
 
-def check_vcg_discount(d: Distribution, n: int, k: int, samples: int = 1_000_000,
-                       seed: int = 0) -> LemmaReport:
+def _benchmark_revenue(d: Distribution, n: int, k: int) -> float:
+    """The benchmark: k-unit VCG at the monopoly reserve, evaluated exactly."""
+    return eval_vcg_exact(d, n, k, linear(), d.monopoly_price()[0]).mean_utility
+
+
+def check_vcg_discount(d: Distribution, n: int, k: int) -> LemmaReport:
     """Dropping the reserve from the monopoly price to the hedged price costs
-    at most half the expected revenue.  Shared-sample Monte Carlo; the paired
-    difference must clear zero within four halfwidths."""
+    at most half the expected revenue; both revenues are exact."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     if not d.is_regular():
         raise ValueError("the discount bound applies to regular distributions")
     p_star, q_star = d.monopoly_price()
-    m_hedged = VcgMechanism(k, p_star * q_star)
-    m_monopoly = VcgMechanism(k, p_star)
-
-    def stat(bids):
-        rev1 = batch_revenue(m_hedged, bids)
-        rev2 = batch_revenue(m_monopoly, bids)
-        return rev1 - 0.5 * rev2, rev1, rev2
-
-    (mean, hedged, monopoly), ci = mc_moments(d, n, stat, samples, seed)
+    hedged = eval_vcg_exact(d, n, k, linear(), p_star * q_star).mean_utility
+    monopoly = _benchmark_revenue(d, n, k)
     return report_from_margin(
-        f"vcg-discount[{d.label}|n={n},k={k}]", 0.0, float(mean), 4.0 * float(ci[0]) + 1e-12,
-        samples, f"hedged={hedged:.9g} monopoly={monopoly:.9g}")
+        f"vcg-discount[{d.label}|n={n},k={k}]", 0.0, hedged - 0.5 * monopoly, 1e-9,
+        1, f"hedged={hedged:.9g} monopoly={monopoly:.9g}")
 
 
-def check_hedge_unlimited(d: Distribution, n: int, fam, seed: int = 0) -> LemmaReport:
+def check_hedge_unlimited(d: Distribution, n: int, fam) -> LemmaReport:
     """Unlimited supply: the hedged posted price earns at least half the
     benchmark utility for every concave utility at once, exactly evaluated.
     Nondecreasing-hazard inputs are held to the stronger exp(-1/e) floor."""
@@ -252,47 +248,32 @@ def check_hedge_unlimited(d: Distribution, n: int, fam, seed: int = 0) -> LemmaR
                               float(worst_ratio), 1e-9, len(members), worst)
 
 
-def check_hedge_limited(d: Distribution, n: int, k: int, fam, seed: int = 0,
-                        samples: int = 1_000_000) -> LemmaReport:
+def check_hedge_limited(d: Distribution, n: int, k: int, fam) -> LemmaReport:
     """Limited supply: the supply-aware hedged price is a 1/8 approximation
-    of the benchmark for the whole family.  The mechanism side is exact; when
-    the benchmark revenue is Monte Carlo, the pass rule deflates it by four
-    halfwidths before applying the utility."""
+    of the benchmark for the whole family; both sides are exact."""
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
     price = hedge_limited_price(d, n, k)
-    rev, ci = myerson_revenue(d, n, k, seed, samples)
-    rev_lo = max(rev - 4.0 * ci, 0.0)
+    rev = _benchmark_revenue(d, n, k)
     worst_ratio = np.inf
-    worst_margin = np.inf
     worst = ""
     members = list(fam)
     for u in members:
-        val = eval_posted_exact(d, price, n, k, u).mean_utility
-        ratio = val / float(u(rev))
-        denom_lo = float(u(rev_lo))
-        margin = (val / denom_lo - 0.125) if denom_lo > 0 else np.inf
+        ratio = eval_posted_exact(d, price, n, k, u).mean_utility / float(u(rev))
         if ratio < worst_ratio:
-            worst_ratio = ratio
-        if margin < worst_margin:
-            worst_margin, worst = margin, u.label
-    return LemmaReport(name=f"hedge-limited[{d.label}|n={n},k={k}]",
-                       passed=bool(worst_margin >= -1e-12), claimed_bound=0.125,
-                       observed=float(worst_ratio), margin=float(worst_margin),
-                       tolerance=1e-12, instances_checked=len(members),
-                       worst_instance=worst)
+            worst_ratio, worst = ratio, u.label
+    return report_from_margin(f"hedge-limited[{d.label}|n={n},k={k}]", 0.125,
+                              float(worst_ratio), 1e-12, len(members), worst)
 
 
-def check_vcg_chain(d: Distribution, n: int, k: int, fam, seed: int = 0,
-                    samples: int = 1_000_000) -> LemmaReport:
+def check_vcg_chain(d: Distribution, n: int, k: int, fam) -> LemmaReport:
     """The chain behind the reserve-free VCG guarantees, as normalized slacks:
 
     for k = 1, its utility is at least (1 - 1/n) times the utility-optimal
-    auction's, exactly, for each smooth family member; for any k < n its
-    expected utility is at least a quarter of the utility of its expected
-    revenue; and that expected revenue covers the benchmark with k fewer
-    bidders (exactly when available, otherwise with a four-halfwidth
-    allowance).  The report aggregates the worst slack.
+    auction's, for each smooth family member; for any k < n its expected
+    utility is at least a quarter of the utility of its expected revenue;
+    and that expected revenue covers the benchmark with k fewer bidders.
+    Every term is exact.  The report aggregates the worst slack.
     """
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
@@ -303,7 +284,7 @@ def check_vcg_chain(d: Distribution, n: int, k: int, fam, seed: int = 0,
             if not u.is_smooth:
                 continue
             vick = eval_vcg_exact(d, n, 1, u).mean_utility
-            opt = eval_second_price_exact(d, optimal_reserve(d, u), n, u).mean_utility
+            opt = eval_vcg_exact(d, n, 1, u, optimal_reserve(d, u)).mean_utility
             items.append((vick / opt - (1.0 - 1.0 / n),
                           f"vickrey-vs-optimal[{u.label}]"))
     rev_vcg = k * expected_order_stat_price(d, k + 1, n)
@@ -311,10 +292,9 @@ def check_vcg_chain(d: Distribution, n: int, k: int, fam, seed: int = 0,
         lhs = eval_vcg_exact(d, n, k, u).mean_utility
         items.append((lhs / float(u(rev_vcg)) - 0.25,
                       f"utility-of-revenue[{u.label}]"))
-    rev_fewer, ci = myerson_revenue(d, n - k, k, seed, samples)
-    rev_lo = max(rev_fewer - 4.0 * ci, 0.0)
-    if rev_lo > 0:
-        items.append((rev_vcg / rev_lo - 1.0, "bidder-augmentation"))
+    rev_fewer = _benchmark_revenue(d, n - k, k)
+    if rev_fewer > 0:
+        items.append((rev_vcg / rev_fewer - 1.0, "bidder-augmentation"))
     margins = np.array([m for m, _ in items])
     worst = int(np.argmin(margins))
     return LemmaReport(name=f"vcg-chain[{d.label}|n={n},k={k}]",
@@ -410,37 +390,35 @@ def _sel_tail(d, seed, samples):
 
 def _sel_discount(d, seed, samples):
     if d is not None:
-        return [check_vcg_discount(d, 3, 1, samples, seed)]
-    return [check_vcg_discount(uniform(0.0, 1.0), 3, 1, samples, seed),
-            check_vcg_discount(uniform(0.0, 1.0), 2, 2, samples, seed),
-            check_vcg_discount(exponential(1.0), 5, 2, samples, seed)]
+        return [check_vcg_discount(d, 3, 1)]
+    return [check_vcg_discount(uniform(0.0, 1.0), 3, 1),
+            check_vcg_discount(uniform(0.0, 1.0), 2, 2),
+            check_vcg_discount(exponential(1.0), 5, 2)]
 
 
 def _sel_hedge_unlimited(d, seed, samples):
     fam = default_family()
     if d is not None:
-        return [check_hedge_unlimited(d, 5, fam, seed)]
-    return [check_hedge_unlimited(uniform(0.0, 1.0), 5, fam, seed),
-            check_hedge_unlimited(exponential(1.0), 5, fam, seed),
-            check_hedge_unlimited(left_triangle(0.001), 1,
-                                  (linear(), capped(1e-5)), seed)]
+        return [check_hedge_unlimited(d, 5, fam)]
+    return [check_hedge_unlimited(uniform(0.0, 1.0), 5, fam),
+            check_hedge_unlimited(exponential(1.0), 5, fam),
+            check_hedge_unlimited(left_triangle(0.001), 1, (linear(), capped(1e-5)))]
 
 
 def _sel_hedge_limited(d, seed, samples):
     fam = default_family()
     if d is not None:
-        return [check_hedge_limited(d, 5, 2, fam, seed, samples)]
-    return [check_hedge_limited(uniform(0.0, 1.0), 2, 1, fam, seed, samples),
-            check_hedge_limited(uniform(0.0, 1.0), 10, 3, fam, seed, samples),
-            check_hedge_limited(exponential(1.0), 8, 2, fam, seed, samples)]
+        return [check_hedge_limited(d, 5, 2, fam)]
+    return [check_hedge_limited(uniform(0.0, 1.0), 2, 1, fam),
+            check_hedge_limited(uniform(0.0, 1.0), 10, 3, fam),
+            check_hedge_limited(exponential(1.0), 8, 2, fam)]
 
 
 def _sel_chain(d, seed, samples):
     if d is not None:
-        return [check_vcg_chain(d, 4, 1, (linear(), power(0.5)), seed, samples)]
-    return [check_vcg_chain(uniform(0.0, 1.0), 2, 1, (linear(), power(0.5)),
-                            seed, samples),
-            check_vcg_chain(uniform(0.0, 1.0), 6, 2, default_family(), seed, samples)]
+        return [check_vcg_chain(d, 4, 1, (linear(), power(0.5)))]
+    return [check_vcg_chain(uniform(0.0, 1.0), 2, 1, (linear(), power(0.5))),
+            check_vcg_chain(uniform(0.0, 1.0), 6, 2, default_family())]
 
 
 def _sel_identity(d, seed, samples):

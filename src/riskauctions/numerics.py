@@ -114,7 +114,11 @@ def binom_pmf(n: int, p: float) -> np.ndarray:
 
 def order_stat_pdf_coef(t: int, n: int) -> float:
     """n!/((t-1)!(n-t)!): constant of the t-th smallest uniform order statistic."""
-    return math.exp(gammaln(n + 1) - gammaln(t) - gammaln(n - t + 1))
+    try:
+        return math.exp(gammaln(n + 1) - gammaln(t) - gammaln(n - t + 1))
+    except OverflowError:
+        raise ValueError(f"the density of order statistic t={t} of n={n} "
+                         "overflows a float") from None
 
 
 def order_stat_cdf(t: int, n: int, x) -> float:

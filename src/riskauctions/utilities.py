@@ -253,11 +253,11 @@ def check_virtual_utility_monotone(d: Distribution, u: UtilityFunction,
     Kinks and atoms are skipped (no density there).
     """
     breaks = d.breakpoints()
+    vs, invs = [], []
     if breaks:
         # piecewise-linear curve: walk its segments in ascending-price order,
         # where the inverse hazard is price(q) - R'(q)
         qs = np.array((0.0,) + breaks + (1.0,))
-        vs, invs = [], []
         for lo, hi in zip(qs[-2::-1], qs[:0:-1]):
             seg_q = np.linspace(lo, hi, max(int(grid * (hi - lo)), 16) + 2)[-2:0:-1]
             v = d.price(seg_q)
@@ -265,9 +265,10 @@ def check_virtual_utility_monotone(d: Distribution, u: UtilityFunction,
             if np.any(inv):  # a constant-price stretch has no density
                 vs.append(v)
                 invs.append(inv)
+    if vs:
         v_all = np.concatenate(vs)
         inv = np.concatenate(invs)
-    else:
+    else:  # closed forms, and point masses written with breakpoints
         v_all = np.asarray(d.quantile(np.linspace(1e-6, 1.0 - 1e-6, grid)))
         inv = np.asarray(d.inverse_hazard(v_all))
     phi_all = np.asarray(u(v_all)) - np.asarray(u.derivative(v_all)) * inv

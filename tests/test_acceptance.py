@@ -287,6 +287,11 @@ def _mc_bracket_cases():
     for n, k in ((4, 1), (6, 2), (12, 3)):
         for d in (U01, EXP):
             cases.append((d, n, VcgMechanism(k, 0.0), k))
+    # reserved VCG: the Myerson benchmark shapes, a discounted reserve, and
+    # more units than bidders
+    for n, k, share in ((4, 1, 1.0), (6, 2, 0.3), (12, 3, 1.0), (5, 6, 1.0)):
+        for d in (U01, EXP):
+            cases.append((d, n, VcgMechanism(k, share * d.monopoly_price()[0]), k))
     return cases
 
 
@@ -299,7 +304,8 @@ def test_exact_evaluations_are_bracketed_by_monte_carlo():
             exact = [eval_posted_exact(d, mech.price, n, k, u).mean_utility
                      for u in fam]
         else:
-            exact = [eval_vcg_exact(d, n, k, u).mean_utility for u in fam]
+            exact = [eval_vcg_exact(d, n, k, u, mech.reserve).mean_utility
+                     for u in fam]
         sums = np.zeros(len(fam))
         sqs = np.zeros(len(fam))
         rng = np.random.default_rng(1000 + case_idx)
@@ -322,8 +328,9 @@ def test_exact_evaluations_are_bracketed_by_monte_carlo():
             if abs(exact[i] - mean) > 4.0 * ci + 1e-6:
                 failures.append((d.spec_string, n, mech.label, u.label,
                                  exact[i], mean, ci))
-    verdict("every exact evaluation in the hedge and VCG grids is bracketed "
-            "by independent Monte Carlo at four sigma", failures)
+    verdict("every exact evaluation in the hedge and VCG grids, reserves "
+            "included, is bracketed by independent Monte Carlo at four sigma",
+            failures)
 
 
 def test_full_verification_run_is_deterministic(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 
 from riskauctions import cli, make_distribution, parse_mechanism
 from riskauctions.cli import MAX_GRID, build_parser, main
+from riskauctions.numerics import MAX_EXACT_N
 
 
 def run(argv):
@@ -109,13 +110,19 @@ class TestEval:
             "0.333333333333,0,0.416666666667,0.8\r\n")
 
     def test_monte_carlo_row(self):
-        code, out, _ = run(["eval", "--mech", "vcg:2,0.3", "--dist",
-                            "uniform:0,1", "--n", "5", "--samples", "20000",
-                            "--seed", "2"])
-        assert code == 0
-        row = next(csv.reader(io.StringIO(out.split("\r\n")[1])))
-        assert row[5] == "monte_carlo"
-        assert float(row[7]) > 0
+        # reserved multi-unit VCG is exact; only n > MAX_EXACT_N samples
+        def row(n, samples):
+            code, out, err = run(["eval", "--mech", "vcg:2,0.3", "--dist",
+                                  "uniform:0,1", "--n", str(n), "--samples",
+                                  str(samples), "--seed", "2"])
+            assert code == 0, err
+            return next(csv.reader(io.StringIO(out.split("\r\n")[1])))
+
+        exact = row(5, 20000)
+        assert exact[5] == "exact" and exact[7] == "0"
+        mc = row(MAX_EXACT_N + 1, 1000)
+        assert mc[5] == "monte_carlo"
+        assert float(mc[7]) > 0
 
     def test_huge_n_is_memory_bounded(self):
         # one 1000 x 20000 draw alone would take 153 MiB
@@ -200,6 +207,18 @@ class TestLemmas:
         rows = out.strip().split("\r\n")[1:]
         assert any(",false," in r for r in rows)
         assert any(",true," in r for r in rows)
+
+    def test_point_mass_with_a_breakpoint(self):
+        # every segment of this curve is constant-price (no density): it
+        # must report what the two-point form of the same point mass reports
+        def rows(spec):
+            code, out, err = run(["lemmas", "virtual-utility-monotone", "--dist", spec])
+            assert code == 0, err
+            return [r.replace(spec, "SPEC") for r in out.strip().split("\r\n")[1:]]
+
+        got = rows("revenue-curve:0:0;0.5:0.5;1:1")
+        assert got == rows("revenue-curve:0:0;1:1")
+        assert all(",true,0,0,0," in r for r in got) and len(got) == 3
 
     def test_unknown_selection(self):
         code, _, err = run(["lemmas", "nope", "--samples", "2000"])

@@ -7,15 +7,16 @@ k of n units pays k times the (k+1)-st highest value.
 """
 import math
 
+import mpmath
 import numpy as np
 import pytest
-import scipy.integrate
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from riskauctions import (
     EvalResult,
     PostedPriceMechanism,
     VcgMechanism,
-    benchmark_ub,
     capped,
     check_virtual_utility_identity,
     default_family,
@@ -25,16 +26,17 @@ from riskauctions import (
     eval_vcg_exact,
     evaluate,
     exponential,
+    gen_regular,
     left_triangle,
     linear,
     mc_moments,
     myerson_revenue,
     power,
     uniform,
-    universal_ratio,
     virtual_utility_identity_stats,
 )
-from riskauctions.evaluation import MC_BUDGET, MC_CHUNK
+from riskauctions.evaluation import MC_BUDGET, MC_CHUNK, _quad, _split_points
+from riskauctions.numerics import MAX_EXACT_N, order_stat_pdf_coef
 
 U01 = uniform(0.0, 1.0)
 
@@ -114,11 +116,140 @@ class TestVcgExact:
         got = eval_vcg_exact(U01, 3, 2, capped(0.3)).mean_utility
         assert got == pytest.approx(0.238996875, abs=1e-10)
 
-    def test_rejects_k_at_or_above_n(self):
-        with pytest.raises(ValueError):
-            eval_vcg_exact(U01, 2, 2, linear())
-        with pytest.raises(ValueError):
-            eval_vcg_exact(U01, 2, 3, linear())
+    def test_k_at_or_above_n_is_a_posted_offer(self):
+        # no scarcity: everyone at or above the reserve wins and pays it
+        for k in (2, 3):
+            assert eval_vcg_exact(U01, 2, k, linear(), 0.4).mean_utility == \
+                pytest.approx(2 * 0.4 * 0.6, abs=1e-15)
+        assert eval_vcg_exact(U01, 2, 2, linear()).mean_utility == 0.0
+
+    def test_rejections(self):
+        for n, k, r in ((0, 1, 0.0), (2, 0, 0.0), (2, 1, -0.1)):
+            with pytest.raises(ValueError):
+                eval_vcg_exact(U01, n, k, linear(), r)
+        # the order-statistic density constant would overflow a float
+        with pytest.raises(ValueError, match="overflows"):
+            eval_vcg_exact(U01, 2000, 1000, linear())
+
+    def test_reserved_multiunit_closed_form(self):
+        # uniform, n = 3, k = 2, r = 1/2: one or two bidders at or above 1/2
+        # (probability 3/8 each) pay 1/2 each; when all three are, both
+        # winners pay the lowest bid, which has density 3(1-v)^2, so that
+        # case adds 2 * int_{1/2}^1 3 v (1-v)^2 dv = 2 * 5/64
+        want = (3 * 0.5 + 3 * 1.0) / 8 + 2 * 5 / 64
+        assert eval_vcg_exact(U01, 3, 2, linear(), 0.5).mean_utility == \
+            pytest.approx(want, abs=1e-14)
+
+
+def reserve_free_vcg(d, n, k, u) -> float:
+    """The reserve-free k < n integral that eval_vcg_exact used to be."""
+    coef = order_stat_pdf_coef(k + 1, n)
+
+    def integrand(q):
+        return coef * q ** k * (1.0 - q) ** (n - k - 1) * float(u(k * float(d.price(q))))
+
+    return _quad(integrand, 0.0, 1.0, _split_points(d, u, float(k)))
+
+
+def second_price(d, reserve, n, u) -> float:
+    """The closed form eval_second_price_exact used to have: the reserve when
+    exactly one bidder clears it, else price of the second-lowest quantile."""
+    q_r = float(d.sale_probability(reserve))
+    mean = float(u(reserve)) * n * q_r * (1.0 - q_r) ** (n - 1)
+    if n >= 2 and q_r > 0.0:
+        c = n * (n - 1)
+
+        def integrand(q):
+            if q == 0.0:  # price may be infinite there; the density is 0
+                return 0.0
+            return float(u(float(d.price(q)))) * c * q * (1.0 - q) ** (n - 2)
+
+        mean += _quad(integrand, 0.0, q_r, _split_points(d, u, 1.0))
+    return mean
+
+
+REFERENCE_DISTS = (uniform(0.0, 1.0), exponential(1.0), exponential(2.5),
+                   left_triangle(0.01), uniform(0.5, 2.0), gen_regular(3, 64))
+FAMILY = default_family().members
+
+
+@st.composite
+def vcg_instances(draw, dists=REFERENCE_DISTS, utilities=FAMILY, n_max=40):
+    """(d, n, k, u, r) with n <= n_max, k <= n + 2 and r = price(q) in the support."""
+    d = draw(st.sampled_from(dists))
+    n = draw(st.integers(1, n_max))
+    k = draw(st.integers(1, n + 2))
+    q = draw(st.floats(0.0, 1.0, exclude_min=True))
+    return d, n, k, draw(st.sampled_from(utilities)), float(d.price(q))
+
+
+class TestVcgExactReferences:
+    @given(vcg_instances())
+    def test_reserve_free_is_the_old_integral(self, case):
+        d, n, k, u, _ = case
+        assume(k < n)
+        assert eval_vcg_exact(d, n, k, u).mean_utility == reserve_free_vcg(d, n, k, u)
+
+    @given(vcg_instances())
+    def test_no_scarcity_is_a_posted_offer(self, case):
+        d, n, k, u, r = case
+        got = eval_vcg_exact(d, n, max(k, n), u, r).mean_utility
+        assert got == eval_posted_exact(d, r, n, n, u).mean_utility
+
+    @given(vcg_instances())
+    def test_single_unit_is_the_old_second_price(self, case):
+        d, n, _, u, r = case
+        got = eval_vcg_exact(d, n, 1, u, r).mean_utility
+        assert eval_second_price_exact(d, r, n, u).mean_utility == got
+        # both are quad results at epsrel 1e-8 and epsabs 1e-12; they share
+        # no rounding, since eval_vcg_exact's density constant comes from
+        # gammaln (1.5e-14 off n(n-1) at n = 39), and on the log-singular
+        # exponential their adaptive subdivisions can differ
+        want = second_price(d, r, n, u)
+        assert abs(got - want) <= 2e-8 * abs(want) + 2e-12
+
+    @given(vcg_instances(dists=(left_triangle(1e-9), exponential(1e-3), exponential(1e3)),
+                         utilities=FAMILY + (power(1e-3),)))
+    # q_r is subnormal (5e-324), so quad evaluates q = 0, where price is inf
+    @example((exponential(1e-3), 2, 1, linear(), 744440.0719213812))
+    def test_agrees_with_mpmath(self, case):
+        d, n, k, u, r = case
+        got = eval_vcg_exact(d, n, k, u, r).mean_utility
+        want = mpmath_vcg(d, n, k, u, r)
+        assert abs(got - want) <= 1e-8 * abs(want)
+
+
+def mp_price(d, q):
+    """price(q) from the closed forms, in mpmath arithmetic."""
+    if d.kind == "exponential":
+        return -mpmath.log(q) / mpmath.mpf(d.rate)
+    eps = mpmath.mpf(d.points[1][0])  # left triangle: atom at 1/eps, then R = (1-q)/(1-eps)
+    return 1 / eps if q <= eps else (1 - q) / ((1 - eps) * q)
+
+
+def mp_utility(u, x):
+    if u.kind == "linear":
+        return x
+    if u.kind == "power":
+        return x ** mpmath.mpf(u.param)
+    return min(x, mpmath.mpf(u.param))
+
+
+def mpmath_vcg(d, n, k, u, r) -> float:
+    """The VCG value at 30 digits: binomial sum plus the order-statistic
+    integral, split where the price or the utility kinks."""
+    with mpmath.workdps(30):
+        q_r = mpmath.mpf(float(d.sale_probability(r)))
+        r = mpmath.mpf(r)
+        total = mpmath.fsum(mpmath.binomial(n, j) * q_r ** j * (1 - q_r) ** (n - j)
+                            * mp_utility(u, j * r) for j in range(min(k, n) + 1))
+        if k < n and q_r > 0:
+            coef = mpmath.factorial(n) / (mpmath.factorial(k) * mpmath.factorial(n - k - 1))
+            pts = [mpmath.mpf(p) for p in _split_points(d, u, float(k))]
+            pts = [0] + sorted(p for p in pts if 0 < p < q_r) + [q_r]
+            total += mpmath.quad(lambda q: coef * q ** k * (1 - q) ** (n - k - 1)
+                                 * mp_utility(u, k * mp_price(d, q)), pts)
+        return float(total)
 
 
 class TestMonteCarlo:
@@ -183,8 +314,13 @@ class TestEvaluateDispatch:
             eval_posted_exact(U01, 0.4, 3, 3, linear()).mean_utility, abs=1e-12)
 
     def test_mc_fallback_for_reserved_multiunit(self):
+        # reserved multi-unit VCG is exact; only the bidder count selects MC
         r = evaluate(VcgMechanism(2, 0.3), U01, 5, linear(), samples=2000, seed=0)
-        assert r.method == "monte_carlo" and r.samples == 2000
+        assert r.method == "exact" and r.samples == 0
+        assert r == eval_vcg_exact(U01, 5, 2, linear(), 0.3)
+        for m in (VcgMechanism(2, 0.3), PostedPriceMechanism(0.3, 2)):
+            r = evaluate(m, U01, MAX_EXACT_N + 1, linear(), samples=1000, seed=0)
+            assert r.method == "monte_carlo" and r.samples == 1000
 
     def test_agreement_between_paths(self):
         exact = evaluate(VcgMechanism(1, 0.4), U01, 3, linear(),
@@ -205,22 +341,26 @@ class TestEvalResult:
 
 class TestBenchmark:
     def test_known_values(self):
-        assert benchmark_ub(U01, 1, 1, linear()) == pytest.approx(0.25, abs=1e-9)
-        assert benchmark_ub(U01, 3, 3, linear()) == pytest.approx(0.75, abs=1e-9)
-        assert benchmark_ub(U01, 2, 1, linear()) == pytest.approx(5 / 12, abs=1e-9)
-        assert benchmark_ub(U01, 2, 1, power(0.5)) == pytest.approx(
-            math.sqrt(5 / 12), abs=1e-9)
+        # u of the benchmark revenue bounds every truthful mechanism's utility
+        def bench(d, n, k, u):
+            return float(u(myerson_revenue(d, n, k)[0]))
+
+        assert bench(U01, 1, 1, linear()) == pytest.approx(0.25, abs=1e-9)
+        assert bench(U01, 3, 3, linear()) == pytest.approx(0.75, abs=1e-9)
+        assert bench(U01, 2, 1, linear()) == pytest.approx(5 / 12, abs=1e-9)
+        assert bench(U01, 2, 1, power(0.5)) == pytest.approx(math.sqrt(5 / 12), abs=1e-9)
 
     def test_myerson_revenue_exact_branches(self):
         assert myerson_revenue(U01, 3, 3) == (0.75, 0.0)
         rev, ci = myerson_revenue(U01, 2, 1)
         assert rev == pytest.approx(5 / 12, abs=1e-10) and ci == 0.0
+        # uniform, 3 bidders, 2 units, reserve 1/2: 23/32 (see
+        # TestVcgExact.test_reserved_multiunit_closed_form)
+        assert myerson_revenue(U01, 3, 2) == (pytest.approx(23 / 32, abs=1e-14), 0.0)
 
     def test_myerson_revenue_mc_branch(self):
         rev, ci = myerson_revenue(U01, 3, 2, seed=0, samples=200_000)
-        assert ci > 0
-        again = myerson_revenue(U01, 3, 2, seed=0, samples=200_000)
-        assert (rev, ci) == again
+        assert ci == 0.0
         # independent plain-numpy estimate of vcg(2, 0.5) revenue on 3 bidders:
         # min(2, #{bids >= 1/2}) winners each pay max(1/2, lowest bid)
         rng = np.random.default_rng(123)
@@ -229,25 +369,35 @@ class TestBenchmark:
         revs = np.minimum(2, (vals >= 0.5).sum(axis=1)) * np.maximum(0.5, third)
         want = float(revs.mean())
         w_ci = 1.96 * float(revs.std(ddof=1)) / math.sqrt(len(revs))
-        assert abs(rev - want) <= 4 * (ci + w_ci)
+        assert abs(rev - want) <= 4 * w_ci
+        # beyond MAX_EXACT_N bidders the benchmark is Monte Carlo
+        n = MAX_EXACT_N + 1
+        big = myerson_revenue(U01, n, 2, seed=0, samples=1000)
+        assert big[1] > 0
+        assert big == myerson_revenue(U01, n, 2, seed=0, samples=1000)
+
+
+def worst_ratio(m, d, n, k, fam) -> float:
+    """min over the family of E[u(Rev(m))] / u(benchmark revenue)."""
+    rev, _ = myerson_revenue(d, n, k)
+    return min(evaluate(m, d, n, u).mean_utility / float(u(rev)) for u in fam)
 
 
 class TestUniversalRatio:
     def test_uniform_single_bidder(self):
         m = PostedPriceMechanism(0.25, 1)
-        rho, worst = universal_ratio(m, U01, 1, 1, [linear(), capped(1e-4)], seed=0)
-        assert rho == pytest.approx(0.75, abs=1e-9)
-        assert worst in ("linear", "capped:0.0001")
+        fam = [linear(), capped(1e-4)]
+        assert worst_ratio(m, U01, 1, 1, fam) == pytest.approx(0.75, abs=1e-9)
 
     def test_exponential_mhr_floor(self):
         m = PostedPriceMechanism(math.exp(-1.0), 1)
-        rho, _ = universal_ratio(m, exponential(1.0), 1, 1, default_family(), seed=0)
-        assert rho == pytest.approx(math.exp(-math.exp(-1.0)), abs=1e-9)
+        assert worst_ratio(m, exponential(1.0), 1, 1, default_family()) == \
+            pytest.approx(math.exp(-math.exp(-1.0)), abs=1e-9)
 
     def test_left_triangle_tight_half(self):
         m = PostedPriceMechanism(1.0, 1)
-        rho, _ = universal_ratio(m, left_triangle(0.01), 1, 1, default_family(), seed=0)
-        assert rho == pytest.approx(1 / 1.99, abs=1e-9)
+        assert worst_ratio(m, left_triangle(0.01), 1, 1, default_family()) == \
+            pytest.approx(1 / 1.99, abs=1e-9)
 
 
 class TestConcavityProperties:

@@ -25,13 +25,17 @@ from riskauctions import (
     check_vcg_discount,
     capped,
     default_family,
+    eval_posted_exact,
+    eval_vcg_exact,
     expected_order_stat_price,
     exponential,
     frontier_search,
     gen_regular,
+    hedge_limited_price,
     irregular_example,
     left_triangle,
     linear,
+    myerson_revenue,
     power,
     report_from_margin,
     run_selections,
@@ -243,15 +247,26 @@ class TestExpectedOrderStatPrice:
 
 class TestVcgDiscount:
     def test_uniform_cases(self):
-        rep = check_vcg_discount(U01, 3, 1, samples=100_000, seed=0)
+        # uniform, 3 bidders, 1 unit: second price with reserve 1/4 earns
+        # 261/512 and with reserve 1/2 earns 17/32
+        rep = check_vcg_discount(U01, 3, 1)
         assert rep.passed
-        rep = check_vcg_discount(U01, 2, 2, samples=50_000, seed=0)
+        assert rep.observed == pytest.approx(261 / 512 - 17 / 64, abs=1e-12)
+        assert rep.worst_instance == "hedged=0.509765625 monopoly=0.53125"
+        # no scarcity: revenue 2 * r * 1/2 at either reserve
+        rep = check_vcg_discount(U01, 2, 2)
         assert rep.passed
+        assert rep.observed == pytest.approx(0.375 - 0.25, abs=1e-12)
 
     def test_deterministic(self):
-        a = check_vcg_discount(exponential(1.0), 5, 2, samples=50_000, seed=3)
-        b = check_vcg_discount(exponential(1.0), 5, 2, samples=50_000, seed=3)
-        assert a == b
+        d = exponential(1.0)
+        a = check_vcg_discount(d, 5, 2)
+        assert a == check_vcg_discount(d, 5, 2)
+        p_star, q_star = d.monopoly_price()
+        hedged = eval_vcg_exact(d, 5, 2, linear(), p_star * q_star).mean_utility
+        monopoly = eval_vcg_exact(d, 5, 2, linear(), p_star).mean_utility
+        assert a.observed == hedged - 0.5 * monopoly
+        assert (a.instances_checked, a.tolerance) == (1, 1e-9)
 
 
 class TestHedgeUnlimited:
@@ -277,29 +292,36 @@ class TestHedgeUnlimited:
 
 class TestHedgeLimited:
     def test_uniform_exact_benchmark(self):
-        rep = check_hedge_limited(U01, 2, 1, default_family(), seed=0,
-                                  samples=50_000)
+        rep = check_hedge_limited(U01, 2, 1, default_family())
         assert rep.passed
         assert rep.observed >= 0.125
 
     def test_mc_benchmark_case(self):
-        rep = check_hedge_limited(U01, 10, 3, default_family(), seed=0,
-                                  samples=50_000)
+        # a multi-unit benchmark, which was Monte Carlo and is now exact:
+        # the margin is the worst ratio minus the claimed 1/8
+        rep = check_hedge_limited(U01, 10, 3, default_family())
         assert rep.passed
+        price = hedge_limited_price(U01, 10, 3)
+        rev = myerson_revenue(U01, 10, 3)[0]
+        want = eval_posted_exact(U01, price, 10, 3, linear()).mean_utility / rev
+        assert (rep.observed, rep.margin, rep.worst_instance) == (want, want - 0.125, "linear")
 
 
 class TestVcgChain:
     def test_uniform_single_unit(self):
-        rep = check_vcg_chain(U01, 2, 1, [linear(), power(0.5)], seed=0,
-                              samples=50_000)
+        rep = check_vcg_chain(U01, 2, 1, [linear(), power(0.5)])
         assert rep.passed
         assert rep.margin >= -1e-9
         assert rep.instances_checked >= 5
 
     def test_uniform_two_units(self):
-        rep = check_vcg_chain(U01, 6, 2, default_family(), seed=0,
-                              samples=50_000)
+        rep = check_vcg_chain(U01, 6, 2, default_family())
         assert rep.passed
+        # the worst slack is bidder augmentation: 2 E[3rd highest of 6] = 8/7
+        # against the benchmark with 4 bidders, 2 units, reserve 1/2
+        assert rep.worst_instance == "bidder-augmentation"
+        rev = myerson_revenue(U01, 4, 2)[0]
+        assert rep.observed == pytest.approx((8 / 7) / rev - 1.0, abs=1e-12)
 
 
 class TestFrontier:

@@ -184,10 +184,15 @@ class TestMaximizeSingleBidder:
         assert maximize_single_bidder(uniform(0.8, 1.5), power(0.5))[0] == 0.8
 
     def test_agrees_with_reserve_for_smooth_utilities(self):
-        for d in (uniform(0.0, 1.0), exponential(1.0)):
-            for u in (linear(), power(0.5), power(1.0 / 3.0)):
-                p, _ = maximize_single_bidder(d, u)
-                assert p == pytest.approx(optimal_reserve(d, u), abs=1e-6)
+        # the closed-form reserves: p^a * e^(-rate p) peaks at p = a/rate,
+        # and p^a * (1 - p) at p = a/(1 + a)
+        for alpha, u in ((1.0, linear()), (0.5, power(0.5)), (1 / 3, power(1 / 3)),
+                         (1e-3, power(1e-3))):
+            for rate in (1e-3, 1.0, 2.5, 1e3):
+                p, _ = maximize_single_bidder(exponential(rate), u)
+                assert p == pytest.approx(alpha / rate, rel=1e-12), (alpha, rate)
+            p, _ = maximize_single_bidder(uniform(0.0, 1.0), u)
+            assert p == pytest.approx(alpha / (1 + alpha), rel=1e-12), alpha
 
     def test_handles_irregular_and_capped(self):
         p, val = maximize_single_bidder(irregular_example(0.01), linear())
