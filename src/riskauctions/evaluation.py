@@ -2,13 +2,14 @@
 
 Both mechanisms are evaluated exactly in quantile space: posted prices as a
 capped binomial sum, and k-unit VCG with a reserve as a binomial sum plus one
-order-statistic integral.  Only bidder counts beyond MAX_EXACT_N, and the
-virtual-utility identity check, use chunked Monte Carlo (`mc_moments`), whose
-draws are a pure function of (seed, samples, n), so results are
-bit-reproducible.
+order-statistic integral.  Only evaluations that need a binomial sum over
+more than MAX_EXACT_N bidders, and the virtual-utility identity check, use
+chunked Monte Carlo (`mc_moments`), whose draws are a pure function of
+(seed, samples, n), so results are bit-reproducible.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from scipy.integrate import quad
 from .distributions import Distribution
 from .mechanisms import (Mechanism, PostedPriceMechanism, VcgMechanism, batch_outcomes,
                          batch_revenue)
-from .numerics import MAX_EXACT_N, binom_pmf, order_stat_pdf_coef
+from .numerics import MAX_EXACT_N, binom_pmf, order_stat_pdf
 from .report import LemmaReport
 from .utilities import UtilityFunction, linear
 
@@ -61,6 +62,17 @@ def _split_points(d: Distribution, u: UtilityFunction, scale: float) -> list[flo
     if u.kink is not None and scale > 0:
         pts.append(float(d.sale_probability(u.kink / scale)))
     return pts
+
+
+def _peak_points(t: int, n: int) -> list[float]:
+    """Split points 50 standard deviations either side of the mode of the
+    t-th lowest of n uniform quantiles (1 < t <= n).  At large n the density
+    is a narrow peak that quad, sampling the whole interval, can miss; below
+    n = 48 both points fall outside (0, 1)."""
+    a, b = t, n - t + 1  # the order statistic is Beta(a, b)
+    mode = (a - 1) / (n - 1)
+    sd = math.sqrt(a * b / ((n + 1) ** 2 * (n + 2)))
+    return [mode - 50.0 * sd, mode + 50.0 * sd]
 
 
 def _quad(f, lo: float, hi: float, pts: list[float]) -> float:
@@ -107,15 +119,16 @@ def eval_vcg_exact(d: Distribution, n: int, k: int, u: UtilityFunction,
         j = np.arange(min(k, n) + 1)
         mean = float(np.sum(u(reserve * j) * binom_pmf(n, q_r)[:len(j)]))
     if k < n and q_r > 0.0:
-        coef = order_stat_pdf_coef(k + 1, n)
+        pdf = order_stat_pdf(k + 1, n)
 
         def integrand(q):
             # w = 0 at q = 0, where price may be infinite: quad reaches it
             # when q_r is subnormal
-            w = coef * q ** k * (1.0 - q) ** (n - k - 1)
+            w = pdf(q)
             return w * float(u(k * float(d.price(q)))) if w else 0.0
 
-        mean += _quad(integrand, 0.0, q_r, _split_points(d, u, float(k)))
+        pts = _split_points(d, u, float(k)) + _peak_points(k + 1, n)
+        mean += _quad(integrand, 0.0, q_r, pts)
     return EvalResult(mean, "exact")
 
 
@@ -126,12 +139,12 @@ def expected_order_stat_price(d: Distribution, t: int, n: int) -> float:
         raise ValueError("need t > 1 (the top order statistic may lack a mean)")
     if t > n:
         raise ValueError("need t <= n")
-    coef = order_stat_pdf_coef(t, n)
+    pdf = order_stat_pdf(t, n)
 
     def integrand(q):
-        return coef * q ** (t - 1) * (1.0 - q) ** (n - t) * float(d.price(q))
+        return pdf(q) * float(d.price(q))
 
-    return _quad(integrand, 0.0, 1.0, _split_points(d, linear(), 0.0))
+    return _quad(integrand, 0.0, 1.0, _split_points(d, linear(), 0.0) + _peak_points(t, n))
 
 
 def mc_moments(d: Distribution, n: int, stat, samples: int = 1_000_000,
@@ -173,12 +186,15 @@ def eval_mc(m: Mechanism, d: Distribution, n: int, u: UtilityFunction,
 
 def evaluate(m: Mechanism, d: Distribution, n: int, u: UtilityFunction,
              samples: int = 1_000_000, seed: int = 0) -> EvalResult:
-    """Exact evaluation for n <= MAX_EXACT_N, Monte Carlo beyond it."""
-    if n > MAX_EXACT_N:
-        return eval_mc(m, d, n, u, samples, seed)
+    """Exact evaluation unless it needs a binomial sum over more than
+    MAX_EXACT_N bidders, Monte Carlo then.  Only VCG with k < n units and a
+    reserve every bidder clears needs no such sum."""
     if isinstance(m, PostedPriceMechanism):
-        return eval_posted_exact(d, m.price, n, m.k, u)
-    return eval_vcg_exact(d, n, m.k, u, m.reserve)
+        if n <= MAX_EXACT_N:
+            return eval_posted_exact(d, m.price, n, m.k, u)
+    elif n <= MAX_EXACT_N or (m.k < n and float(d.sale_probability(m.reserve)) == 1.0):
+        return eval_vcg_exact(d, n, m.k, u, m.reserve)
+    return eval_mc(m, d, n, u, samples, seed)
 
 
 # -- revenue benchmark ----------------------------------------------------------
@@ -187,8 +203,8 @@ def evaluate(m: Mechanism, d: Distribution, n: int, u: UtilityFunction,
 def myerson_revenue(d: Distribution, n: int, k: int, seed: int = 0,
                     samples: int = 1_000_000) -> tuple[float, float]:
     """Expected revenue of k-unit VCG with the monopoly reserve (Myerson's
-    optimal auction), as (estimate, ci_halfwidth); the ci is zero when the
-    value is exact, which it is for n <= MAX_EXACT_N."""
+    optimal auction), as (estimate, ci_halfwidth) from `evaluate`; the ci is
+    zero when the value is exact, which it is for n <= MAX_EXACT_N."""
     res = evaluate(VcgMechanism(k, d.monopoly_price()[0]), d, n, linear(), samples, seed)
     return res.mean_utility, res.ci_halfwidth
 

@@ -15,7 +15,7 @@ import numpy as np
 from .distributions import (Distribution, RevenueCurveDistribution, exponential,
                             left_triangle, uniform)
 from .evaluation import (check_virtual_utility_identity, eval_posted_exact,
-                         eval_vcg_exact, expected_order_stat_price)
+                         eval_vcg_exact, expected_order_stat_price, myerson_revenue)
 from .mechanisms import VcgMechanism, allocation_probabilities, hedge_limited_price, \
     hedge_unlimited_price
 from .numerics import binom_pmf_rows, order_stat_cdf
@@ -209,11 +209,6 @@ def check_tail(d: Distribution, t: int, n: int) -> LemmaReport:
 # -- revenue and utility guarantees of the hedged mechanisms -----------------------
 
 
-def _benchmark_revenue(d: Distribution, n: int, k: int) -> float:
-    """The benchmark: k-unit VCG at the monopoly reserve, evaluated exactly."""
-    return eval_vcg_exact(d, n, k, linear(), d.monopoly_price()[0]).mean_utility
-
-
 def check_vcg_discount(d: Distribution, n: int, k: int) -> LemmaReport:
     """Dropping the reserve from the monopoly price to the hedged price costs
     at most half the expected revenue; both revenues are exact."""
@@ -223,7 +218,7 @@ def check_vcg_discount(d: Distribution, n: int, k: int) -> LemmaReport:
         raise ValueError("the discount bound applies to regular distributions")
     p_star, q_star = d.monopoly_price()
     hedged = eval_vcg_exact(d, n, k, linear(), p_star * q_star).mean_utility
-    monopoly = _benchmark_revenue(d, n, k)
+    monopoly = myerson_revenue(d, n, k)[0]
     return report_from_margin(
         f"vcg-discount[{d.label}|n={n},k={k}]", 0.0, hedged - 0.5 * monopoly, 1e-9,
         1, f"hedged={hedged:.9g} monopoly={monopoly:.9g}")
@@ -254,7 +249,7 @@ def check_hedge_limited(d: Distribution, n: int, k: int, fam) -> LemmaReport:
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
     price = hedge_limited_price(d, n, k)
-    rev = _benchmark_revenue(d, n, k)
+    rev = myerson_revenue(d, n, k)[0]
     worst_ratio = np.inf
     worst = ""
     members = list(fam)
@@ -292,7 +287,7 @@ def check_vcg_chain(d: Distribution, n: int, k: int, fam) -> LemmaReport:
         lhs = eval_vcg_exact(d, n, k, u).mean_utility
         items.append((lhs / float(u(rev_vcg)) - 0.25,
                       f"utility-of-revenue[{u.label}]"))
-    rev_fewer = _benchmark_revenue(d, n - k, k)
+    rev_fewer = myerson_revenue(d, n - k, k)[0]
     if rev_fewer > 0:
         items.append((rev_vcg / rev_fewer - 1.0, "bidder-augmentation"))
     margins = np.array([m for m, _ in items])

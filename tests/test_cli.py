@@ -124,6 +124,16 @@ class TestEval:
         assert mc[5] == "monte_carlo"
         assert float(mc[7]) > 0
 
+    def test_large_supply_is_exact(self):
+        # n!/(600! 599!) overflows a float; the value is the closed form
+        # of TestVcgExact.test_large_n_closed_form
+        code, out, err = run(["eval", "--mech", "vcg:600,0.5", "--dist", "uniform:0,1",
+                              "--n", "1200", "--samples", "1000"])
+        assert code == 0, err
+        row = next(csv.reader(io.StringIO(out.split("\r\n")[1])))
+        assert row[5] == "exact"
+        assert float(row[6]) == pytest.approx(299.875104080, rel=1e-11)
+
     def test_huge_n_is_memory_bounded(self):
         # one 1000 x 20000 draw alone would take 153 MiB
         tracemalloc.start()

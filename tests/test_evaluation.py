@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
+from scipy.special import betainc
+from scipy.stats import binom
 
 from riskauctions import (
     EvalResult,
@@ -36,7 +38,7 @@ from riskauctions import (
     virtual_utility_identity_stats,
 )
 from riskauctions.evaluation import MC_BUDGET, MC_CHUNK, _quad, _split_points
-from riskauctions.numerics import MAX_EXACT_N, order_stat_pdf_coef
+from riskauctions.numerics import MAX_EXACT_N, order_stat_pdf
 
 U01 = uniform(0.0, 1.0)
 
@@ -127,9 +129,24 @@ class TestVcgExact:
         for n, k, r in ((0, 1, 0.0), (2, 0, 0.0), (2, 1, -0.1)):
             with pytest.raises(ValueError):
                 eval_vcg_exact(U01, n, k, linear(), r)
-        # the order-statistic density constant would overflow a float
-        with pytest.raises(ValueError, match="overflows"):
-            eval_vcg_exact(U01, 2000, 1000, linear())
+
+    @pytest.mark.parametrize("n,k,r,rel", [
+        (1200, 600, 0.5, 1e-10), (2000, 1000, 0.0, 1e-10), (10_000, 5000, 0.3, 1e-10),
+        (10_000, 133, 0.99, 1e-10),
+        # an exact density constant; from gammaln it was 1e-11 relative off
+        (10_000, 3, 0.0, 1e-12)])
+    def test_large_n_closed_form(self, n, k, r, rel):
+        # n!/(k!(n-k-1)!) overflows a float in the first three, and the
+        # density is a narrow peak in all five.  Uniform, q_r = 1 - r: the
+        # j <= k bidders above r pay j r in total, sum = r n q_r P[Bin(n-1,
+        # q_r) <= k-1]; otherwise k units sell at 1 - q for the Beta(k+1,
+        # n-k) quantile q < q_r, and E[(1-q); q < x] = I_x(k+1, n-k) -
+        # (k+1)/(n+1) I_x(k+2, n-k)
+        q_r = 1.0 - r
+        want = r * n * q_r * binom.cdf(k - 1, n - 1, q_r) + k * (
+            betainc(k + 1, n - k, q_r) - (k + 1) / (n + 1) * betainc(k + 2, n - k, q_r))
+        got = eval_vcg_exact(U01, n, k, linear(), r).mean_utility
+        assert got == pytest.approx(want, rel=rel)
 
     def test_reserved_multiunit_closed_form(self):
         # uniform, n = 3, k = 2, r = 1/2: one or two bidders at or above 1/2
@@ -143,10 +160,10 @@ class TestVcgExact:
 
 def reserve_free_vcg(d, n, k, u) -> float:
     """The reserve-free k < n integral that eval_vcg_exact used to be."""
-    coef = order_stat_pdf_coef(k + 1, n)
+    pdf = order_stat_pdf(k + 1, n)
 
     def integrand(q):
-        return coef * q ** k * (1.0 - q) ** (n - k - 1) * float(u(k * float(d.price(q))))
+        return pdf(q) * float(u(k * float(d.price(q))))
 
     return _quad(integrand, 0.0, 1.0, _split_points(d, u, float(k)))
 
@@ -200,13 +217,15 @@ class TestVcgExactReferences:
     def test_single_unit_is_the_old_second_price(self, case):
         d, n, _, u, r = case
         got = eval_vcg_exact(d, n, 1, u, r).mean_utility
-        assert eval_second_price_exact(d, r, n, u).mean_utility == got
-        # both are quad results at epsrel 1e-8 and epsabs 1e-12; they share
-        # no rounding, since eval_vcg_exact's density constant comes from
-        # gammaln (1.5e-14 off n(n-1) at n = 39), and on the log-singular
-        # exponential their adaptive subdivisions can differ
         want = second_price(d, r, n, u)
-        assert abs(got - want) <= 2e-8 * abs(want) + 2e-12
+        # the reserve term differs in rounding: binom_pmf takes it in log
+        # space (2.7e-14 relative off n q (1-q)^(n-1) at n = 37).  On the
+        # log-singular exponential the two adaptive quadratures, of
+        # integrands one rounding apart, can end on different subdivisions:
+        # 5.6e-10 apart at most on a grid of 42,900 inputs, each 5e-11 off a
+        # 30-digit mpmath value at the worst one
+        rel = 1e-9 if d.kind == "exponential" else 1e-13
+        assert abs(got - want) <= rel * abs(want)
 
     @given(vcg_instances(dists=(left_triangle(1e-9), exponential(1e-3), exponential(1e3)),
                          utilities=FAMILY + (power(1e-3),)))
@@ -314,13 +333,28 @@ class TestEvaluateDispatch:
             eval_posted_exact(U01, 0.4, 3, 3, linear()).mean_utility, abs=1e-12)
 
     def test_mc_fallback_for_reserved_multiunit(self):
-        # reserved multi-unit VCG is exact; only the bidder count selects MC
+        # reserved multi-unit VCG is exact; MC only takes binomial sums over
+        # more than MAX_EXACT_N bidders
         r = evaluate(VcgMechanism(2, 0.3), U01, 5, linear(), samples=2000, seed=0)
         assert r.method == "exact" and r.samples == 0
         assert r == eval_vcg_exact(U01, 5, 2, linear(), 0.3)
-        for m in (VcgMechanism(2, 0.3), PostedPriceMechanism(0.3, 2)):
+        for m in (VcgMechanism(2, 0.3), PostedPriceMechanism(0.3, 2),
+                  VcgMechanism(MAX_EXACT_N + 1, 0.0)):
             r = evaluate(m, U01, MAX_EXACT_N + 1, linear(), samples=1000, seed=0)
             assert r.method == "monte_carlo" and r.samples == 1000
+
+    @pytest.mark.parametrize("n", [MAX_EXACT_N + 1, 50_000, 10 ** 6])
+    def test_scarce_units_above_a_cleared_reserve_stay_exact(self, n):
+        # every bidder clears the reserve and k < n: no binomial sum, so
+        # any n is exact; E of the second highest of n uniforms is
+        # (n-1)/(n+1), and k units at the (k+1)-st highest earn k(n-k)/(n+1)
+        for m, d, want in ((VcgMechanism(1, 0.0), U01, (n - 1) / (n + 1)),
+                           (VcgMechanism(n // 2, 0.0), U01, n // 2 * (n - n // 2) / (n + 1)),
+                           (VcgMechanism(1, 0.4), uniform(0.5, 2.0),
+                            0.5 + 1.5 * (n - 1) / (n + 1))):
+            r = evaluate(m, d, n, linear(), samples=1000, seed=0)
+            assert r.method == "exact"
+            assert r.mean_utility == pytest.approx(want, rel=1e-8)
 
     def test_agreement_between_paths(self):
         exact = evaluate(VcgMechanism(1, 0.4), U01, 3, linear(),
