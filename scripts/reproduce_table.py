@@ -2,11 +2,12 @@
 """Recompute the headline guarantee table and print it aligned.
 
 Runs the same rows as `riskauctions reproduce` (hedge floors, frontier
-maximin values, VCG comparisons, allocation and tail brackets) and renders
-an aligned text table instead of CSV.  Exits 1 if any row fails.
+maximin values, VCG comparisons, allocation and tail brackets, the
+virtual-utility identity) and renders an aligned text table instead of CSV.
+Every row is exact, so the table takes no seed.  Exits 1 if any row fails.
 
 Example:
-    python3 scripts/reproduce_table.py --samples 1000000 --seed 42
+    PYTHONPATH=src python3 scripts/reproduce_table.py --out reproduce.csv
 """
 import argparse
 import csv
@@ -19,15 +20,12 @@ from riskauctions.cli import main as cli_main
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--samples", type=int, default=1_000_000)
-    ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("--out", help="also write the raw CSV here")
     args = ap.parse_args(argv)
 
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = cli_main(["reproduce", "--samples", str(args.samples),
-                         "--seed", str(args.seed)])
+        code = cli_main(["reproduce"])
     raw = buf.getvalue()
     if args.out:
         with open(args.out, "w", newline="") as fh:

@@ -5,14 +5,14 @@ mechanisms are evaluated exactly where closed forms exist, and every
 advertised approximation guarantee has a numerical check that reports its
 observed margin.
 """
-from .distributions import (BidProfile, Distribution, NotDifferentiableError,
+from .distributions import (Distribution, NotDifferentiableError,
                             RevenueCurveDistribution, SpecParseError, exponential,
                             irregular_example, left_triangle, make_distribution,
                             revenue_curve, uniform)
 from .evaluation import (EvalResult, check_virtual_utility_identity, eval_mc,
                          eval_posted_exact, eval_second_price_exact, eval_vcg_exact,
-                         evaluate, expected_order_stat_price, mc_moments,
-                         myerson_revenue, virtual_utility_identity_stats)
+                         evaluate, expected_order_stat_price, myerson_revenue,
+                         virtual_utility_identity_stats)
 from .lemmas import (MHR_BOUND, FrontierResult, check_allocation_bound,
                      check_capped_binomial, check_capped_binomial_grid,
                      check_half_bound, check_half_bound_sweep,
@@ -20,37 +20,34 @@ from .lemmas import (MHR_BOUND, FrontierResult, check_allocation_bound,
                      check_tail, check_vcg_chain, check_vcg_discount,
                      default_suite, frontier_search, gen_regular,
                      run_selections)
-from .mechanisms import (MechanismOutcome, PostedPriceMechanism, VcgMechanism,
-                         allocation_probabilities, allocation_probability,
+from .mechanisms import (PostedPriceMechanism, VcgMechanism, allocation_probability,
                          batch_outcomes, batch_revenue, hedge_limited_price,
-                         hedge_unlimited_price, make_mechanism, parse_mechanism,
-                         run_posted_price, run_vcg)
+                         hedge_unlimited_price, make_mechanism, parse_mechanism)
 from .report import CSV_COLUMNS, LemmaReport, report_from_margin
 from .utilities import (UtilityFamily, UtilityFunction, capped,
                         check_virtual_utility_monotone, default_family, linear,
                         maximize_single_bidder, optimal_reserve, parse_family,
                         parse_utility, parse_utility_or_family, power,
-                        virtual_utility)
+                        virtual_utility, virtual_utility_at_quantile)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "BidProfile", "Distribution", "NotDifferentiableError",
+    "Distribution", "NotDifferentiableError",
     "RevenueCurveDistribution", "SpecParseError", "exponential",
     "irregular_example", "left_triangle", "make_distribution", "revenue_curve",
     "uniform",
     "UtilityFamily", "UtilityFunction", "capped", "default_family", "linear",
     "maximize_single_bidder", "optimal_reserve", "parse_family", "parse_utility",
     "parse_utility_or_family", "power", "virtual_utility",
+    "virtual_utility_at_quantile",
     "check_virtual_utility_monotone",
-    "MechanismOutcome", "PostedPriceMechanism", "VcgMechanism",
-    "allocation_probabilities", "allocation_probability", "batch_outcomes",
-    "batch_revenue", "hedge_limited_price", "hedge_unlimited_price", "make_mechanism",
-    "parse_mechanism", "run_posted_price", "run_vcg",
+    "PostedPriceMechanism", "VcgMechanism", "allocation_probability",
+    "batch_outcomes", "batch_revenue", "hedge_limited_price", "hedge_unlimited_price",
+    "make_mechanism", "parse_mechanism",
     "EvalResult", "eval_mc", "eval_posted_exact",
-    "eval_second_price_exact", "eval_vcg_exact", "evaluate", "mc_moments",
-    "myerson_revenue", "virtual_utility_identity_stats",
+    "eval_second_price_exact", "eval_vcg_exact", "evaluate", "myerson_revenue", "virtual_utility_identity_stats",
     "check_virtual_utility_identity",
     "MHR_BOUND", "FrontierResult", "check_allocation_bound",
     "check_capped_binomial", "check_capped_binomial_grid", "check_half_bound",

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -24,7 +23,6 @@ import numpy as np
 __all__ = [
     "SpecParseError",
     "NotDifferentiableError",
-    "BidProfile",
     "Distribution",
     "Uniform",
     "Exponential",
@@ -47,29 +45,6 @@ class SpecParseError(ValueError):
 
 class NotDifferentiableError(ValueError):
     """A density-based quantity was requested at a kink or atom."""
-
-
-@dataclass(frozen=True)
-class BidProfile:
-    """An ordered tuple of bidder valuations (index = bidder identity)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 1:
-            raise ValueError("a bid profile is one-dimensional")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-            raise ValueError("bids must be finite and nonnegative")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-    def __len__(self):
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
 
 
 def _ret(x, scalar):
@@ -188,13 +163,6 @@ class Distribution:
         """Inverse-transform draws; rng.random() lands in [0, 1) so this is safe
         even for unbounded supports."""
         return self.quantile(rng.random(shape))
-
-    def sample(self, seed: int, n: int) -> BidProfile:
-        """n independent valuations, deterministic for a fixed seed."""
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        rng = np.random.default_rng(seed)
-        return BidProfile(self.draw(rng, n))
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.label}>"

@@ -3,11 +3,14 @@
 Each check computes the two sides of one claimed inequality, as exactly as
 the instance allows, and returns a LemmaReport whose margin quantifies how
 much room the bound had.  Every check is exact up to float and quadrature
-error, and carries a tiny tolerance for it, except the virtual-utility
-identity, a Monte Carlo cross-check with a four-halfwidth allowance.
+error, and carries a tiny tolerance for it; the allocation bracket is
+decided in integers, with none.  No check samples, so the suite's output
+does not depend on the seed except through the random curves of the
+half-bound sweep.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,8 +19,7 @@ from .distributions import (Distribution, RevenueCurveDistribution, exponential,
                             left_triangle, uniform)
 from .evaluation import (check_virtual_utility_identity, eval_posted_exact,
                          eval_vcg_exact, expected_order_stat_price, myerson_revenue)
-from .mechanisms import VcgMechanism, allocation_probabilities, hedge_limited_price, \
-    hedge_unlimited_price
+from .mechanisms import VcgMechanism, hedge_limited_price, hedge_unlimited_price
 from .numerics import binom_pmf_rows, order_stat_cdf
 from .report import LemmaReport, report_from_margin
 from .utilities import (capped, check_virtual_utility_monotone, default_family,
@@ -168,27 +170,31 @@ def check_capped_binomial_grid(n_max: int = 60, q_step: float = 0.01) -> LemmaRe
 
 def check_allocation_bound(n_max: int = 60) -> LemmaReport:
     """allocation_probability(n, k, q_r) must land in [k/2n, k/n] whenever
-    q_r >= 1/2; margin is the worst distance to either edge of the bracket,
-    and the worst instance the first strict minimum in (n, q_r, k) order."""
-    q_rs = np.arange(10, 21) / 20
-    worst_margin = np.inf
-    worst = ""
+    q_r >= 1/2, decided in integers on q_r = j/20, j = 10..20: with T = 20^n
+    and S_k = sum_y min(k, y) C(n, y) j^y (20 - j)^(n-y) the probability is
+    S_k/(nT), so the edges are (2S_k - kT)/(2nT) and (2kT - 2S_k)/(2nT) away.
+    The margin is the nearer, rounded once; the worst instance the first
+    strict minimum in (n, q_r, k) order."""
+    worst = None  # (numerator, denominator, instance)
     instances = 0
     for n in range(1, n_max + 1):
-        ks = np.arange(1, n + 1)
-        a = np.stack([allocation_probabilities(n, q_r) for q_r in q_rs])
-        lo, hi = a - ks / (2 * n), ks / n - a
-        margin = np.where(hi < lo, hi, lo)  # min(lo, hi), as Python's min picks
-        instances += margin.size
-        j, k = np.unravel_index(int(np.argmin(margin)), margin.shape)
-        if margin[j, k] < worst_margin:
-            worst_margin = margin[j, k]
-            worst = f"n={n},k={k + 1},q_r={q_rs[j]:g}: a={a[j, k]:.9g}"
+        total = 20 ** n
+        for j in range(10, 21):
+            terms = [math.comb(n, y) * j ** y * (20 - j) ** (n - y) for y in range(n + 1)]
+            head, weighted = terms[0], 0  # sums of t_y and y t_y over y <= k
+            for k in range(1, n + 1):
+                head += terms[k]
+                weighted += k * terms[k]
+                s_k = weighted + k * (total - head)
+                num, den = min(2 * s_k - k * total, 2 * k * total - 2 * s_k), 2 * n * total
+                if worst is None or num * worst[1] < worst[0] * den:
+                    worst = (num, den, f"n={n},k={k},q_r={j / 20:g}: a={s_k / (n * total):.9g}")
+            instances += n
+    margin = worst[0] / worst[1]
     return LemmaReport(name=f"allocation-bound[grid n<={n_max}]",
-                       passed=bool(worst_margin >= -1e-12), claimed_bound=0.0,
-                       observed=float(worst_margin), margin=float(worst_margin),
-                       tolerance=1e-12, instances_checked=instances,
-                       worst_instance=worst)
+                       passed=worst[0] >= 0, claimed_bound=0.0, observed=margin,
+                       margin=margin, tolerance=0.0, instances_checked=instances,
+                       worst_instance=worst[2])
 
 
 # -- the order-statistic tail bound ------------------------------------------------
@@ -346,13 +352,13 @@ def _builtin_regulars() -> tuple[Distribution, ...]:
     return uniform(0.0, 1.0), exponential(1.0), left_triangle(0.01)
 
 
-def _sel_monotone(d, seed, samples):
+def _sel_monotone(d, seed):
     dists = (d,) if d is not None else _builtin_regulars()
     fam = (linear(), power(0.5), capped(0.01))
     return [check_virtual_utility_monotone(x, u) for x in dists for u in fam]
 
 
-def _sel_half_bound(d, seed, samples):
+def _sel_half_bound(d, seed):
     if d is not None:
         return [check_half_bound(d)]
     reps = [check_half_bound(x) for x in _builtin_regulars()]
@@ -360,21 +366,21 @@ def _sel_half_bound(d, seed, samples):
     return reps
 
 
-def _sel_mhr_bound(d, seed, samples):
+def _sel_mhr_bound(d, seed):
     dists = (d,) if d is not None else (uniform(0.0, 1.0), exponential(1.0),
                                         exponential(2.0))
     return [check_mhr_bound(x) for x in dists]
 
 
-def _sel_capped_binomial(d, seed, samples):
+def _sel_capped_binomial(d, seed):
     return [check_capped_binomial_grid()]
 
 
-def _sel_allocation(d, seed, samples):
+def _sel_allocation(d, seed):
     return [check_allocation_bound()]
 
 
-def _sel_tail(d, seed, samples):
+def _sel_tail(d, seed):
     if d is not None:
         return [check_tail(d, t, n) for t, n in ((2, 2), (2, 5), (5, 10))]
     cases = [(uniform(0.0, 1.0), 2, 2), (uniform(0.0, 1.0), 3, 5),
@@ -383,7 +389,7 @@ def _sel_tail(d, seed, samples):
     return [check_tail(x, t, n) for x, t, n in cases]
 
 
-def _sel_discount(d, seed, samples):
+def _sel_discount(d, seed):
     if d is not None:
         return [check_vcg_discount(d, 3, 1)]
     return [check_vcg_discount(uniform(0.0, 1.0), 3, 1),
@@ -391,7 +397,7 @@ def _sel_discount(d, seed, samples):
             check_vcg_discount(exponential(1.0), 5, 2)]
 
 
-def _sel_hedge_unlimited(d, seed, samples):
+def _sel_hedge_unlimited(d, seed):
     fam = default_family()
     if d is not None:
         return [check_hedge_unlimited(d, 5, fam)]
@@ -400,7 +406,7 @@ def _sel_hedge_unlimited(d, seed, samples):
             check_hedge_unlimited(left_triangle(0.001), 1, (linear(), capped(1e-5)))]
 
 
-def _sel_hedge_limited(d, seed, samples):
+def _sel_hedge_limited(d, seed):
     fam = default_family()
     if d is not None:
         return [check_hedge_limited(d, 5, 2, fam)]
@@ -409,18 +415,17 @@ def _sel_hedge_limited(d, seed, samples):
             check_hedge_limited(exponential(1.0), 8, 2, fam)]
 
 
-def _sel_chain(d, seed, samples):
+def _sel_chain(d, seed):
     if d is not None:
         return [check_vcg_chain(d, 4, 1, (linear(), power(0.5)))]
     return [check_vcg_chain(uniform(0.0, 1.0), 2, 1, (linear(), power(0.5))),
             check_vcg_chain(uniform(0.0, 1.0), 6, 2, default_family())]
 
 
-def _sel_identity(d, seed, samples):
+def _sel_identity(d, seed):
     x = d if d is not None else uniform(0.0, 1.0)
     m = VcgMechanism(1, x.monopoly_price()[0])
-    return [check_virtual_utility_identity(x, m, u, 2, samples, seed)
-            for u in (linear(), power(0.5))]
+    return [check_virtual_utility_identity(x, m, u, 2) for u in (linear(), power(0.5))]
 
 
 SELECTIONS = {
@@ -438,8 +443,8 @@ SELECTIONS = {
 }
 
 
-def run_selections(names, d: Distribution | None = None, seed: int = 42,
-                   samples: int = 1_000_000) -> list[LemmaReport]:
+def run_selections(names, d: Distribution | None = None,
+                   seed: int = 42) -> list[LemmaReport]:
     """Run named checks (or the whole suite for ``all``) in a fixed order."""
     wanted = list(names) or ["all"]
     if "all" in wanted:
@@ -448,9 +453,9 @@ def run_selections(names, d: Distribution | None = None, seed: int = 42,
     for name in wanted:
         if name not in SELECTIONS:
             raise KeyError(f"unknown check selection: {name!r}")
-        reports.extend(SELECTIONS[name](d, seed, samples))
+        reports.extend(SELECTIONS[name](d, seed))
     return reports
 
 
-def default_suite(seed: int = 42, samples: int = 1_000_000) -> list[LemmaReport]:
-    return run_selections(["all"], None, seed, samples)
+def default_suite(seed: int = 42) -> list[LemmaReport]:
+    return run_selections(["all"], None, seed)

@@ -12,35 +12,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import BidProfile, Distribution, SpecParseError
-from .numerics import binom_pmf, binom_pmf_rows
+from .distributions import Distribution, SpecParseError
+from .numerics import binom_pmf
 
 __all__ = [
-    "MechanismOutcome",
     "PostedPriceMechanism",
     "VcgMechanism",
-    "run_posted_price",
-    "run_vcg",
     "batch_outcomes",
     "batch_revenue",
     "hedge_unlimited_price",
     "allocation_probability",
-    "allocation_probabilities",
     "hedge_limited_price",
     "make_mechanism",
     "parse_mechanism",
 ]
 
 
-@dataclass(frozen=True)
-class MechanismOutcome:
-    winners: tuple[int, ...]
-    payments: np.ndarray
-    revenue: float
-
-
 def _as_matrix(bids) -> np.ndarray:
-    arr = np.asarray(getattr(bids, "values", bids), dtype=float)
+    arr = np.asarray(bids, dtype=float)
     if arr.ndim == 1:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] < 1:
@@ -64,9 +53,6 @@ class PostedPriceMechanism:
     def label(self) -> str:
         return self.name or f"posted:{self.price:g},{self.k}"
 
-    def run(self, bids) -> MechanismOutcome:
-        return _outcome_from_batch(self, bids)
-
 
 @dataclass(frozen=True)
 class VcgMechanism:
@@ -82,14 +68,8 @@ class VcgMechanism:
     def label(self) -> str:
         return self.name or f"vcg:{self.k},{self.reserve:g}"
 
-    def run(self, bids) -> MechanismOutcome:
-        return _outcome_from_batch(self, bids)
-
 
 Mechanism = PostedPriceMechanism | VcgMechanism
-
-# Largest (k, y) block allocation_probabilities builds at once: 4 MiB of float64.
-ALLOCATION_BLOCK_BYTES = 2 ** 22
 
 
 def _top_bids(b: np.ndarray, j: int) -> list[np.ndarray]:
@@ -156,23 +136,6 @@ def batch_revenue(m: Mechanism, bids) -> np.ndarray:
     return np.minimum(np.count_nonzero(b >= m.reserve, axis=1), m.k) * price
 
 
-def _outcome_from_batch(m: Mechanism, bids) -> MechanismOutcome:
-    win, pay = batch_outcomes(m, bids)
-    win, pay = win[0], pay[0]
-    return MechanismOutcome(winners=tuple(int(i) for i in np.nonzero(win)[0]),
-                            payments=pay, revenue=float(pay.sum()))
-
-
-def run_posted_price(price: float, k: int, bids) -> MechanismOutcome:
-    """Offer `price` to bidders in index order while at most k units remain."""
-    return PostedPriceMechanism(price, k).run(bids)
-
-
-def run_vcg(k: int, reserve: float, bids) -> MechanismOutcome:
-    """k-unit VCG with a reserve; bidders above the reserve among the top k win."""
-    return VcgMechanism(k, reserve).run(bids)
-
-
 # -- hedged posted prices ------------------------------------------------------
 
 
@@ -204,27 +167,6 @@ def allocation_probability(n: int, k: int, q_r: float) -> float:
     y = np.arange(n + 1)
     pmf = binom_pmf(n, q_r)
     return float(np.sum(np.minimum(y, k) * pmf) / n)
-
-
-def allocation_probabilities(n: int, q_r: float) -> np.ndarray:
-    """allocation_probability(n, k, q_r) for k = 1..n, bit for bit, from one
-    pmf.  The (k, y) matrix of min(k, y) is built in blocks of at most
-    ALLOCATION_BLOCK_BYTES, and each row is summed pairwise as the scalar
-    sum is; at q_r = 0 or 1 the pmf is a unit vector, so the sums are exact."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if not 0.0 <= q_r <= 1.0:
-        raise ValueError("q_r must lie in [0, 1]")
-    y = np.arange(n + 1)
-    ks = np.arange(1, n)[:, None]
-    pmf = binom_pmf_rows(n, [q_r])[0]
-    out = np.empty(n)
-    rows = max(1, ALLOCATION_BLOCK_BYTES // (8 * (n + 1)))
-    for lo in range(0, n - 1, rows):
-        k = ks[lo:lo + rows]
-        out[lo:lo + len(k)] = (np.minimum(y, k) * pmf).sum(axis=1) / n
-    out[n - 1] = q_r  # k >= n: every bidder above the price is served
-    return out
 
 
 def hedge_limited_price(d: Distribution, n: int, k: int) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -29,6 +30,7 @@ __all__ = [
     "parse_family",
     "parse_utility_or_family",
     "virtual_utility",
+    "virtual_utility_at_quantile",
     "optimal_reserve",
     "maximize_single_bidder",
     "check_virtual_utility_monotone",
@@ -183,6 +185,14 @@ def virtual_utility(d: Distribution, u: UtilityFunction, v: float) -> float:
     return float(u(v)) - float(u.derivative(v)) * float(d.inverse_hazard(v))
 
 
+def virtual_utility_at_quantile(d: Distribution, u: UtilityFunction, q: float) -> float:
+    """The virtual utility at p = price(q), u(p) - u'(p) * (p - R'(q)), for a
+    float q in (0, 1]: in quantile space (1 - F)/f is p - R'(q).  It is the
+    slope of q * u(price(q)) in q."""
+    p = d.price(q)
+    return float(u(p)) - float(u.derivative(p)) * (p - d.marginal_revenue(q))
+
+
 def optimal_reserve(d: Distribution, u: UtilityFunction) -> float:
     """The best single-bidder reserve for a smooth utility on a regular
     distribution, where the risk-adjusted marginal value changes sign."""
@@ -200,20 +210,14 @@ def maximize_single_bidder(d: Distribution, u: UtilityFunction) -> tuple[float, 
 
     This maximizes g(q) = q * u(price(q)) over the sale probability q.  On a
     regular distribution g is concave for every utility here (capped ones
-    included), so the optimum is where its slope
-
-        g'(q) = u(p) - u'(p) * (p - R'(q)),   p = price(q),
-
-    changes sign; it is bisected to float resolution, keeping the side where
-    the slope is still >= 0 (the first float past an atom can price above
-    it).  Irregular inputs get a dense grid plus golden-section refinement
+    included), so the optimum is where its slope, the virtual utility
+    `virtual_utility_at_quantile`, changes sign; it is bisected to float
+    resolution, keeping the side where the slope is still >= 0 (the first
+    float past an atom can price above it).  Irregular inputs get a dense grid plus golden-section refinement
     around the best bracket.
     """
     if d.is_regular():
-        def slope(q):
-            p = d.price(q)
-            return float(u(p)) - float(u.derivative(p)) * (p - d.marginal_revenue(q))
-
+        slope = partial(virtual_utility_at_quantile, d, u)
         q = 1.0 if slope(1.0) >= 0 else bisect_root(slope, 0.0, 1.0)
         p = float(d.price(q))
         return p, float(u(p)) * q

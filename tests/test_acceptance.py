@@ -15,6 +15,7 @@ from riskauctions import (
     PostedPriceMechanism,
     VcgMechanism,
     allocation_probability,
+    batch_outcomes,
     batch_revenue,
     capped,
     check_capped_binomial_grid,
@@ -145,25 +146,29 @@ def test_posted_price_frontier_maximin_values():
             failures)
 
 
+def rational_allocations(n, j):
+    """E[min(k, X)]/n for X ~ Binomial(n, j/20) and k = 1..n: an independent
+    rational-arithmetic mirror of the allocation pipeline."""
+    q_r = Fraction(j, 20)
+    pmf = [Fraction(math.comb(n, x)) * q_r**x * (1 - q_r) ** (n - x)
+           for x in range(n + 1)]
+    cdf, wsum = [], []
+    c = w = Fraction(0)
+    for x, m in enumerate(pmf):
+        c += m
+        w += x * m
+        cdf.append(c)
+        wsum.append(w)
+    return [(wsum[k - 1] + k * (1 - cdf[k - 1])) / n for k in range(1, n + 1)]
+
+
 def test_capped_allocation_stays_in_the_half_bracket_exhaustively():
-    # independent rational-arithmetic mirror of the allocation pipeline
     failures = []
     checked = 0
     for n in range(1, 61):
         for j in range(10, 21):
             q_r = Fraction(j, 20)
-            pmf = [Fraction(math.comb(n, x)) * q_r**x * (1 - q_r) ** (n - x)
-                   for x in range(n + 1)]
-            cdf, wsum = [], []
-            c = w = Fraction(0)
-            for x, m in enumerate(pmf):
-                c += m
-                w += x * m
-                cdf.append(c)
-                wsum.append(w)
-            for k in range(1, n + 1):
-                expect = wsum[k - 1] + k * (1 - cdf[k - 1])
-                q = expect / n
+            for k, q in enumerate(rational_allocations(n, j), 1):
                 checked += 1
                 if not Fraction(k, 2 * n) <= q <= Fraction(k, n):
                     failures.append((n, k, j, float(q)))
@@ -254,21 +259,37 @@ def test_vcg_chain_floors_hold_exactly():
 
 
 def test_expected_utility_equals_expected_winner_virtual_utility():
+    # Monte Carlo cross-check of the exact identity: both sides estimated
+    # from one set of draws, the left through batch_outcomes payments, the
+    # right through the value-space virtual utility u(v) - u'(v)(1-F(v))/f(v)
+    # of each winner
+    samples = 1_000_000
     failures = []
+    rng = np.random.default_rng(2024)
     for mech in (VcgMechanism(1, 0.5), VcgMechanism(1, 0.0)):
         for u in (linear(), power(0.5)):
             for n in (1, 2, 3):
-                st = virtual_utility_identity_stats(U01, mech, u, n,
-                                                    samples=1_000_000, seed=0)
-                if abs(st["diff_mean"]) > 4.0 * st["diff_ci"] + 1e-12:
-                    failures.append((mech.label, u.label, n, st["diff_mean"]))
-    st = virtual_utility_identity_stats(U01, VcgMechanism(1, 0.5), linear(),
-                                        1, samples=1_000_000, seed=0)
-    for side in ("lhs", "rhs"):
-        if abs(st[f"{side}_mean"] - 0.25) > 4.0 * st[f"{side}_ci"]:
-            failures.append(("anchor", side, st[f"{side}_mean"]))
-    verdict("paired samples confirm E[u(revenue)] equals the expected "
-            "winner virtual utility for single-unit VCG", failures)
+                exact = virtual_utility_identity_stats(U01, mech, u, n)
+                sums, sqs = np.zeros(2), np.zeros(2)
+                for start in range(0, samples, 65_536):
+                    bids = U01.draw(rng, (min(65_536, samples - start), n))
+                    win, pay = batch_outcomes(mech, bids)
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        phi = u(bids) - u.derivative(bids) * U01.inverse_hazard(bids)
+                    sides = (u(pay.sum(axis=1)), np.where(win, phi, 0.0).sum(axis=1))
+                    for i, v in enumerate(sides):
+                        sums[i] += v.sum()
+                        sqs[i] += (v * v).sum()
+                for i, side in enumerate(("lhs", "rhs")):
+                    mean = sums[i] / samples
+                    ci = 1.96 * math.sqrt(max(sqs[i] / samples - mean * mean, 0.0) / samples)
+                    if abs(mean - exact[side]) > 4.0 * ci:
+                        failures.append((mech.label, u.label, n, side, mean, exact[side]))
+    exact = virtual_utility_identity_stats(U01, VcgMechanism(1, 0.5), linear(), 1)
+    if exact["lhs"] != 0.25 or abs(exact["rhs"] - 0.25) > exact["tolerance"]:
+        failures.append(("anchor", exact))
+    verdict("independent Monte Carlo brackets both exact sides of E[u(revenue)] = "
+            "E[winner virtual utility] for single-unit VCG", failures)
 
 
 def _mc_bracket_cases():

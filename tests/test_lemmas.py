@@ -42,9 +42,9 @@ from riskauctions import (
     uniform,
 )
 from riskauctions.lemmas import SELECTIONS
-from riskauctions.mechanisms import allocation_probability
 from riskauctions.numerics import binom_pmf
 from riskauctions.report import LemmaReport
+from test_acceptance import rational_allocations
 
 U01 = uniform(0.0, 1.0)
 
@@ -119,24 +119,23 @@ def loop_capped_binomial_grid(n_max, q_step):
                        worst_instance=worst)
 
 
-def loop_allocation_bound(n_max):
-    """Reference: the allocation bracket with one scalar allocation_probability
-    call per (n, q_r, k) and a running strict minimum."""
-    worst_margin, worst, instances = np.inf, "", 0
+def rational_allocation_bound(n_max):
+    """Reference: the allocation bracket over the exact rational allocation
+    probabilities of the acceptance suite's mirror, one (n, q_r, k) at a
+    time, with a running strict minimum."""
+    worst_margin, worst, instances = None, "", 0
     for n in range(1, n_max + 1):
         for j in range(10, 21):
-            q_r = j / 20
-            for k in range(1, n + 1):
-                a = allocation_probability(n, k, q_r)
-                margin = min(a - k / (2 * n), k / n - a)
+            for k, a in enumerate(rational_allocations(n, j), 1):
+                margin = min(a - Fraction(k, 2 * n), Fraction(k, n) - a)
                 instances += 1
-                if margin < worst_margin:
+                if worst_margin is None or margin < worst_margin:
                     worst_margin = margin
-                    worst = f"n={n},k={k},q_r={q_r:g}: a={a:.9g}"
+                    worst = f"n={n},k={k},q_r={j / 20:g}: a={float(a):.9g}"
     return LemmaReport(name=f"allocation-bound[grid n<={n_max}]",
-                       passed=bool(worst_margin >= -1e-12), claimed_bound=0.0,
+                       passed=worst_margin >= 0, claimed_bound=0.0,
                        observed=float(worst_margin), margin=float(worst_margin),
-                       tolerance=1e-12, instances_checked=instances,
+                       tolerance=0.0, instances_checked=instances,
                        worst_instance=worst)
 
 
@@ -152,7 +151,7 @@ class TestGridChecksMatchPerInstanceLoops:
 
     @pytest.mark.parametrize("n_max", [60, 17, 1])
     def test_allocation_bound(self, n_max):
-        assert check_allocation_bound(n_max) == loop_allocation_bound(n_max)
+        assert check_allocation_bound(n_max) == rational_allocation_bound(n_max)
 
     @pytest.mark.parametrize("n,q,k", [(10, 0.3, 2), (7, 1.0, 3), (5, 0.5, 5),
                                        (60, 0.9, 4), (1, 0.5, 1)])
@@ -199,9 +198,11 @@ class TestCappedBinomial:
 class TestAllocationBound:
     def test_exhaustive_grid(self):
         rep = check_allocation_bound(n_max=60)
-        assert rep.passed
+        assert rep.passed and rep.tolerance == 0.0
         assert rep.instances_checked == 20_130
-        assert rep.margin >= -1e-12
+        # exactly on the lower edge: one bidder sells with probability 1/2
+        assert rep.margin == 0.0
+        assert rep.worst_instance == "n=1,k=1,q_r=0.5: a=0.5"
 
 
 class TestTail:
@@ -404,16 +405,16 @@ class TestSelections:
 
     def test_unknown_selection_rejected(self):
         with pytest.raises(KeyError):
-            run_selections(["nope"], None, 1, 2000)
+            run_selections(["nope"], None, 1)
 
     def test_full_suite_passes_at_small_samples(self):
-        reports = run_selections(["all"], None, seed=1, samples=20_000)
+        reports = run_selections(["all"], None, seed=1)
         assert len(reports) >= len(SELECTIONS)
         bad = [r.name for r in reports if not r.passed]
         assert bad == []
 
     def test_single_selection_with_custom_distribution(self):
-        reports = run_selections(["half-bound"], uniform(0.0, 2.0), 1, 2000)
+        reports = run_selections(["half-bound"], uniform(0.0, 2.0), 1)
         assert len(reports) == 1
         assert reports[0].passed
 

@@ -15,7 +15,6 @@ from riskauctions import (
     PostedPriceMechanism,
     SpecParseError,
     VcgMechanism,
-    allocation_probabilities,
     allocation_probability,
     batch_outcomes,
     batch_revenue,
@@ -28,11 +27,8 @@ from riskauctions import (
     make_mechanism,
     parse_mechanism,
     power,
-    run_posted_price,
-    run_vcg,
     uniform,
 )
-from riskauctions.mechanisms import ALLOCATION_BLOCK_BYTES
 
 
 def binom_pmf_fractions(n, p):
@@ -62,6 +58,13 @@ def argsort_outcomes(m, b):
     return win, np.where(win, unit_price[:, None], 0.0)
 
 
+def run(m, bids):
+    """(winners, payments, revenue) of one bid profile, as a one-row
+    batch_outcomes call."""
+    win, pay = batch_outcomes(m, bids)
+    return tuple(np.nonzero(win[0])[0].tolist()), pay[0], float(pay[0].sum())
+
+
 def allocation_oracle(n, k, q_r):
     pmf = binom_pmf_fractions(n, q_r)
     return sum(min(k, x) * w for x, w in enumerate(pmf)) / n
@@ -69,75 +72,75 @@ def allocation_oracle(n, k, q_r):
 
 class TestPostedPrice:
     def test_first_accepters_in_index_order(self):
-        o = run_posted_price(0.5, 1, [0.3, 0.6, 0.8])
-        assert o.winners == (1,)
-        assert o.revenue == pytest.approx(0.5)
-        np.testing.assert_allclose(o.payments, [0.0, 0.5, 0.0])
+        winners, payments, revenue = run(PostedPriceMechanism(0.5, 1), [0.3, 0.6, 0.8])
+        assert winners == (1,)
+        assert revenue == pytest.approx(0.5)
+        np.testing.assert_allclose(payments, [0.0, 0.5, 0.0])
 
     def test_supply_two(self):
-        o = run_posted_price(0.5, 2, [0.3, 0.6, 0.8])
-        assert o.winners == (1, 2)
-        assert o.revenue == pytest.approx(1.0)
+        winners, _, revenue = run(PostedPriceMechanism(0.5, 2), [0.3, 0.6, 0.8])
+        assert winners == (1, 2)
+        assert revenue == pytest.approx(1.0)
 
     def test_no_sale(self):
-        o = run_posted_price(0.9, 3, [0.3, 0.6, 0.8])
-        assert o.winners == ()
-        assert o.revenue == 0.0
+        winners, _, revenue = run(PostedPriceMechanism(0.9, 3), [0.3, 0.6, 0.8])
+        assert winners == ()
+        assert revenue == 0.0
 
     def test_acceptance_at_equality(self):
-        o = run_posted_price(0.5, 2, [0.5, 0.4])
-        assert o.winners == (0,)
+        winners, _, _ = run(PostedPriceMechanism(0.5, 2), [0.5, 0.4])
+        assert winners == (0,)
 
     @given(st.lists(st.floats(0.0, 2.0), min_size=1, max_size=7),
            st.floats(0.0, 2.0), st.integers(1, 7))
     def test_revenue_identity(self, bids, p, k):
-        o = run_posted_price(p, k, bids)
+        winners, _, revenue = run(PostedPriceMechanism(p, k), bids)
         y = sum(1 for b in bids if b >= p)
-        assert o.revenue == pytest.approx(p * min(y, k), abs=1e-12)
-        assert len(o.winners) == min(y, k)
+        assert revenue == pytest.approx(p * min(y, k), abs=1e-12)
+        assert len(winners) == min(y, k)
 
 
 class TestVcg:
     def test_vickrey(self):
-        o = run_vcg(1, 0.0, [0.3, 0.8, 0.5])
-        assert o.winners == (1,)
-        assert o.payments[1] == pytest.approx(0.5)
+        winners, payments, _ = run(VcgMechanism(1, 0.0), [0.3, 0.8, 0.5])
+        assert winners == (1,)
+        assert payments[1] == pytest.approx(0.5)
 
     def test_two_units(self):
-        o = run_vcg(2, 0.0, [0.9, 0.7, 0.4])
-        assert o.winners == (0, 1)
-        np.testing.assert_allclose(o.payments, [0.4, 0.4, 0.0])
-        assert o.revenue == pytest.approx(0.8)
+        winners, payments, revenue = run(VcgMechanism(2, 0.0), [0.9, 0.7, 0.4])
+        assert winners == (0, 1)
+        np.testing.assert_allclose(payments, [0.4, 0.4, 0.0])
+        assert revenue == pytest.approx(0.8)
 
     def test_reserve_binds(self):
-        o = run_vcg(1, 0.6, [0.7, 0.5])
-        assert o.winners == (0,)
-        assert o.payments[0] == pytest.approx(0.6)
+        winners, payments, _ = run(VcgMechanism(1, 0.6), [0.7, 0.5])
+        assert winners == (0,)
+        assert payments[0] == pytest.approx(0.6)
 
     def test_reserve_excludes(self):
-        o = run_vcg(2, 0.6, [0.7, 0.5])
-        assert o.winners == (0,)
-        assert o.revenue == pytest.approx(0.6)
+        winners, _, revenue = run(VcgMechanism(2, 0.6), [0.7, 0.5])
+        assert winners == (0,)
+        assert revenue == pytest.approx(0.6)
 
     def test_ties_break_to_lower_index(self):
-        o = run_vcg(1, 0.0, [0.5, 0.5, 0.3])
-        assert o.winners == (0,)
-        assert o.payments[0] == pytest.approx(0.5)
+        winners, payments, _ = run(VcgMechanism(1, 0.0), [0.5, 0.5, 0.3])
+        assert winners == (0,)
+        assert payments[0] == pytest.approx(0.5)
 
     def test_missing_competitor_bid_is_zero(self):
         # with one bidder the second-highest bid defaults to 0
-        o = run_vcg(1, 0.0, [0.7])
-        assert o.winners == (0,)
-        assert o.payments[0] == 0.0
+        winners, payments, _ = run(VcgMechanism(1, 0.0), [0.7])
+        assert winners == (0,)
+        assert payments[0] == 0.0
 
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
            st.integers(1, 8), st.floats(0.0, 0.8))
     def test_supply_beyond_bidders_is_posted_at_reserve(self, bids, extra, r):
         n = len(bids)
-        o_vcg = run_vcg(n + extra - 1, r, bids)
-        o_posted = run_posted_price(r, n + extra - 1, bids)
-        assert o_vcg.winners == o_posted.winners
-        np.testing.assert_allclose(o_vcg.payments, o_posted.payments, atol=1e-12)
+        vcg = run(VcgMechanism(n + extra - 1, r), bids)
+        posted = run(PostedPriceMechanism(r, n + extra - 1), bids)
+        assert vcg[0] == posted[0]
+        np.testing.assert_allclose(vcg[1], posted[1], atol=1e-12)
 
 
 MECHS = [
@@ -155,14 +158,14 @@ class TestOutcomeInvariants:
            st.integers(0, len(MECHS) - 1))
     def test_core_invariants(self, bids, mi):
         m = MECHS[mi]
-        o = m.run(bids)
-        assert len(o.winners) <= m.k
+        winners, payments, revenue = run(m, bids)
+        assert len(winners) <= m.k
         for i, b in enumerate(bids):
-            if i in o.winners:
-                assert o.payments[i] <= b + 1e-12
+            if i in winners:
+                assert payments[i] <= b + 1e-12
             else:
-                assert o.payments[i] == 0.0
-        assert o.revenue == pytest.approx(float(np.sum(o.payments)), abs=1e-12)
+                assert payments[i] == 0.0
+        assert revenue == pytest.approx(float(np.sum(payments)), abs=1e-12)
 
     @settings(max_examples=200)
     @given(st.integers(1, 40), st.integers(0, 2 ** 32 - 1), st.booleans(),
@@ -170,7 +173,7 @@ class TestOutcomeInvariants:
            st.sampled_from(["zero", "bid", "random"]), st.data())
     def test_batch_matches_single_runs(self, n, seed, posted, bid_kind, price_kind, data):
         k = data.draw(st.integers(1, n + 2), label="k")
-        # 1024 rows take the column pass in batch, 16 rows and m.run np.partition
+        # 1024 rows take the column pass in batch, 16 rows and one row np.partition
         rows = data.draw(st.sampled_from([16, 1024]), label="rows")
         rng = np.random.default_rng(seed)
         shape = (rows, n)
@@ -194,10 +197,10 @@ class TestOutcomeInvariants:
             # min(k, sold) * price rounds once, the row sum once per winner
             assert np.all(np.abs(rev - pay_sum) <= k * 2.0 ** -52 * pay_sum)
         for j in range(16):
-            o = m.run(vals[j])
-            np.testing.assert_array_equal(win[j], [i in o.winners for i in range(n)])
-            np.testing.assert_array_equal(pay[j], o.payments)
-            assert o.revenue == float(pay_sum[j])
+            winners, payments, revenue = run(m, vals[j])
+            np.testing.assert_array_equal(win[j], [i in winners for i in range(n)])
+            np.testing.assert_array_equal(pay[j], payments)
+            assert revenue == float(pay_sum[j])
 
 
 class TestTruthfulness:
@@ -227,16 +230,16 @@ class TestTruthfulness:
         rng = np.random.default_rng(23)
         vals = rng.random((200, 3)) * 1.2
         for row in vals:
-            o = m.run(row)
-            for i in o.winners:
-                t = o.payments[i]
+            winners, payments, _ = run(m, row)
+            for i in winners:
+                t = payments[i]
                 above = row.copy()
                 above[i] = t + 1e-6
-                assert i in m.run(above).winners
+                assert i in run(m, above)[0]
                 if t > 1e-6:
                     below = row.copy()
                     below[i] = t - 1e-6
-                    assert i not in m.run(below).winners
+                    assert i not in run(m, below)[0]
 
 
 class TestAllocationProbability:
@@ -265,47 +268,6 @@ class TestAllocationProbability:
             allocation_probability(5, 0, 0.5)
         with pytest.raises(ValueError):
             allocation_probability(5, 2, 1.2)
-
-
-def assert_all_k_bit_equal(n, q_r):
-    got = allocation_probabilities(n, q_r)
-    assert got.shape == (n,)
-    for k in range(1, n + 1):
-        want = allocation_probability(n, k, q_r)
-        assert got[k - 1].tobytes() == np.float64(want).tobytes(), (n, k, q_r)
-
-
-class TestAllocationProbabilities:
-    """One pmf for every k must give the scalar function's bits."""
-
-    def test_bit_equal_on_the_q_r_grid(self):
-        for n in range(1, 61):
-            for j in range(21):
-                assert_all_k_bit_equal(n, j / 20)
-
-    @settings(max_examples=200, deadline=None)
-    @given(n=st.integers(1, 120), q_r=st.floats(0.0, 1.0))
-    def test_bit_equal_on_drawn_q_r(self, n, q_r):
-        assert_all_k_bit_equal(n, q_r)
-
-    def test_bit_equal_across_several_blocks(self):
-        n = 1500
-        rows = ALLOCATION_BLOCK_BYTES // (8 * (n + 1))
-        assert 3 <= -(-(n - 1) // rows)  # blocks of k rows
-        for q_r in (0.5, 0.93):
-            assert_all_k_bit_equal(n, q_r)
-
-    def test_signed_zero_at_full_supply(self):
-        assert math.copysign(1.0, allocation_probabilities(3, -0.0)[-1]) == \
-            math.copysign(1.0, allocation_probability(3, 3, -0.0))
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            allocation_probabilities(0, 0.5)
-        with pytest.raises(ValueError):
-            allocation_probabilities(5, 1.2)
-        with pytest.raises(ValueError):
-            allocation_probabilities(10_001, 0.6)
 
 
 class TestHedgePrices:

@@ -34,6 +34,7 @@ from riskauctions import (
     power,
     uniform,
     virtual_utility,
+    virtual_utility_at_quantile,
 )
 
 
@@ -133,6 +134,15 @@ class TestVirtualUtility:
         # off the utility kink both branches work
         assert virtual_utility(uniform(0.0, 1.0), capped(0.3), 0.2) == pytest.approx(-0.6)
         assert virtual_utility(uniform(0.0, 1.0), capped(0.3), 0.5) == pytest.approx(0.3)
+
+    @given(st.floats(0.01, 0.99), st.sampled_from(default_family().members),
+           st.sampled_from([uniform(0.0, 1.0), uniform(0.5, 2.0), exponential(0.3)]))
+    def test_quantile_form_matches_value_form(self, q, u, d):
+        # (1 - F)/f at price(q) is price(q) - R'(q)
+        p = float(d.price(q))
+        if u.kink is None or p != u.kink:
+            assert virtual_utility_at_quantile(d, u, q) == pytest.approx(
+                virtual_utility(d, u, p), rel=1e-9, abs=1e-12)
 
 
 class TestOptimalReserve:
