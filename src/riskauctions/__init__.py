@@ -28,7 +28,7 @@ from .utilities import (UtilityFamily, UtilityFunction, capped,
                         check_virtual_utility_monotone, default_family, linear,
                         maximize_single_bidder, optimal_reserve, parse_family,
                         parse_utility, parse_utility_or_family, power,
-                        virtual_utility, virtual_utility_at_quantile)
+                        virtual_utility_at_quantile)
 
 __version__ = "0.1.0"
 
@@ -40,8 +40,7 @@ __all__ = [
     "uniform",
     "UtilityFamily", "UtilityFunction", "capped", "default_family", "linear",
     "maximize_single_bidder", "optimal_reserve", "parse_family", "parse_utility",
-    "parse_utility_or_family", "power", "virtual_utility",
-    "virtual_utility_at_quantile",
+    "parse_utility_or_family", "power", "virtual_utility_at_quantile",
     "check_virtual_utility_monotone",
     "PostedPriceMechanism", "VcgMechanism", "allocation_probability",
     "batch_outcomes", "batch_revenue", "hedge_limited_price", "hedge_unlimited_price",

@@ -93,24 +93,6 @@ class Distribution:
         """(1 - F(v)) / f(v); finite limits at support edges are honored."""
         raise NotImplementedError
 
-    def hazard(self, v: float) -> float:
-        """f(v) / (1 - F(v)) at a point where the density exists."""
-        inv = self.inverse_hazard(v)
-        if inv <= 0:
-            raise ValueError("hazard diverges here")
-        return 1.0 / inv
-
-    def virtual_value(self, v):
-        """v - (1 - F(v)) / f(v)."""
-        return v - self.inverse_hazard(v)
-
-    def cumulative_hazard(self, v: float) -> float:
-        """-log(1 - F(v)); undefined once all remaining mass is an atom at v."""
-        s = 1.0 - self.cdf(v)
-        if s <= 0:
-            raise ValueError("cumulative hazard undefined at or above the top of the support")
-        return -math.log(s)
-
     def breakpoints(self) -> tuple[float, ...]:
         """Interior quantiles where price(q) has a kink or a jump; none here."""
         return ()
@@ -286,11 +268,6 @@ class Exponential(Distribution):
             raise ValueError("hazard is defined on the support only")
         scalar = np.isscalar(v) or v_arr.ndim == 0
         return _ret(np.full_like(v_arr, 1.0 / self.rate), scalar)
-
-    def cumulative_hazard(self, v):
-        if v < 0:
-            raise ValueError("values are nonnegative")
-        return self.rate * v
 
     def _find_monopoly(self):
         # closed form: p*exp(-rate*p) peaks at 1/rate with sale probability 1/e
@@ -493,11 +470,6 @@ class RevenueCurveDistribution(Distribution):
         j = np.searchsorted(-self._prices, -v_arr, side="left") - 1
         j = np.clip(j, 0, len(self._slopes) - 1)
         return v_arr - self._slopes[j]
-
-    def virtual_value(self, v):
-        # Marginal revenue: the slope of the segment the price falls in.
-        j = self._segment_of_price(float(v))
-        return float(self._slopes[j])
 
     # -- structure ------------------------------------------------------------
 

@@ -255,12 +255,10 @@ def virtual_utility_identity_stats(d: Distribution, m: VcgMechanism,
     """Exact E[u(Rev)] and E[sum of winners' virtual utilities] (``lhs``,
     ``rhs``), their quadrature error estimates (``lhs_abserr``,
     ``rhs_abserr``) and the ``tolerance`` within which they must agree.
-    Requires single-unit VCG and an atomless distribution (the virtual
-    utility is stated with a density)."""
+    Requires single-unit VCG.  Atoms are fine: in quantile space the virtual
+    utility on a top atom at p0 is u(p0)."""
     if not isinstance(m, VcgMechanism) or m.k != 1:
         raise ValueError("the identity applies to single-unit VCG mechanisms")
-    if d.top_atom_mass > 0:
-        raise ValueError("the identity check needs an atomless distribution")
     return _identity_sides(d, n, u, m.reserve)
 
 
@@ -271,6 +269,6 @@ def check_virtual_utility_identity(d: Distribution, m: VcgMechanism,
     st = virtual_utility_identity_stats(d, m, u, n)
     return report_from_margin(
         f"virtual-utility-identity[{d.label}|{u.label}|n={n}]", 0.0,
-        -abs(st["lhs"] - st["rhs"]), st["tolerance"], 1,
+        0.0 - abs(st["lhs"] - st["rhs"]), st["tolerance"], 1,  # +0, not -0, on a tie
         f"lhs={st['lhs']:.9g} rhs={st['rhs']:.9g} "
         f"abserr={st['lhs_abserr'] + st['rhs_abserr']:.3g}")

@@ -207,7 +207,7 @@ def check_tail(d: Distribution, t: int, n: int) -> LemmaReport:
         raise ValueError("the tail bound applies to regular distributions")
     ey = expected_order_stat_price(d, t, n)
     z = float(d.sale_probability(ey))
-    observed = float(order_stat_cdf(t, n, z))
+    observed = order_stat_cdf(t, n, z)
     return report_from_margin(f"tail[{d.label}|t={t},n={n}]", 0.25, observed,
                               1e-6, 1, f"E[Y]={ey:.9g}, q={z:.9g}")
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import betainc, gammaln
+from scipy.special import gammaln
 
 # Binomial sums are evaluated as exact log-space sums; beyond this size the
 # caller should fall back to sampling instead of trusting a huge direct sum.
@@ -135,5 +135,6 @@ def order_stat_pdf(t: int, n: int):
 
 
 def order_stat_cdf(t: int, n: int, x) -> float:
-    """P[t-th smallest of n uniforms <= x] (regularized incomplete beta)."""
-    return betainc(t, n - t + 1, x)
+    """P[t-th smallest of n uniforms <= x]: at least t of the n fall at or
+    below x, P[Bin(n, x) >= t] (the regularized incomplete beta function)."""
+    return float(binom_pmf(n, x)[t:].sum())

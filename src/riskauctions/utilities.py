@@ -15,8 +15,8 @@ from functools import partial
 
 import numpy as np
 
-from .distributions import Distribution, NotDifferentiableError, SpecParseError
-from .numerics import bisect_root, golden_section_max
+from .distributions import Distribution, SpecParseError
+from .numerics import bisect_root
 from .report import LemmaReport, report_from_margin
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "parse_utility",
     "parse_family",
     "parse_utility_or_family",
-    "virtual_utility",
     "virtual_utility_at_quantile",
     "optimal_reserve",
     "maximize_single_bidder",
@@ -38,7 +37,6 @@ __all__ = [
 
 MONOTONE_GRID = 10_000
 MONOTONE_TOL = 1e-8
-SINGLE_BIDDER_GRID = 100_000
 
 
 @dataclass(frozen=True)
@@ -177,20 +175,12 @@ def parse_utility_or_family(spec: str):
 # -- induced quantities --------------------------------------------------------
 
 
-def virtual_utility(d: Distribution, u: UtilityFunction, v: float) -> float:
-    """u(v) - u'(v) * (1 - F(v)) / f(v); the linear case is the usual
-    marginal-revenue value."""
-    if u.kink is not None and v == u.kink:
-        raise NotDifferentiableError("utility not differentiable at its cap")
-    return float(u(v)) - float(u.derivative(v)) * float(d.inverse_hazard(v))
-
-
-def virtual_utility_at_quantile(d: Distribution, u: UtilityFunction, q: float) -> float:
-    """The virtual utility at p = price(q), u(p) - u'(p) * (p - R'(q)), for a
-    float q in (0, 1]: in quantile space (1 - F)/f is p - R'(q).  It is the
-    slope of q * u(price(q)) in q."""
+def virtual_utility_at_quantile(d: Distribution, u: UtilityFunction, q):
+    """The virtual utility at p = price(q), u(p) - u'(p) * (p - R'(q)), for q
+    in (0, 1], a float or an array: in quantile space (1 - F)/f is p - R'(q).
+    It is the slope of q * u(price(q)) in q, and u(p0) on a top atom at p0."""
     p = d.price(q)
-    return float(u(p)) - float(u.derivative(p)) * (p - d.marginal_revenue(q))
+    return u(p) - u.derivative(p) * (p - d.marginal_revenue(q))
 
 
 def optimal_reserve(d: Distribution, u: UtilityFunction) -> float:
@@ -208,44 +198,26 @@ def optimal_reserve(d: Distribution, u: UtilityFunction) -> float:
 def maximize_single_bidder(d: Distribution, u: UtilityFunction) -> tuple[float, float]:
     """Best posted price for one bidder and its expected utility u(p)*Pr[sale].
 
-    This maximizes g(q) = q * u(price(q)) over the sale probability q.  On a
-    regular distribution g is concave for every utility here (capped ones
-    included), so the optimum is where its slope, the virtual utility
-    `virtual_utility_at_quantile`, changes sign; it is bisected to float
-    resolution, keeping the side where the slope is still >= 0 (the first
-    float past an atom can price above it).  Irregular inputs get a dense grid plus golden-section refinement
-    around the best bracket.
+    This maximizes g(q) = q * u(price(q)) over the sale probability q, one
+    concave piece of the revenue curve at a time.  Where R = a + b*q, g is
+    q * u(a/q + b), the perspective of the concave u, so it is concave for
+    every utility here (capped ones included), and so is g on the whole of a
+    regular curve.  On each piece the optimum is where the slope of g, the
+    virtual utility `virtual_utility_at_quantile`, changes sign; it is
+    bisected to float resolution, keeping the side where the slope is still
+    >= 0 (the first float past an atom can price above it).  The best piece
+    wins, the one with the larger q on a tie.
     """
-    if d.is_regular():
-        slope = partial(virtual_utility_at_quantile, d, u)
-        q = 1.0 if slope(1.0) >= 0 else bisect_root(slope, 0.0, 1.0)
+    slope = partial(virtual_utility_at_quantile, d, u)
+
+    def best_on(lo: float, hi: float) -> tuple[float, float, float]:
+        q = hi if slope(hi) >= 0 else bisect_root(slope, lo, hi)
         p = float(d.price(q))
-        return p, float(u(p)) * q
+        return float(u(p)) * q, q, p
 
-    qs = np.linspace(0.0, 1.0, SINGLE_BIDDER_GRID + 1)[1:]
-    extra = list(d.breakpoints())
-    if u.kink is not None:
-        q_kink = float(d.sale_probability(u.kink))
-        if 0 < q_kink <= 1:
-            extra.append(q_kink)
-    if extra:
-        qs = np.unique(np.concatenate([qs, np.asarray(extra)]))
-
-    def g_vec(q):
-        return np.asarray(u(d.price(q))) * q
-
-    vals = g_vec(qs)
-    i = int(np.argmax(vals))
-    lo = qs[max(i - 1, 0)]
-    hi = qs[min(i + 1, len(qs) - 1)]
-
-    def g(q):
-        return float(u(float(d.price(q))) * q)
-
-    q_best, g_best = golden_section_max(g, lo, hi, rel_tol=1e-12)
-    if vals[i] > g_best:
-        q_best, g_best = float(qs[i]), float(vals[i])
-    return float(d.price(q_best)), g_best
+    qs = (0.0,) + (() if d.is_regular() else d.breakpoints()) + (1.0,)
+    g, _, p = max(best_on(lo, hi) for lo, hi in zip(qs, qs[1:]))
+    return p, g
 
 
 def check_virtual_utility_monotone(d: Distribution, u: UtilityFunction,
@@ -254,33 +226,24 @@ def check_virtual_utility_monotone(d: Distribution, u: UtilityFunction,
 
     Guaranteed for concave revenue curves with smooth utilities; the check
     accepts any input and reports the worst violating bracket when it fails.
-    Kinks and atoms are skipped (no density there).
+    It walks the revenue curve's linear segments (a closed form is one) in
+    ascending-price order, at points inside each.  A constant-price segment
+    (price equals R' there) has no density, so it is skipped unless every
+    segment is one, as on a point mass.
     """
-    breaks = d.breakpoints()
-    vs, invs = [], []
-    if breaks:
-        # piecewise-linear curve: walk its segments in ascending-price order,
-        # where the inverse hazard is price(q) - R'(q)
-        qs = np.array((0.0,) + breaks + (1.0,))
-        for lo, hi in zip(qs[-2::-1], qs[:0:-1]):
-            seg_q = np.linspace(lo, hi, max(int(grid * (hi - lo)), 16) + 2)[-2:0:-1]
-            v = d.price(seg_q)
-            inv = v - d.marginal_revenue(seg_q)
-            if np.any(inv):  # a constant-price stretch has no density
-                vs.append(v)
-                invs.append(inv)
-    if vs:
-        v_all = np.concatenate(vs)
-        inv = np.concatenate(invs)
-    else:  # closed forms, and point masses written with breakpoints
-        v_all = np.asarray(d.quantile(np.linspace(1e-6, 1.0 - 1e-6, grid)))
-        inv = np.asarray(d.inverse_hazard(v_all))
-    phi_all = np.asarray(u(v_all)) - np.asarray(u.derivative(v_all)) * inv
+    qs = (0.0,) + d.breakpoints() + (1.0,)
+    pieces = list(zip(qs[-2::-1], qs[:0:-1]))
+    dense = [(lo, hi) for lo, hi in pieces if d.price(hi) != d.marginal_revenue(hi)]
+    q_all = np.concatenate([
+        np.linspace(lo, hi, max(int(grid * (hi - lo)), 16) + 2)[-2:0:-1]
+        for lo, hi in dense or pieces])
+    phi_all = virtual_utility_at_quantile(d, u, q_all)
 
     diffs = phi_all[1:] - phi_all[:-1]
     i = int(np.argmin(diffs))
-    worst = (f"{d.label}|{u.label}: phi({v_all[i]:.6g})={phi_all[i]:.6g} -> "
-             f"phi({v_all[i + 1]:.6g})={phi_all[i + 1]:.6g}")
+    v_lo, v_hi = d.price(float(q_all[i])), d.price(float(q_all[i + 1]))
+    worst = (f"{d.label}|{u.label}: phi({v_lo:.6g})={phi_all[i]:.6g} -> "
+             f"phi({v_hi:.6g})={phi_all[i + 1]:.6g}")
     return report_from_margin(
         name=f"virtual-utility-monotone[{d.label}|{u.label}]",
         claimed=0.0, observed=float(diffs[i]), tolerance=MONOTONE_TOL,

@@ -47,11 +47,10 @@ class TestUniform:
         assert d.sale_probability(0.25) == pytest.approx(0.75, abs=1e-12)
         assert d.price(0.4) == pytest.approx(0.6, abs=1e-12)
         assert d.revenue(0.4) == pytest.approx(0.24, abs=1e-12)
-        assert d.hazard(0.5) == pytest.approx(2.0, abs=1e-12)
         assert d.inverse_hazard(0.25) == pytest.approx(0.75, abs=1e-12)
-        assert d.virtual_value(0.5) == pytest.approx(0.0, abs=1e-12)
-        assert d.virtual_value(1.0) == pytest.approx(1.0, abs=1e-12)
-        assert d.cumulative_hazard(0.5) == pytest.approx(math.log(2.0), abs=1e-12)
+        # the virtual value 2v - 1 at v = price(q) = 1 - q
+        assert d.marginal_revenue(0.5) == pytest.approx(0.0, abs=1e-12)
+        assert d.marginal_revenue(0.0) == pytest.approx(1.0, abs=1e-12)
         assert d.support == (0.0, 1.0)
         assert d.top_atom_mass == 0.0
 
@@ -59,7 +58,7 @@ class TestUniform:
         d = uniform(1.0, 3.0)
         assert d.cdf(2.0) == pytest.approx(0.5, abs=1e-12)
         assert d.quantile(0.25) == pytest.approx(1.5, abs=1e-12)
-        assert d.virtual_value(2.0) == pytest.approx(1.0, abs=1e-12)
+        assert d.marginal_revenue(0.5) == pytest.approx(1.0, abs=1e-12)
         assert d.monopoly_price() == pytest.approx((1.5, 0.75), abs=1e-9)
 
     def test_invalid_interval(self):
@@ -76,15 +75,15 @@ class TestExponential:
         assert d.quantile(0.5) == pytest.approx(math.log(2.0), abs=1e-12)
         assert d.price(0.25) == pytest.approx(math.log(4.0), abs=1e-12)
         assert d.revenue(0.25) == pytest.approx(0.25 * math.log(4.0), abs=1e-12)
-        assert d.hazard(3.7) == pytest.approx(1.0, abs=1e-12)
-        assert d.virtual_value(1.0) == pytest.approx(0.0, abs=1e-12)
-        assert d.cumulative_hazard(2.5) == pytest.approx(2.5, abs=1e-12)
+        assert d.inverse_hazard(3.7) == pytest.approx(1.0, abs=1e-12)
+        # the virtual value v - 1 at v = price(q) = -log(q)
+        assert d.marginal_revenue(math.exp(-1.0)) == pytest.approx(0.0, abs=1e-12)
 
     def test_rate_scaling(self):
         d = exponential(2.0)
         assert d.quantile(0.5) == pytest.approx(math.log(2.0) / 2.0, abs=1e-12)
         assert d.inverse_hazard(9.0) == pytest.approx(0.5, abs=1e-12)
-        assert d.virtual_value(0.5) == pytest.approx(0.0, abs=1e-12)
+        assert d.marginal_revenue(math.exp(-1.0)) == pytest.approx(0.0, abs=1e-12)
         assert d.monopoly_price() == pytest.approx((0.5, math.exp(-1.0)), abs=1e-12)
 
     def test_invalid_rate(self):
@@ -133,7 +132,8 @@ class TestLeftTriangle:
         # the continuous branch of the curve has constant slope -1/(1-eps)
         d = left_triangle(0.01)
         for v in (0.5, 1.0, 40.0):
-            assert d.virtual_value(v) == pytest.approx(-1.0 / 0.99, abs=1e-9)
+            q = d.sale_probability(v)
+            assert d.marginal_revenue(q) == pytest.approx(-1.0 / 0.99, abs=1e-9)
 
     def test_eps_range(self):
         for bad in (0.0, 0.5, 0.7, -0.1):
@@ -189,22 +189,23 @@ class TestKinks:
     def test_hazard_raises_at_interior_kink(self):
         d = revenue_curve([(0.0, 0.0), (0.2, 0.5), (0.6, 0.8), (1.0, 0.9)])
         kink = 0.35 / 0.6 + 0.75
-        for fn in (d.hazard, d.virtual_value, d.inverse_hazard):
-            with pytest.raises(NotDifferentiableError):
-                fn(kink)
+        with pytest.raises(NotDifferentiableError):
+            d.inverse_hazard(kink)
         # just off the kink both one-sided slopes are recovered
-        assert d.virtual_value(kink - 1e-6) == pytest.approx(0.25, abs=1e-5)
-        assert d.virtual_value(kink + 1e-6) == pytest.approx(0.75, abs=1e-5)
+        assert d.marginal_revenue(d.sale_probability(kink - 1e-6)) == pytest.approx(
+            0.25, abs=1e-5)
+        assert d.marginal_revenue(d.sale_probability(kink + 1e-6)) == pytest.approx(
+            0.75, abs=1e-5)
 
     def test_hazard_raises_at_top_atom(self):
         d = left_triangle(0.01)
         with pytest.raises(NotDifferentiableError):
-            d.hazard(100.0)
+            d.inverse_hazard(100.0)
 
     def test_outside_support_rejected(self):
         d = left_triangle(0.01)
         with pytest.raises(ValueError):
-            d.hazard(101.0)
+            d.inverse_hazard(101.0)
 
 
 class TestVectorization:

@@ -33,14 +33,14 @@ from riskauctions import (
     gen_regular,
     left_triangle,
     linear,
+    make_distribution,
     myerson_revenue,
     power,
     uniform,
     virtual_utility_identity_stats,
 )
-from riskauctions.evaluation import (MC_BUDGET, MC_CHUNK, MIN_MC_SAMPLES, _identity_sides,
-                                    _quad, _split_points)
-from riskauctions.numerics import MAX_EXACT_N, order_stat_pdf
+from riskauctions.evaluation import MC_BUDGET, MC_CHUNK, MIN_MC_SAMPLES, _quad, _split_points
+from riskauctions.numerics import MAX_EXACT_N, order_stat_cdf, order_stat_pdf
 
 U01 = uniform(0.0, 1.0)
 
@@ -158,6 +158,16 @@ class TestVcgExact:
         want = (3 * 0.5 + 3 * 1.0) / 8 + 2 * 5 / 64
         assert eval_vcg_exact(U01, 3, 2, linear(), 0.5).mean_utility == \
             pytest.approx(want, abs=1e-14)
+
+
+def test_order_stat_cdf_is_the_incomplete_beta():
+    # P[Bin(n, x) >= t] against scipy's regularized incomplete beta
+    xs = [0.0, 1.0, 1e-3, 0.01] + np.linspace(0.05, 0.95, 19).tolist() + [0.99, 0.999]
+    for n in range(1, 61):
+        for t in range(1, n + 1):
+            got = [order_stat_cdf(t, n, x) for x in xs]
+            np.testing.assert_allclose(got, betainc(t, n - t + 1, xs), rtol=1e-12, atol=0.0,
+                                       err_msg=f"t={t}, n={n}")
 
 
 def reserve_free_vcg(d, n, k, u) -> float:
@@ -470,9 +480,9 @@ class TestIdentity:
     @given(IDENTITY_DISTS, st.sampled_from(FAMILY), st.integers(1, 40),
            st.floats(0.0, 1.0, exclude_min=True))
     def test_exact_sides_agree(self, d, u, n, q):
-        # gen_regular curves carry a top atom, which the public check turns
-        # away; in quantile space the identity holds there too
-        sides = _identity_sides(d, n, u, float(d.price(q)))
+        # gen_regular curves carry a top atom: in quantile space the identity
+        # holds there too
+        sides = virtual_utility_identity_stats(d, VcgMechanism(1, float(d.price(q))), u, n)
         assert abs(sides["lhs"] - sides["rhs"]) <= sides["tolerance"]
 
     def test_stats_deterministic(self):
@@ -493,6 +503,13 @@ class TestIdentity:
             virtual_utility_identity_stats(U01, VcgMechanism(2, 0.0), linear(), 3)
         with pytest.raises(ValueError):
             virtual_utility_identity_stats(U01, PostedPriceMechanism(0.5, 1), linear(), 2)
-        with pytest.raises(ValueError):
-            virtual_utility_identity_stats(left_triangle(0.01), VcgMechanism(1, 0.0),
-                                           linear(), 2)
+        # atoms are accepted: phi_u on a top atom at p0 is u(p0)
+        for spec in ("revenue-curve:0:0;0.3:0.6;1:0.8", "left-triangle:0.01",
+                     "left-triangle:1e-6", "irregular-example:0.01",
+                     "revenue-curve:0:0;1:1", "revenue-curve:0:0;0.5:0.5;1:1"):
+            d = make_distribution(spec)
+            m = VcgMechanism(1, d.monopoly_price()[0])
+            for u in (linear(), power(0.5)):
+                rep = check_virtual_utility_identity(d, m, u, 2)
+                assert rep.passed, rep
+                assert rep.csv_row()[3] != "-0"  # exact agreement reads 0

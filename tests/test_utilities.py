@@ -2,6 +2,7 @@
 
 Closed-form oracles: for uniform(0,1) the inverse hazard is 1-v, so
 phi(v) = u(v) - u'(v)(1-v); with u(x) = x^a the zero sits at v = a/(1+a).
+In quantile space v = price(q) = 1 - q.
 """
 import contextlib
 import io
@@ -13,7 +14,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from riskauctions import (
-    NotDifferentiableError,
     SpecParseError,
     UtilityFamily,
     capped,
@@ -32,8 +32,8 @@ from riskauctions import (
     parse_utility,
     parse_utility_or_family,
     power,
+    revenue_curve,
     uniform,
-    virtual_utility,
     virtual_utility_at_quantile,
 )
 
@@ -110,30 +110,33 @@ class TestDefaultFamily:
 class TestVirtualUtility:
     def test_known_zeros(self):
         d = uniform(0.0, 1.0)
-        assert virtual_utility(d, linear(), 0.5) == pytest.approx(0.0, abs=1e-12)
-        assert virtual_utility(d, power(0.5), 1.0 / 3.0) == pytest.approx(0.0, abs=1e-12)
-        assert virtual_utility(d, power(1.0 / 3.0), 0.25) == pytest.approx(0.0, abs=1e-12)
+        assert virtual_utility_at_quantile(d, linear(), 0.5) == pytest.approx(0.0, abs=1e-12)
+        assert virtual_utility_at_quantile(d, power(0.5), 2.0 / 3.0) == pytest.approx(
+            0.0, abs=1e-12)
+        assert virtual_utility_at_quantile(d, power(1.0 / 3.0), 0.75) == pytest.approx(
+            0.0, abs=1e-12)
 
     @given(st.floats(0.01, 0.99))
-    def test_linear_matches_virtual_value(self, v):
-        for d in (uniform(0.0, 1.0), exponential(1.0)):
-            assert virtual_utility(d, linear(), v) == pytest.approx(
-                d.virtual_value(v), abs=1e-12)
+    def test_linear_matches_virtual_value(self, q):
+        # for a risk-neutral seller it is the marginal revenue R'(q)
+        for d in (uniform(0.0, 1.0), exponential(1.0), left_triangle(0.01)):
+            assert virtual_utility_at_quantile(d, linear(), q) == pytest.approx(
+                d.marginal_revenue(q), abs=1e-12)
 
     @given(st.floats(0.05, 0.95), st.floats(0.1, 1.0))
-    def test_uniform_formula(self, v, alpha):
-        got = virtual_utility(uniform(0.0, 1.0), power(alpha), v)
+    def test_uniform_formula(self, q, alpha):
+        v = float(uniform(0.0, 1.0).price(q))
+        got = virtual_utility_at_quantile(uniform(0.0, 1.0), power(alpha), q)
         want = v ** alpha - alpha * v ** (alpha - 1.0) * (1.0 - v)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
-    def test_refuses_kinks(self):
-        with pytest.raises(NotDifferentiableError):
-            virtual_utility(uniform(0.0, 1.0), capped(0.3), 0.3)
-        with pytest.raises(NotDifferentiableError):
-            virtual_utility(left_triangle(0.01), linear(), 100.0)
-        # off the utility kink both branches work
-        assert virtual_utility(uniform(0.0, 1.0), capped(0.3), 0.2) == pytest.approx(-0.6)
-        assert virtual_utility(uniform(0.0, 1.0), capped(0.3), 0.5) == pytest.approx(0.3)
+    def test_capped_branches_and_top_atom(self):
+        # both branches of the capped utility, and u(p0) on a top atom
+        assert virtual_utility_at_quantile(uniform(0.0, 1.0), capped(0.3), 0.8) == \
+            pytest.approx(-0.6)
+        assert virtual_utility_at_quantile(uniform(0.0, 1.0), capped(0.3), 0.5) == \
+            pytest.approx(0.3)
+        assert virtual_utility_at_quantile(left_triangle(0.01), power(0.5), 0.01) == 10.0
 
     @given(st.floats(0.01, 0.99), st.sampled_from(default_family().members),
            st.sampled_from([uniform(0.0, 1.0), uniform(0.5, 2.0), exponential(0.3)]))
@@ -141,8 +144,21 @@ class TestVirtualUtility:
         # (1 - F)/f at price(q) is price(q) - R'(q)
         p = float(d.price(q))
         if u.kink is None or p != u.kink:
+            want = float(u(p)) - float(u.derivative(p)) * float(d.inverse_hazard(p))
             assert virtual_utility_at_quantile(d, u, q) == pytest.approx(
-                virtual_utility(d, u, p), rel=1e-9, abs=1e-12)
+                want, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [
+        uniform(0.0, 1.0), uniform(0.8, 1.5), exponential(2.5), left_triangle(0.01),
+        irregular_example(0.05), gen_regular(3, 16),
+        revenue_curve([(0.0, 0.0), (0.3, 0.6), (1.0, 0.8)])], ids=lambda d: d.label)
+    def test_arrays_give_the_scalar_bits(self, d):
+        qs = np.concatenate([np.linspace(0.0, 1.0, 1001)[1:], d.breakpoints(),
+                             np.nextafter(d.breakpoints(), 2.0)])
+        for u in default_family():
+            got = virtual_utility_at_quantile(d, u, qs)
+            want = np.array([virtual_utility_at_quantile(d, u, float(q)) for q in qs])
+            assert got.tobytes() == want.tobytes(), u.label
 
 
 class TestOptimalReserve:
@@ -168,7 +184,7 @@ class TestOptimalReserve:
     def test_zero_residual(self):
         d = uniform(0.0, 1.0)
         r = optimal_reserve(d, power(0.5))
-        assert abs(virtual_utility(d, power(0.5), r)) < 1e-9
+        assert abs(virtual_utility_at_quantile(d, power(0.5), d.sale_probability(r))) < 1e-9
 
     def test_rejections(self):
         with pytest.raises(ValueError):
@@ -205,8 +221,11 @@ class TestMaximizeSingleBidder:
             assert p == pytest.approx(alpha / (1 + alpha), rel=1e-12), alpha
 
     def test_handles_irregular_and_capped(self):
-        p, val = maximize_single_bidder(irregular_example(0.01), linear())
-        assert (p, val) == pytest.approx((100.0, 1.0), rel=1e-6)
+        # exact optima: the top atom, and on the second segment, where
+        # R = 1.99 - 99q, the maximum of q * sqrt(price) = sqrt(1.99q - 99q^2)
+        # at q = 1.99/198, price 99
+        assert maximize_single_bidder(irregular_example(0.01), linear()) == (100.0, 1.0)
+        assert maximize_single_bidder(irregular_example(0.01), power(0.5))[0] == 99.0
         p, val = maximize_single_bidder(irregular_example(0.01), capped(0.01))
         assert (p, val) == pytest.approx((0.01, 0.01 / 1.01), rel=1e-6)
 
@@ -227,10 +246,24 @@ REGULAR_SPECS = st.one_of(
 FAMILY = st.sampled_from(default_family().members)
 
 
-class TestSingleBidderSearch:
-    """The quantile-space bisection that serves every regular input."""
+def nonconcave_spec(seed: int, breakpoints: int) -> str:
+    """A curve through random points whose price falls from left to right."""
+    rng = np.random.default_rng(seed)
+    qs = np.append(np.sort(rng.uniform(0.0, 1.0, breakpoints)), 1.0).tolist()
+    prices = np.sort(rng.uniform(0.0, 10.0, breakpoints + 1))[::-1].tolist()
+    return "revenue-curve:" + ";".join(f"{q!r}:{q * p!r}" for q, p in zip(qs, prices))
 
-    @given(REGULAR_SPECS, FAMILY)
+
+IRREGULAR_SPECS = st.one_of(
+    st.floats(1e-9, 0.33).map(lambda eps: f"irregular-example:{eps!r}"),
+    st.builds(nonconcave_spec, st.integers(0, 2 ** 31 - 1), st.integers(2, 32)),
+)
+
+
+class TestSingleBidderSearch:
+    """The quantile-space bisection, one concave piece of the curve at a time."""
+
+    @given(REGULAR_SPECS | IRREGULAR_SPECS, FAMILY)
     def test_beats_a_dense_grid_at_the_returned_price(self, spec, u):
         d = make_distribution(spec)
         p, val = maximize_single_bidder(d, u)
