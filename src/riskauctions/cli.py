@@ -122,17 +122,30 @@ def _emit(text: str, out: str | None) -> None:
         fh.write(text)
 
 
+CSV_BLOCK_ROWS = 4096
+
+
+def _csv_blocks(table: np.ndarray):
+    """CSV text of a float table, CSV_BLOCK_ROWS rows per string, every cell
+    as ``_fmt`` prints a float ('%.12g' and f'{x:.12g}' agree on every float,
+    NaN, infinities and -0 included)."""
+    row = ",".join(["%.12g"] * table.shape[1]) + "\r\n"
+    for start in range(0, len(table), CSV_BLOCK_ROWS):
+        block = table[start:start + CSV_BLOCK_ROWS]
+        yield (row * len(block)) % tuple(block.ravel().tolist())
+
+
 def _write_csv(header, rows, out: str | None) -> None:
-    """Write the rows through one csv.writer as they come, so a large table,
-    passed as a generator, is never held as text."""
+    """Write the header and then the rows as they come: string rows through
+    one csv.writer, a float table (a 2-d array) a block of rows at a time, so
+    a large table is never held as text."""
     with _output(out) as fh:
         writer = csv.writer(fh, lineterminator="\r\n")
         writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _fmt_rows(table):
-    return ([_fmt(x) for x in row.tolist()] for row in table)
+        if isinstance(rows, np.ndarray):
+            fh.writelines(_csv_blocks(rows))
+        else:
+            writer.writerows(rows)
 
 
 def _svg_line_plot(xs, ys, xlabel: str, ylabel: str, title: str) -> str:
@@ -204,7 +217,7 @@ def cmd_dist(args) -> int:
         return 0
     prices = d.price(qs)
     table = np.column_stack((qs, revenue, prices, d.cdf(prices)))
-    _write_csv(["q", "revenue", "price", "cdf_at_price"], _fmt_rows(table), args.out)
+    _write_csv(["q", "revenue", "price", "cdf_at_price"], table, args.out)
     return 0
 
 
@@ -349,7 +362,7 @@ def cmd_frontier(args) -> int:
     header = (["price", "sale_prob"]
               + [f"ratio_{lab}" for lab in fr.utility_labels] + ["min_ratio"])
     table = np.column_stack((fr.prices, fr.sale_probs, fr.ratios.T, min_ratio))
-    _write_csv(header, _fmt_rows(table), args.out)
+    _write_csv(header, table, args.out)
     return 0
 
 

@@ -14,11 +14,11 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
 
 from .distributions import Distribution
 from .mechanisms import Mechanism, PostedPriceMechanism, VcgMechanism, batch_revenue
-from .numerics import MAX_EXACT_N, binom_pmf, order_stat_pdf
+from .numerics import (MAX_EXACT_N, QUAD_EPSABS, QUAD_EPSREL, binom_pmf, gauss_kronrod,
+                       order_stat_pdf)
 from .report import LemmaReport, report_from_margin
 from .utilities import UtilityFunction, linear, virtual_utility_at_quantile
 
@@ -38,7 +38,6 @@ __all__ = [
 MC_CHUNK = 65_536
 MC_BUDGET = 2 ** 22  # bids per chunk: 32 MiB of float64
 MIN_MC_SAMPLES = 1_000
-QUAD_EPSABS, QUAD_EPSREL = 1e-12, 1e-8  # the accuracy every quadrature asks for
 
 
 @dataclass(frozen=True)
@@ -68,7 +67,7 @@ def _split_points(d: Distribution, u: UtilityFunction, scale: float) -> list[flo
 def _peak_points(t: int, n: int) -> list[float]:
     """Split points 50 standard deviations either side of the mode of the
     t-th lowest of n uniform quantiles (1 <= t <= n).  At large n the density
-    is a narrow peak that quad, sampling the whole interval, can miss; below
+    is a narrow peak that the 21 nodes of a wide panel can miss; below
     n = 48 both points fall outside (0, 1)."""
     a, b = t, n - t + 1  # the order statistic is Beta(a, b)
     mode = (a - 1) / max(n - 1, 1)
@@ -76,12 +75,21 @@ def _peak_points(t: int, n: int) -> list[float]:
     return [mode - 50.0 * sd, mode + 50.0 * sd]
 
 
-def _quad(f, lo: float, hi: float, pts: list[float]) -> tuple[float, float]:
-    """quad's value and error estimate."""
-    inner = sorted({p for p in pts if lo < p < hi})
-    val, err = quad(f, lo, hi, points=inner or None, limit=200,
-                    epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL)
-    return float(val), float(err)
+# every quadrature goes through this name, which perfbench/tracing.py wraps
+quad = gauss_kronrod
+
+
+def _integrate(f, lo: float, hi: float, pts: list[float]) -> tuple[float, float]:
+    """Value and error estimate of the integral of the array function ``f``
+    over [lo, hi], with the points of ``pts`` inside it as panel edges."""
+    edges = [lo] + sorted({p for p in pts if lo < p < hi}) + [hi]
+    return quad(f, edges)
+
+
+def _weighted(w, v):
+    """w * v, and 0 where the weight w is 0 (v may be infinite there)."""
+    with np.errstate(invalid="ignore"):
+        return np.where(w > 0.0, w * v, 0.0)
 
 
 def eval_posted_exact(d: Distribution, price: float, n: int, k: int,
@@ -124,13 +132,12 @@ def eval_vcg_exact(d: Distribution, n: int, k: int, u: UtilityFunction,
         pdf = order_stat_pdf(k + 1, n)
 
         def integrand(q):
-            # w = 0 at q = 0, where price may be infinite: quad reaches it
-            # when q_r is subnormal
-            w = pdf(q)
-            return w * float(u(k * float(d.price(q)))) if w else 0.0
+            # q = 0, where the price may be infinite, is a node only when q_r
+            # is subnormal
+            return _weighted(pdf(q), u(k * d.price(q)))
 
         pts = _split_points(d, u, float(k)) + _peak_points(k + 1, n)
-        val, err = _quad(integrand, 0.0, q_r, pts)
+        val, err = _integrate(integrand, 0.0, q_r, pts)
         mean += val
     return EvalResult(mean, "exact", abserr=err)
 
@@ -145,9 +152,10 @@ def expected_order_stat_price(d: Distribution, t: int, n: int) -> float:
     pdf = order_stat_pdf(t, n)
 
     def integrand(q):
-        return pdf(q) * float(d.price(q))
+        return _weighted(pdf(q), d.price(q))
 
-    return _quad(integrand, 0.0, 1.0, _split_points(d, linear(), 0.0) + _peak_points(t, n))[0]
+    pts = _split_points(d, linear(), 0.0) + _peak_points(t, n)
+    return _integrate(integrand, 0.0, 1.0, pts)[0]
 
 
 def eval_mc(m: Mechanism, d: Distribution, n: int, u: UtilityFunction,
@@ -204,6 +212,11 @@ def myerson_revenue(d: Distribution, n: int, k: int, seed: int = 0,
 # -- the virtual utility identity ------------------------------------------------
 
 
+def _target(value: float) -> float:
+    """The accuracy every quadrature asks for at this value."""
+    return max(QUAD_EPSABS, QUAD_EPSREL * abs(value))
+
+
 def _identity_sides(d: Distribution, n: int, u: UtilityFunction, reserve: float) -> dict:
     """Both sides of the identity for single-unit VCG with a reserve, with
     their quadrature error estimates and the tolerance within which they
@@ -212,42 +225,57 @@ def _identity_sides(d: Distribution, n: int, u: UtilityFunction, reserve: float)
     it with probability (1 - q)^(n-1), so the right side is
     n * int_0^q_r phi_u(q) (1 - q)^(n-1) dq, phi_u from
     `virtual_utility_at_quantile`.  It is integrated in t = log q, where
-    phi_u grows at most like |t| as q -> 0, one piece between split points
-    at a time, so a sliver between nearly equal points is its own piece.
+    phi_u grows at most like |t| as q -> 0, from q = 5e-324, the least float.
 
-    Each quadrature asks for max(QUAD_EPSABS, QUAD_EPSREL*|value|) and stops
-    once its estimate is below that, where the estimate no longer bounds the
-    error (a capped kink placed a few ulps off, times phi_u's jump there of
-    1/rate, moved the right side 3.8e-14 against an estimate of 8e-16 on
-    exponential:0.001).  And no float quantile resolves the last ulp below
-    q_r, over which the integrand moves by about its value there (3e-6 for
-    one bidder, power:1/3, r = 0).  The tolerance sums every estimate,
-    every target and that last piece.
+    phi_u is the slope of G(q) = q * u(price(q)), so a piece of the right side
+    over [x, y] is worth at most n * |G(y) - G(x)| where phi_u keeps its sign.
+    The tolerance sums one term for each known error:
+    - the two error estimates, which show a quadrature that hit its panel
+      budget;
+    - the two targets max(QUAD_EPSABS, QUAD_EPSREL * |side|), which each
+      estimate met: an error the estimates miss is smaller, such as a
+      capped kink that price() crosses a few ulps off its split point, where
+      phi_u jumps by 1/rate on exponential:rate (3.8e-14 at rate 0.001);
+    - the ends of [0, q_r] that no float quantile resolves.  Below 5e-324
+      the right side leaves out n * G(5e-324) at most.  Over [q_last, q_r],
+      q_last the last float below q_r where phi_u is finite, the integrand
+      is held at its value at q_last, as the float nodes near q_r round to
+      q_r or beyond, where phi_u may be infinite (power utilities where the
+      price reaches 0): the true piece is at most n * |G(q_r) - G(q_last)|,
+      and the held one n * |phi_u(q_last)| * (q_r - q_last).
     """
     lhs = eval_vcg_exact(d, n, 1, u, reserve)
     q_r = float(d.sale_probability(reserve))
+    rhs = rhs_err = ends = 0.0
+    if q_r > 5e-324:
+        def phi(q: float) -> float:
+            return float(virtual_utility_at_quantile(d, u, q))
 
-    def integrand(t):
-        q = math.exp(t)
-        return virtual_utility_at_quantile(d, u, q) * (-math.expm1(t)) ** (n - 1) * q
+        # a float or two below q_r = 1, price() can round to 0 on curves
+        # ending at R(1) = 0, where phi_u of a power utility is infinite
+        q_last = math.nextafter(q_r, 0.0)
+        while q_last > 5e-324 and not math.isfinite(phi(q_last)):
+            q_last = math.nextafter(q_last, 0.0)
 
-    # phi_u is unbounded where the price falls to 0 (power utilities, q = 1),
-    # 1 - q_r past q_r: pieces ending (2^j - 1)(1 - q_r) before q_r resolve it
-    tail = [1.0 - (1.0 - q_r) * 2.0 ** j for j in range(1, 54)]
-    inner = {math.log(p) for p in _split_points(d, u, 1.0) + _peak_points(1, n) + tail
-             if 0.0 < p < q_r}
-    # left out: q below 5e-324, the least float, worth 5e-324 |phi_u| at most
-    edges = [math.log(5e-324)] + sorted(inner) + [math.log(q_r)] if q_r > 0.0 else []
-    pieces = [_quad(integrand, a, b, []) for a, b in zip(edges, edges[1:])]
-    rhs = n * sum(v for v, _ in pieces)
-    rhs_err = n * sum(e for _, e in pieces)
-    targets = [max(QUAD_EPSABS, QUAD_EPSREL * abs(x)) for x in
-               [lhs.mean_utility] + [n * v for v, _ in pieces]]
-    last_ulp = n * abs(integrand(math.log(math.nextafter(q_r, 0.0)))) * math.ulp(q_r) \
-        if q_r > 5e-324 else 0.0
+        def integrand(t):
+            q = np.minimum(np.exp(t), q_last)
+            return n * virtual_utility_at_quantile(d, u, q) * (-np.expm1(t)) ** (n - 1) * q
+
+        def g(q: float) -> float:
+            return q * float(u(float(d.price(q))))
+
+        # phi_u is unbounded where the price falls to 0 (power utilities,
+        # q = 1), 1 - q_r past q_r: edges 2^j s short of 1, s = 1 - q_r or
+        # one ulp when q_r = 1, resolve it
+        s = max(1.0 - q_r, 2.0 ** -53)
+        tail = [1.0 - s * 2.0 ** j for j in range(54)]
+        inner = [math.log(p) for p in _split_points(d, u, 1.0) + _peak_points(1, n) + tail
+                 if 5e-324 < p < q_r]
+        rhs, rhs_err = _integrate(integrand, math.log(5e-324), math.log(q_r), inner)
+        ends = n * (g(5e-324) + abs(g(q_r) - g(q_last)) + abs(phi(q_last)) * (q_r - q_last))
+    tolerance = lhs.abserr + rhs_err + _target(lhs.mean_utility) + _target(rhs) + ends
     return {"lhs": lhs.mean_utility, "lhs_abserr": lhs.abserr,
-            "rhs": rhs, "rhs_abserr": rhs_err,
-            "tolerance": lhs.abserr + rhs_err + sum(targets) + last_ulp}
+            "rhs": rhs, "rhs_abserr": rhs_err, "tolerance": tolerance}
 
 
 def virtual_utility_identity_stats(d: Distribution, m: VcgMechanism,

@@ -2,9 +2,15 @@
 import contextlib
 import csv
 import io
+import math
+import struct
 import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from riskauctions import cli, make_distribution, parse_mechanism
 from riskauctions.cli import MAX_GRID, build_parser, main
@@ -89,6 +95,49 @@ class TestDist:
         code, out, err = run(["frontier", spec])
         assert code == 0, err
         assert "nan" not in out.lower()
+
+
+def float_from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+FLOAT_CELLS = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(float_from_bits),  # NaN payloads included
+    st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+                     -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308]),
+    st.floats(-1e-300, 1e-300),  # subnormals
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+@given(st.integers(1, 8).flatmap(lambda cols: st.lists(
+           st.lists(FLOAT_CELLS, min_size=cols, max_size=cols), min_size=1, max_size=30)),
+       st.integers(1, 7))
+def test_block_format_is_fmt_cell_by_cell(rows, block_rows):
+    table = np.array(rows, dtype=float)
+    want = "".join(",".join(cli._fmt(x) for x in row) + "\r\n" for row in table.tolist())
+    with mock.patch.object(cli, "CSV_BLOCK_ROWS", block_rows):
+        assert "".join(cli._csv_blocks(table)) == want
+
+
+def one_fmt_per_cell(table):
+    """The rows through csv.writer, one _fmt call per cell: the route the
+    block formatter replaced."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerows(
+        [cli._fmt(x) for x in row] for row in table.tolist())
+    yield buf.getvalue()
+
+
+@pytest.mark.parametrize("grid", [1, 100, 1000])
+@pytest.mark.parametrize("spec", ["uniform:0,1", "exponential:2.5", "left-triangle:0.01",
+                                  "irregular-example:0.07",
+                                  "revenue-curve:0:0;0.3:0.6;1:0.8"])
+@pytest.mark.parametrize("command", ["dist", "frontier"])
+def test_tables_match_one_fmt_per_cell(command, spec, grid):
+    got = run([command, spec, "--grid", str(grid)])
+    with mock.patch.object(cli, "_csv_blocks", one_fmt_per_cell):
+        want = run([command, spec, "--grid", str(grid)])
+    assert got[0] == 0 and got == want
 
 
 class TestPrice:

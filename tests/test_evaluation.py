@@ -8,12 +8,18 @@ value is 2v - 1, so with r = 1/2 one bidder's winner virtual value integrates
 to 1/4 and two bidders' to int_{1/2}^1 (2v - 1) 2v dv = 5/12.
 """
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.special import betainc
 from scipy.stats import binom
 
@@ -39,8 +45,9 @@ from riskauctions import (
     uniform,
     virtual_utility_identity_stats,
 )
-from riskauctions.evaluation import MC_BUDGET, MC_CHUNK, MIN_MC_SAMPLES, _quad, _split_points
-from riskauctions.numerics import MAX_EXACT_N, order_stat_cdf, order_stat_pdf
+from riskauctions.evaluation import (MC_BUDGET, MC_CHUNK, MIN_MC_SAMPLES, QUAD_EPSABS,
+                                     QUAD_EPSREL, _split_points)
+from riskauctions.numerics import MAX_EXACT_N, order_stat_cdf
 
 U01 = uniform(0.0, 1.0)
 
@@ -150,6 +157,22 @@ class TestVcgExact:
         got = eval_vcg_exact(U01, n, k, linear(), r).mean_utility
         assert got == pytest.approx(want, rel=rel)
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_million_bidders_stay_within_the_panel_budget(self, k):
+        # the density is a peak 1e-6 wide; at most GK_MAX_PANELS (2,000)
+        # panels of 21 nodes, 336 KiB per array of node values, a few arrays
+        # at a time
+        n = 10 ** 6
+        tracemalloc.start()
+        try:
+            r = eval_vcg_exact(U01, n, k, linear())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(r.mean_utility) and r.abserr <= 1e-8 * r.mean_utility
+        assert r.mean_utility == pytest.approx(k * (n - k) / (n + 1), rel=1e-8)
+        assert peak < 16 * 2 ** 20
+
     def test_reserved_multiunit_closed_form(self):
         # uniform, n = 3, k = 2, r = 1/2: one or two bidders at or above 1/2
         # (probability 3/8 each) pay 1/2 each; when all three are, both
@@ -170,21 +193,30 @@ def test_order_stat_cdf_is_the_incomplete_beta():
                                        err_msg=f"t={t}, n={n}")
 
 
-def reserve_free_vcg(d, n, k, u) -> float:
-    """The reserve-free k < n integral that eval_vcg_exact used to be."""
-    pdf = order_stat_pdf(k + 1, n)
+def scipy_quad(f, lo, hi, pts) -> tuple[float, float]:
+    """QUADPACK's value and error estimate, split at the points inside."""
+    inner = sorted({p for p in pts if lo < p < hi})
+    return quad(f, lo, hi, points=inner or None, limit=200, epsabs=1e-12, epsrel=1e-8)
+
+
+def reserve_free_vcg(d, n, k, u) -> tuple[float, float]:
+    """The reserve-free k < n integral that eval_vcg_exact used to be, by
+    QUADPACK, with its error estimate."""
+    coef = n * math.comb(n - 1, k)  # density of the (k+1)-st lowest quantile
 
     def integrand(q):
-        return pdf(q) * float(u(k * float(d.price(q))))
+        return coef * q ** k * (1.0 - q) ** (n - k - 1) * float(u(k * float(d.price(q))))
 
-    return _quad(integrand, 0.0, 1.0, _split_points(d, u, float(k)))[0]
+    return scipy_quad(integrand, 0.0, 1.0, _split_points(d, u, float(k)))
 
 
-def second_price(d, reserve, n, u) -> float:
-    """The closed form eval_second_price_exact used to have: the reserve when
-    exactly one bidder clears it, else price of the second-lowest quantile."""
+def second_price(d, reserve, n, u) -> tuple[float, float]:
+    """The closed form eval_second_price_exact used to have, by QUADPACK: the
+    reserve when exactly one bidder clears it, else price of the
+    second-lowest quantile; with the quadrature's error estimate."""
     q_r = float(d.sale_probability(reserve))
     mean = float(u(reserve)) * n * q_r * (1.0 - q_r) ** (n - 1)
+    err = 0.0
     if n >= 2 and q_r > 0.0:
         c = n * (n - 1)
 
@@ -193,8 +225,9 @@ def second_price(d, reserve, n, u) -> float:
                 return 0.0
             return float(u(float(d.price(q)))) * c * q * (1.0 - q) ** (n - 2)
 
-        mean += _quad(integrand, 0.0, q_r, _split_points(d, u, 1.0))[0]
-    return mean
+        val, err = scipy_quad(integrand, 0.0, q_r, _split_points(d, u, 1.0))
+        mean += val
+    return mean, err
 
 
 REFERENCE_DISTS = (uniform(0.0, 1.0), exponential(1.0), exponential(2.5),
@@ -217,7 +250,10 @@ class TestVcgExactReferences:
     def test_reserve_free_is_the_old_integral(self, case):
         d, n, k, u, _ = case
         assume(k < n)
-        assert eval_vcg_exact(d, n, k, u).mean_utility == reserve_free_vcg(d, n, k, u)
+        got = eval_vcg_exact(d, n, k, u)
+        want, want_err = reserve_free_vcg(d, n, k, u)
+        # two integrators, each within its own error estimate
+        assert abs(got.mean_utility - want) <= got.abserr + want_err
 
     @given(vcg_instances())
     def test_no_scarcity_is_a_posted_offer(self, case):
@@ -228,16 +264,12 @@ class TestVcgExactReferences:
     @given(vcg_instances())
     def test_single_unit_is_the_old_second_price(self, case):
         d, n, _, u, r = case
-        got = eval_vcg_exact(d, n, 1, u, r).mean_utility
-        want = second_price(d, r, n, u)
-        # the reserve term differs in rounding: binom_pmf takes it in log
-        # space (2.7e-14 relative off n q (1-q)^(n-1) at n = 37).  On the
-        # log-singular exponential the two adaptive quadratures, of
-        # integrands one rounding apart, can end on different subdivisions:
-        # 5.6e-10 apart at most on a grid of 42,900 inputs, each 5e-11 off a
-        # 30-digit mpmath value at the worst one
-        rel = 1e-9 if d.kind == "exponential" else 1e-13
-        assert abs(got - want) <= rel * abs(want)
+        got = eval_vcg_exact(d, n, 1, u, r)
+        want, want_err = second_price(d, r, n, u)
+        # two integrators, each within its own error estimate; the reserve
+        # term differs in rounding: binom_pmf takes it in log space (2.7e-14
+        # relative off n q (1-q)^(n-1) at n = 37)
+        assert abs(got.mean_utility - want) <= got.abserr + want_err + 1e-13 * abs(want)
 
     @given(vcg_instances(dists=(left_triangle(1e-9), exponential(1e-3), exponential(1e3)),
                          utilities=FAMILY + (power(1e-3),)))
@@ -254,6 +286,8 @@ def mp_price(d, q):
     """price(q) from the closed forms, in mpmath arithmetic."""
     if d.kind == "exponential":
         return -mpmath.log(q) / mpmath.mpf(d.rate)
+    if d.kind == "uniform":
+        return d.a + (1 - q) * (mpmath.mpf(d.b) - d.a)
     eps = mpmath.mpf(d.points[1][0])  # left triangle: atom at 1/eps, then R = (1-q)/(1-eps)
     return 1 / eps if q <= eps else (1 - q) / ((1 - eps) * q)
 
@@ -277,10 +311,48 @@ def mpmath_vcg(d, n, k, u, r) -> float:
         if k < n and q_r > 0:
             coef = mpmath.factorial(n) / (mpmath.factorial(k) * mpmath.factorial(n - k - 1))
             pts = [mpmath.mpf(p) for p in _split_points(d, u, float(k))]
+            if n >= 1000:  # the density is a narrow peak: split around its mode
+                mode = mpmath.mpf(k) / (n - 1)
+                sd = mpmath.sqrt(mpmath.mpf((k + 1) * (n - k)) / ((n + 1) ** 2 * (n + 2)))
+                pts += [mode + j * sd for j in (-64, -16, -4, -1, 1, 4, 16, 64)]
             pts = [0] + sorted(p for p in pts if 0 < p < q_r) + [q_r]
             total += mpmath.quad(lambda q: coef * q ** k * (1 - q) ** (n - k - 1)
                                  * mp_utility(u, k * mp_price(d, q)), pts)
         return float(total)
+
+
+MPMATH_EDGES = [
+    # exponential's -log q singularity at q = 0, at both rate extremes
+    (exponential(1e-3), 5, 1, linear(), 0.0),
+    (exponential(1e-3), 3, 2, power(0.5), 0.0),
+    (exponential(1e3), 5, 1, linear(), 0.0),
+    (exponential(1e3), 4, 1, capped(1e-3), 1e-3),
+    # an atom of mass eps at 1/eps, down to eps = 1e-9
+    (left_triangle(1e-9), 4, 1, linear(), 0.0),
+    (left_triangle(1e-9), 3, 2, power(0.5), 2.0),
+    (left_triangle(1e-6), 6, 1, capped(0.1), 0.0),
+    # alpha near 0: x^0.001 is nearly a step at 0
+    (uniform(0.0, 1.0), 3, 1, power(1e-3), 0.0),
+    (exponential(1.0), 6, 2, power(1e-3), 0.5),
+    # q_r = 5e-324, the least float
+    (exponential(1e-3), 2, 1, linear(), 744440.0719213812),
+    # n = 10^6: the order statistic's density is a narrow peak
+    (uniform(0.0, 1.0), 10 ** 6, 1, linear(), 0.0),
+    (uniform(0.0, 1.0), 10 ** 6, 3, power(0.5), 0.0),
+    (exponential(1.0), 10 ** 6, 1, linear(), 0.0),
+]
+
+
+@pytest.mark.parametrize("d,n,k,u,r", MPMATH_EDGES,
+                         ids=[f"{c[0].label}-n{c[1]}-k{c[2]}-{c[3].label}-r{c[4]:g}"
+                              for c in MPMATH_EDGES])
+def test_edges_agree_with_mpmath(d, n, k, u, r):
+    got = eval_vcg_exact(d, n, k, u, r)
+    want = mpmath_vcg(d, n, k, u, r)
+    # the accuracy asked for, and the error estimate bounds the true error
+    # up to the rounding of the binomial sum
+    assert abs(got.mean_utility - want) <= 1e-8 * abs(want)
+    assert abs(got.mean_utility - want) <= got.abserr + 1e-13 * abs(want)
 
 
 class TestMonteCarlo:
@@ -498,6 +570,33 @@ class TestIdentity:
         assert 0 < rep.tolerance < 1e-8
         assert rep.worst_instance.startswith("lhs=0.416666667 rhs=0.416666667 ")
 
+    def test_unbounded_virtual_utility_warns_nothing(self):
+        # one bidder, no reserve: phi_u of power(0.5) on uniform(0, 1) is
+        # unbounded at q = 1, where no float quantile resolves the last ulps
+        m, u = VcgMechanism(1, 0.0), power(0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_virtual_utility_identity(U01, m, u, 1)
+            st_ = virtual_utility_identity_stats(U01, m, u, 1)
+        assert rep.passed and rep.tolerance == st_["tolerance"]
+        # the right side hit its panel budget: its estimate says so, and the
+        # tolerance carries it
+        assert st_["rhs_abserr"] > max(QUAD_EPSABS, QUAD_EPSREL * abs(st_["rhs"]))
+        assert st_["tolerance"] >= st_["lhs_abserr"] + st_["rhs_abserr"]
+        assert st_["lhs"] == 0.0  # one bidder pays the reserve, 0
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_price_rounding_to_zero_below_the_reserve_quantile(self, n):
+        # on irregular-example:0.07 (R(1) = 0) price() is 0 one float below
+        # q = 1, where phi_u of power(0.5) is infinite; the tolerance was inf
+        d = make_distribution("irregular-example:0.07")
+        assert d.price(math.nextafter(1.0, 0.0)) == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            st_ = virtual_utility_identity_stats(d, VcgMechanism(1, 0.0), power(0.5), n)
+        assert all(math.isfinite(v) for v in st_.values())
+        assert abs(st_["lhs"] - st_["rhs"]) <= st_["tolerance"] < 1e-4
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             virtual_utility_identity_stats(U01, VcgMechanism(2, 0.0), linear(), 3)
@@ -513,3 +612,12 @@ class TestIdentity:
                 rep = check_virtual_utility_identity(d, m, u, 2)
                 assert rep.passed, rep
                 assert rep.csv_row()[3] != "-0"  # exact agreement reads 0
+
+
+def test_no_scipy_quadrature_in_the_package():
+    code = ("import sys, riskauctions, riskauctions.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env).stdout
+    assert out.strip() == "[]"
