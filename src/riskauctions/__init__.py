@@ -19,7 +19,7 @@ from .lemmas import (MHR_BOUND, FrontierResult, check_allocation_bound,
                      check_hedge_limited, check_hedge_unlimited, check_mhr_bound,
                      check_tail, check_vcg_chain, check_vcg_discount,
                      default_suite, frontier_search, gen_regular,
-                     run_selections)
+                     posted_price_maximin, run_selections)
 from .mechanisms import (PostedPriceMechanism, VcgMechanism, allocation_probability,
                          batch_outcomes, batch_revenue, hedge_limited_price,
                          hedge_unlimited_price, make_mechanism, parse_mechanism)
@@ -53,6 +53,6 @@ __all__ = [
     "check_half_bound_sweep", "check_hedge_limited", "check_hedge_unlimited",
     "check_mhr_bound", "check_tail", "check_vcg_chain", "check_vcg_discount",
     "default_suite", "expected_order_stat_price", "frontier_search",
-    "gen_regular", "run_selections",
+    "gen_regular", "posted_price_maximin", "run_selections",
     "CSV_COLUMNS", "LemmaReport", "report_from_margin",
 ]

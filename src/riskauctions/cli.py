@@ -16,23 +16,24 @@ import contextlib
 import csv
 import decimal
 import functools
+import math
 import sys
 
 import numpy as np
 
-from .distributions import Distribution, SpecParseError, exponential, \
-    irregular_example, left_triangle, make_distribution, uniform
+from .distributions import SpecParseError, exponential, irregular_example, \
+    left_triangle, make_distribution, uniform
 from .evaluation import (eval_vcg_exact, evaluate, myerson_revenue,
                          virtual_utility_identity_stats)
 from .lemmas import (MHR_BOUND, SELECTIONS, check_allocation_bound,
                      check_capped_binomial_grid, check_hedge_limited,
                      check_hedge_unlimited, check_tail, check_vcg_chain,
-                     frontier_search, run_selections)
+                     frontier_search, posted_price_maximin, run_selections)
 from .mechanisms import VcgMechanism, hedge_limited_price, hedge_unlimited_price, \
     parse_mechanism
 from .report import CSV_COLUMNS
-from .utilities import (capped, default_family, linear, maximize_single_bidder,
-                        optimal_reserve, parse_utility_or_family, power)
+from .utilities import (linear, maximize_single_bidder, optimal_reserve,
+                        parse_utility_or_family, power)
 
 MIN_SAMPLES = 1_000
 MAX_GRID = 1_000_000
@@ -245,7 +246,7 @@ def cmd_eval(args) -> int:
                     "utility": "linear"})
     d = make_distribution(args.dist)
     mech, implied_n = parse_mechanism(args.mech, d)
-    n = args.n if args.n is not None else (implied_n if implied_n else 1)
+    n = args.n if args.n is not None else (implied_n if implied_n is not None else 1)
     if n < 1:
         raise SpecParseError("n must be at least 1")
     parsed = parse_utility_or_family(args.utility)
@@ -278,65 +279,47 @@ def cmd_lemmas(args) -> int:
 
 
 def _reproduce_rows() -> list[list[str]]:
-    tight_fam = (linear(), capped(1e-5))
     rows = []
 
     def add(name, instance, claimed, computed, passed):
         rows.append([name, instance, _fmt(claimed), _fmt(computed), _fmt(passed)])
 
-    r = check_hedge_unlimited(uniform(0.0, 1.0), 5, default_family())
-    add("hedge-unlimited-floor", "uniform:0,1 n=5", r.claimed_bound, r.observed,
-        r.passed)
-    r = check_hedge_unlimited(exponential(1.0), 5, default_family())
-    add("hedge-unlimited-floor", "exponential:1 n=5", r.claimed_bound, r.observed,
-        r.passed)
-    fr = frontier_search(left_triangle(0.001), tight_fam, 1000)
-    add("frontier-maximin", "left-triangle:0.001", 0.5, fr.best_min_ratio,
-        fr.best_min_ratio >= 0.5 - 1e-6)
-    fr = frontier_search(exponential(1.0), tight_fam, 1000)
-    add("frontier-maximin", "exponential:1", MHR_BOUND, fr.best_min_ratio,
-        abs(fr.best_min_ratio - MHR_BOUND) <= 1e-3)
-    fr = frontier_search(irregular_example(0.01), tight_fam, 1000)
-    add("frontier-ceiling", "irregular-example:0.01", 0.05, fr.best_min_ratio,
-        fr.best_min_ratio <= 0.05)
-    for n, k, label in ((2, 1, "uniform:0,1 n=2 k=1"), (10, 3, "uniform:0,1 n=10 k=3")):
-        r = check_hedge_limited(uniform(0.0, 1.0), n, k, default_family())
-        add("hedge-limited-floor", label, r.claimed_bound, r.observed, r.passed)
-    r = check_hedge_limited(exponential(1.0), 8, 2, default_family())
-    add("hedge-limited-floor", "exponential:1 n=8 k=2", r.claimed_bound, r.observed,
-        r.passed)
+    def add_report(name, instance, r, passed=True):
+        add(name, instance, r.claimed_bound, r.observed, r.passed and passed)
+
+    u01 = uniform(0.0, 1.0)
+    add_report("hedge-unlimited-floor", "uniform:0,1 n=5", check_hedge_unlimited(u01, 5))
+    add_report("hedge-unlimited-floor", "exponential:1 n=5",
+               check_hedge_unlimited(exponential(1.0), 5))
+    # q(B) is one sale probability at a rounded price: a few ulps off, as MHR_BOUND
+    m = posted_price_maximin(left_triangle(0.001))
+    add("frontier-maximin", "left-triangle:0.001", 0.5, m, m >= 0.5 - 4 * math.ulp(0.5))
+    m = posted_price_maximin(exponential(1.0))
+    add("frontier-maximin", "exponential:1", MHR_BOUND, m,
+        abs(m - MHR_BOUND) <= 4 * math.ulp(MHR_BOUND))
+    m = posted_price_maximin(irregular_example(0.01))
+    add("frontier-ceiling", "irregular-example:0.01", 0.05, m, m <= 0.05)
+    for d, n, k, label in ((u01, 2, 1, "uniform:0,1 n=2 k=1"),
+                           (u01, 10, 3, "uniform:0,1 n=10 k=3"),
+                           (exponential(1.0), 8, 2, "exponential:1 n=8 k=2")):
+        add_report("hedge-limited-floor", label, check_hedge_limited(d, n, k))
     for n in (2, 3, 5):
-        fam = (linear(), power(0.5))
-        worst = min(
-            _vickrey_ratio(uniform(0.0, 1.0), n, u) for u in fam)
+        worst = min(eval_vcg_exact(u01, n, 1, u).mean_utility
+                    / eval_vcg_exact(u01, n, 1, u, optimal_reserve(u01, u)).mean_utility
+                    for u in (linear(), power(0.5)))
         add("vickrey-vs-optimal", f"uniform:0,1 n={n}", 1.0 - 1.0 / n, worst,
             worst >= 1.0 - 1.0 / n - 1e-9)
-    r = check_vcg_chain(uniform(0.0, 1.0), 6, 2, default_family())
-    add("vcg-chain-slack", "uniform:0,1 n=6 k=2", r.claimed_bound, r.observed,
-        r.passed)
-    r = check_allocation_bound()
-    add("allocation-bracket", "n<=60, q_r in {0.5..1.0}", r.claimed_bound,
-        r.observed, r.passed)
-    r = check_capped_binomial_grid()
-    add("capped-binomial-floor", "n<=60, q step 0.01", r.claimed_bound, r.observed,
-        r.passed)
-    r = check_tail(uniform(0.0, 1.0), 2, 2)
-    add("tail-quarter", "uniform:0,1 t=2 n=2", r.claimed_bound, r.observed, r.passed)
+    add_report("vcg-chain-slack", "uniform:0,1 n=6 k=2", check_vcg_chain(u01, 6, 2))
+    add_report("allocation-bracket", "n<=60, q_r in {0.5..1.0}", check_allocation_bound())
+    add_report("capped-binomial-floor", "n<=60, q step 0.01", check_capped_binomial_grid())
+    add_report("tail-quarter", "uniform:0,1 t=2 n=2", check_tail(u01, 2, 2))
     r = check_tail(left_triangle(1e-4), 2, 2)
-    add("tail-quarter-tight", "left-triangle:0.0001 t=2 n=2", r.claimed_bound,
-        r.observed, r.passed and r.observed <= 0.26)
-    st = virtual_utility_identity_stats(uniform(0.0, 1.0), VcgMechanism(1, 0.5),
-                                        linear(), 1)
+    add_report("tail-quarter-tight", "left-triangle:0.0001 t=2 n=2", r, r.observed <= 0.26)
+    st = virtual_utility_identity_stats(u01, VcgMechanism(1, 0.5), linear(), 1)
     ok = max(abs(st["lhs"] - 0.25), abs(st["rhs"] - 0.25)) <= st["tolerance"]
     add("virtual-utility-quarter", "uniform:0,1 vcg:1,0.5 linear n=1", 0.25,
         st["lhs"], ok)
     return rows
-
-
-def _vickrey_ratio(d: Distribution, n: int, u) -> float:
-    vick = eval_vcg_exact(d, n, 1, u).mean_utility
-    opt = eval_vcg_exact(d, n, 1, u, optimal_reserve(d, u)).mean_utility
-    return vick / opt
 
 
 def cmd_reproduce(args) -> int:

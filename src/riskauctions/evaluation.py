@@ -17,8 +17,7 @@ import numpy as np
 
 from .distributions import Distribution
 from .mechanisms import Mechanism, PostedPriceMechanism, VcgMechanism, batch_revenue
-from .numerics import (MAX_EXACT_N, QUAD_EPSABS, QUAD_EPSREL, binom_pmf, gauss_kronrod,
-                       order_stat_pdf)
+from .numerics import MAX_EXACT_N, binom_pmf, gauss_kronrod, order_stat_pdf, quad_target
 from .report import LemmaReport, report_from_margin
 from .utilities import UtilityFunction, linear, virtual_utility_at_quantile
 
@@ -161,15 +160,18 @@ def expected_order_stat_price(d: Distribution, t: int, n: int) -> float:
 def eval_mc(m: Mechanism, d: Distribution, n: int, u: UtilityFunction,
             samples: int = 1_000_000, seed: int = 0) -> EvalResult:
     """Monte Carlo estimate of E[u(revenue)] over `samples` profiles of n
-    i.i.d. bids, with its 95% CI halfwidth.  Chunk j holds at most MC_CHUNK
-    rows and MC_BUDGET bids and draws from SeedSequence(entropy=seed,
-    spawn_key=(j,)), so the result is a pure function of (seed, samples, n).
+    i.i.d. bids, with its 95% CI halfwidth, for n <= MC_BUDGET.  Chunk j
+    holds at most MC_CHUNK rows and MC_BUDGET bids and draws from
+    SeedSequence(entropy=seed, spawn_key=(j,)), so the result is a pure
+    function of (seed, samples, n).
     """
     if samples < MIN_MC_SAMPLES:
         raise ValueError(f"need at least {MIN_MC_SAMPLES} samples")
     if n < 1:
         raise ValueError("need n >= 1")
-    rows = max(1, min(MC_CHUNK, MC_BUDGET // n))
+    if n > MC_BUDGET:  # a single profile would exceed the chunk budget
+        raise ValueError(f"Monte Carlo takes at most {MC_BUDGET} bidders")
+    rows = min(MC_CHUNK, MC_BUDGET // n)
     s = s2 = 0.0
     for idx, start in enumerate(range(0, samples, rows)):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
@@ -212,11 +214,6 @@ def myerson_revenue(d: Distribution, n: int, k: int, seed: int = 0,
 # -- the virtual utility identity ------------------------------------------------
 
 
-def _target(value: float) -> float:
-    """The accuracy every quadrature asks for at this value."""
-    return max(QUAD_EPSABS, QUAD_EPSREL * abs(value))
-
-
 def _identity_sides(d: Distribution, n: int, u: UtilityFunction, reserve: float) -> dict:
     """Both sides of the identity for single-unit VCG with a reserve, with
     their quadrature error estimates and the tolerance within which they
@@ -224,18 +221,20 @@ def _identity_sides(d: Distribution, n: int, u: UtilityFunction, reserve: float)
     lowest of n uniform quantiles, q, if q <= q_r, and the others lie above
     it with probability (1 - q)^(n-1), so the right side is
     n * int_0^q_r phi_u(q) (1 - q)^(n-1) dq, phi_u from
-    `virtual_utility_at_quantile`.  It is integrated in t = log q, where
-    phi_u grows at most like |t| as q -> 0, from q = 5e-324, the least float.
+    `virtual_utility_at_quantile`.  Below q = 1/2 it is integrated in
+    t = log q, where phi_u grows at most like |t| as q -> 0, from q = 5e-324,
+    the least float; above, in q, as exp(t) near q = 1 rounds to floats 2^-53
+    apart and would turn the integrand into a step function of t.
 
     phi_u is the slope of G(q) = q * u(price(q)), so a piece of the right side
     over [x, y] is worth at most n * |G(y) - G(x)| where phi_u keeps its sign.
     The tolerance sums one term for each known error:
     - the two error estimates, which show a quadrature that hit its panel
       budget;
-    - the two targets max(QUAD_EPSABS, QUAD_EPSREL * |side|), which each
-      estimate met: an error the estimates miss is smaller, such as a
-      capped kink that price() crosses a few ulps off its split point, where
-      phi_u jumps by 1/rate on exponential:rate (3.8e-14 at rate 0.001);
+    - the two targets `quad_target(side)`, which each estimate met: an
+      error the estimates miss is smaller, such as a capped kink that
+      price() crosses a few ulps off its split point, where phi_u jumps by
+      1/rate on exponential:rate (3.8e-14 at rate 0.001);
     - the ends of [0, q_r] that no float quantile resolves.  Below 5e-324
       the right side leaves out n * G(5e-324) at most.  Over [q_last, q_r],
       q_last the last float below q_r where phi_u is finite, the integrand
@@ -257,9 +256,13 @@ def _identity_sides(d: Distribution, n: int, u: UtilityFunction, reserve: float)
         while q_last > 5e-324 and not math.isfinite(phi(q_last)):
             q_last = math.nextafter(q_last, 0.0)
 
-        def integrand(t):
+        def in_t(t):
             q = np.minimum(np.exp(t), q_last)
             return n * virtual_utility_at_quantile(d, u, q) * (-np.expm1(t)) ** (n - 1) * q
+
+        def in_q(q):
+            q = np.minimum(q, q_last)
+            return n * virtual_utility_at_quantile(d, u, q) * (1.0 - q) ** (n - 1)
 
         def g(q: float) -> float:
             return q * float(u(float(d.price(q))))
@@ -269,11 +272,16 @@ def _identity_sides(d: Distribution, n: int, u: UtilityFunction, reserve: float)
         # one ulp when q_r = 1, resolve it
         s = max(1.0 - q_r, 2.0 ** -53)
         tail = [1.0 - s * 2.0 ** j for j in range(54)]
-        inner = [math.log(p) for p in _split_points(d, u, 1.0) + _peak_points(1, n) + tail
-                 if 5e-324 < p < q_r]
-        rhs, rhs_err = _integrate(integrand, math.log(5e-324), math.log(q_r), inner)
+        pts = _split_points(d, u, 1.0) + _peak_points(1, n) + tail
+        mid = min(q_r, 0.5)
+        rhs, rhs_err = _integrate(in_t, math.log(5e-324), math.log(mid),
+                                  [math.log(p) for p in pts if 5e-324 < p < mid])
+        if q_r > mid:
+            val, err = _integrate(in_q, mid, q_r, pts)
+            rhs, rhs_err = rhs + val, rhs_err + err
         ends = n * (g(5e-324) + abs(g(q_r) - g(q_last)) + abs(phi(q_last)) * (q_r - q_last))
-    tolerance = lhs.abserr + rhs_err + _target(lhs.mean_utility) + _target(rhs) + ends
+    tolerance = (lhs.abserr + rhs_err + quad_target(lhs.mean_utility) + quad_target(rhs)
+                 + ends)
     return {"lhs": lhs.mean_utility, "lhs_abserr": lhs.abserr,
             "rhs": rhs, "rhs_abserr": rhs_err, "tolerance": tolerance}
 
@@ -283,10 +291,16 @@ def virtual_utility_identity_stats(d: Distribution, m: VcgMechanism,
     """Exact E[u(Rev)] and E[sum of winners' virtual utilities] (``lhs``,
     ``rhs``), their quadrature error estimates (``lhs_abserr``,
     ``rhs_abserr``) and the ``tolerance`` within which they must agree.
-    Requires single-unit VCG.  Atoms are fine: in quantile space the virtual
-    utility on a top atom at p0 is u(p0)."""
+    Requires single-unit VCG and a reserve no lower than the lowest value,
+    below which the lowest type keeps a surplus.  Atoms are fine: in
+    quantile space the virtual utility on a top atom at p0 is u(p0)."""
     if not isinstance(m, VcgMechanism) or m.k != 1:
         raise ValueError("the identity applies to single-unit VCG mechanisms")
+    # on curves price(1) can round a few ulps below support[0]: a reserve
+    # there is the lowest value, not below it
+    if m.reserve < min(d.support[0], float(d.price(1.0))):
+        raise ValueError("the identity needs a reserve at or above the lowest value "
+                         f"{d.support[0]:g}")
     return _identity_sides(d, n, u, m.reserve)
 
 

@@ -8,6 +8,7 @@ the lower index, and a bid exactly at the price or reserve is accepted.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,8 @@ class PostedPriceMechanism:
     name: str = ""
 
     def __post_init__(self):
-        if self.price < 0 or self.k < 1:
-            raise SpecParseError("posted price needs price >= 0 and k >= 1")
+        if not (math.isfinite(self.price) and self.price >= 0) or self.k < 1:
+            raise SpecParseError("posted price needs a finite price >= 0 and k >= 1")
 
     @property
     def label(self) -> str:
@@ -61,8 +62,8 @@ class VcgMechanism:
     name: str = ""
 
     def __post_init__(self):
-        if self.reserve < 0 or self.k < 1:
-            raise SpecParseError("vcg needs reserve >= 0 and k >= 1")
+        if not (math.isfinite(self.reserve) and self.reserve >= 0) or self.k < 1:
+            raise SpecParseError("vcg needs a finite reserve >= 0 and k >= 1")
 
     @property
     def label(self) -> str:
@@ -198,6 +199,8 @@ def make_mechanism(kind: str, *, d: Distribution | None = None, n: int | None = 
         if d is None or n is None:
             raise SpecParseError("hedge mechanism needs a distribution and n")
         n, k = int(n), int(k)
+        if n < 1:
+            raise SpecParseError("hedge mechanism needs n >= 1")
         p = hedge_unlimited_price(d) if k >= n else hedge_limited_price(d, n, k)
         return PostedPriceMechanism(p, k, name=f"hedge:{n},{k}")
     if kind == "myerson":

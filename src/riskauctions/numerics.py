@@ -99,6 +99,11 @@ QUAD_EPSABS, QUAD_EPSREL = 1e-12, 1e-8  # the accuracy every quadrature asks for
 _ROUNDOFF_FLOOR = 50.0 * 2.0 ** -52  # QUADPACK's: 50 ulps of the panel's integral of |f|
 
 
+def quad_target(value: float) -> float:
+    """The accuracy every quadrature asks for at this value."""
+    return max(QUAD_EPSABS, QUAD_EPSREL * abs(value))
+
+
 def gauss_kronrod(f, edges) -> tuple[float, float]:
     """Adaptive 21-point Gauss-Kronrod integral of ``f`` over [edges[0],
     edges[-1]], as (value, abserr).
@@ -131,7 +136,7 @@ def gauss_kronrod(f, edges) -> tuple[float, float]:
         diff = np.concatenate((diff, np.abs(kg[:, 0] - kg[:, 1])))
         floor = np.concatenate((floor, _ROUNDOFF_FLOOR * (np.abs(fx) @ GK21_WEIGHTS[:, 0])
                                 * half))
-        target = max(QUAD_EPSABS, QUAD_EPSREL * abs(float(val.sum())))
+        target = quad_target(float(val.sum()))
         if not float(np.maximum(diff, floor).sum()) > target:
             break
         # halving cannot lower the rounding floor, so |K - G| alone decides

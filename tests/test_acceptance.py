@@ -116,17 +116,16 @@ def test_nondecreasing_hazard_gives_the_stronger_floor():
 
 
 def test_unlimited_hedge_guarantee_holds_on_an_exact_grid():
-    fam = default_family()
     failures = []
     for d, floor in ((U01, MHR_BOUND), (EXP, MHR_BOUND),
                      (left_triangle(0.01), 0.5)):
         for n in (1, 2, 5, 20):
-            rep = check_hedge_unlimited(d, n, fam)
+            rep = check_hedge_unlimited(d, n)
             if not rep.passed or rep.observed < floor - 1e-9 \
                     or abs(rep.claimed_bound - floor) > 1e-12:
                 failures.append((d.spec_string, n, rep.observed))
     verdict("unlimited-supply hedge price guarantees its floor for every "
-            "utility in the default family (exact evaluation)", failures)
+            "concave utility (exact evaluation at the capped benchmark)", failures)
 
 
 def test_posted_price_frontier_maximin_values():

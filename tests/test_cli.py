@@ -5,6 +5,7 @@ import io
 import math
 import struct
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from riskauctions import cli, make_distribution, parse_mechanism
+from riskauctions import Distribution, cli, make_distribution, parse_mechanism
 from riskauctions.cli import MAX_GRID, build_parser, main
 from riskauctions.numerics import MAX_EXACT_N
 
@@ -206,6 +207,31 @@ class TestEval:
             tracemalloc.stop()
         assert code == 0, err
         assert peak < 256 * 2 ** 20
+
+    def test_profile_over_the_monte_carlo_budget_exits_2(self, monkeypatch):
+        # 10^11 bids in one row would take 745 GiB
+        def no_draws(self, rng, shape):
+            raise AssertionError(f"drew {shape}")
+
+        monkeypatch.setattr(Distribution, "draw", no_draws)
+        code, out, err = run(["eval", "--mech", "posted:0.5,1", "--dist", "uniform:0,1",
+                              "--n", "100000000000", "--samples", "1000"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Monte Carlo takes at most")
+
+    # specs that describe no mechanism
+    @pytest.mark.parametrize("mech,reason", [
+        ("hedge:0,1", "needs n >= 1"),
+        ("posted:inf,1", "finite price"),
+        ("vcg:1,inf", "finite reserve"),
+        ("posted:nan,1", "finite price"),
+    ])
+    def test_no_mechanism_exits_2(self, mech, reason):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(["eval", "--mech", mech, "--dist", "uniform:0,1"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and reason in err
 
     def test_missing_required_flag(self):
         code, _, err = run(["eval", "--dist", "uniform:0,1", "--n", "2"])

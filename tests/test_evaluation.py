@@ -45,9 +45,9 @@ from riskauctions import (
     uniform,
     virtual_utility_identity_stats,
 )
-from riskauctions.evaluation import (MC_BUDGET, MC_CHUNK, MIN_MC_SAMPLES, QUAD_EPSABS,
-                                     QUAD_EPSREL, _split_points)
-from riskauctions.numerics import MAX_EXACT_N, order_stat_cdf
+from riskauctions.evaluation import MC_BUDGET, MC_CHUNK, MIN_MC_SAMPLES, _split_points
+from riskauctions import evaluation
+from riskauctions.numerics import GK_MAX_PANELS, MAX_EXACT_N, gauss_kronrod, order_stat_cdf
 
 U01 = uniform(0.0, 1.0)
 
@@ -275,11 +275,16 @@ class TestVcgExactReferences:
                          utilities=FAMILY + (power(1e-3),)))
     # q_r is subnormal (5e-324), so quad evaluates q = 0, where price is inf
     @example((exponential(1e-3), 2, 1, linear(), 744440.0719213812))
+    # q_r = 5e-324 again: the exact 2.5e-324 rounds to 5e-324 here and to 0
+    # in mpmath's conversion
+    @example((exponential(1e-3), 5, 1, capped(0.1), 744440.0719213812))
     def test_agrees_with_mpmath(self, case):
         d, n, k, u, r = case
         got = eval_vcg_exact(d, n, k, u, r).mean_utility
         want = mpmath_vcg(d, n, k, u, r)
-        assert abs(got - want) <= 1e-8 * abs(want)
+        # 5e-324, the least subnormal: no float lies nearer an exact value
+        # between 0 and it
+        assert abs(got - want) <= 1e-8 * abs(want) + 5e-324
 
 
 def mp_price(d, q):
@@ -398,6 +403,15 @@ class TestMonteCarlo:
         # the chunks, and so the generator streams, of every n <= 64 are unchanged
         assert rows[0] == chunk
         assert r.mean_utility == r.ci_halfwidth == 0.0
+
+    def test_profile_over_the_budget_is_rejected_before_drawing(self):
+        class NoDraws:
+            def draw(self, rng, shape):
+                raise AssertionError(f"drew {shape}")
+
+        with pytest.raises(ValueError, match="at most"):
+            eval_mc(PostedPriceMechanism(0.5, 1), NoDraws(), MC_BUDGET + 1, linear(),
+                    MIN_MC_SAMPLES, seed=0)
 
 
 class TestEvaluateDispatch:
@@ -579,11 +593,28 @@ class TestIdentity:
             rep = check_virtual_utility_identity(U01, m, u, 1)
             st_ = virtual_utility_identity_stats(U01, m, u, 1)
         assert rep.passed and rep.tolerance == st_["tolerance"]
-        # the right side hit its panel budget: its estimate says so, and the
-        # tolerance carries it
-        assert st_["rhs_abserr"] > max(QUAD_EPSABS, QUAD_EPSREL * abs(st_["rhs"]))
         assert st_["tolerance"] >= st_["lhs_abserr"] + st_["rhs_abserr"]
         assert st_["lhs"] == 0.0  # one bidder pays the reserve, 0
+
+    @pytest.mark.parametrize("u,log_q_abserr", [(power(0.5), 3.6e-5),
+                                                (power(1 / 3), 4.0e-5)])
+    def test_right_side_converges_up_to_q_r_one(self, monkeypatch, u, log_q_abserr):
+        # integrated in t = log q all the way to q_r = 1, the right side spent
+        # its whole panel budget (3,946 panels) and ended at log_q_abserr:
+        # exp(t) near q = 1 rounds to floats 2^-53 apart, a step function of t
+        panels = []
+
+        def counting_quad(f, edges):
+            def g(x):
+                panels.append(len(x) // 21)
+                return f(x)
+            return gauss_kronrod(g, edges)
+
+        monkeypatch.setattr(evaluation, "quad", counting_quad)
+        st_ = virtual_utility_identity_stats(U01, VcgMechanism(1, 0.0), u, 1)
+        assert st_["rhs_abserr"] <= log_q_abserr / 1000
+        assert sum(panels) <= GK_MAX_PANELS // 4
+        assert abs(st_["lhs"] - st_["rhs"]) <= st_["tolerance"]
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_price_rounding_to_zero_below_the_reserve_quantile(self, n):
@@ -602,6 +633,19 @@ class TestIdentity:
             virtual_utility_identity_stats(U01, VcgMechanism(2, 0.0), linear(), 3)
         with pytest.raises(ValueError):
             virtual_utility_identity_stats(U01, PostedPriceMechanism(0.5, 1), linear(), 2)
+        # below the lowest value 0.8 the lowest type keeps a surplus: lhs 0
+        # and rhs 0.8 at n = 1
+        curve = make_distribution("revenue-curve:0:0;0.3:0.6;1:0.8")
+        for d, r in ((curve, 0.0), (curve, 0.79), (uniform(0.5, 2.0), 0.4)):
+            with pytest.raises(ValueError, match="lowest value"):
+                virtual_utility_identity_stats(d, VcgMechanism(1, r), linear(), 1)
+        # price(1) rounds below support[0] on some curves; a reserve there
+        # is the lowest value
+        d = gen_regular(3, 8)
+        assert float(d.price(1.0)) < d.support[0]
+        sides = virtual_utility_identity_stats(d, VcgMechanism(1, float(d.price(1.0))),
+                                               linear(), 2)
+        assert abs(sides["lhs"] - sides["rhs"]) <= sides["tolerance"]
         # atoms are accepted: phi_u on a top atom at p0 is u(p0)
         for spec in ("revenue-curve:0:0;0.3:0.6;1:0.8", "left-triangle:0.01",
                      "left-triangle:1e-6", "irregular-example:0.01",

@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from riskauctions import (
     MHR_BOUND,
@@ -32,17 +34,20 @@ from riskauctions import (
     frontier_search,
     gen_regular,
     hedge_limited_price,
+    hedge_unlimited_price,
     irregular_example,
     left_triangle,
     linear,
+    make_distribution,
     myerson_revenue,
+    posted_price_maximin,
     power,
     report_from_margin,
     run_selections,
     uniform,
 )
 from riskauctions.lemmas import SELECTIONS
-from riskauctions.numerics import binom_pmf
+from riskauctions.numerics import binom_pmf, quad_target
 from riskauctions.report import LemmaReport
 from test_acceptance import rational_allocations
 
@@ -271,21 +276,22 @@ class TestVcgDiscount:
 
 
 class TestHedgeUnlimited:
-    def test_uniform_linear_is_worst(self):
-        rep = check_hedge_unlimited(U01, 5, default_family())
+    def test_uniform_sells_three_quarters(self):
+        rep = check_hedge_unlimited(U01, 5)
         assert rep.passed
         assert rep.claimed_bound == pytest.approx(MHR_BOUND, abs=1e-15)
         assert rep.observed == pytest.approx(0.75, abs=1e-9)
-        assert "linear" in rep.worst_instance
+        assert (rep.instances_checked, rep.worst_instance) == (1, "capped:1.25")
 
     def test_exponential_achieves_floor(self):
-        rep = check_hedge_unlimited(exponential(1.0), 5, default_family())
+        # -1.1e-16 below e^(-1/e): the rounding of a 6-term sum covers it
+        rep = check_hedge_unlimited(exponential(1.0), 5)
         assert rep.passed
         assert rep.observed == pytest.approx(MHR_BOUND, abs=1e-9)
+        assert -rep.tolerance <= rep.margin < 0.0
 
     def test_left_triangle_near_half(self):
-        rep = check_hedge_unlimited(left_triangle(0.001), 1,
-                                    [linear(), capped(1e-5)])
+        rep = check_hedge_unlimited(left_triangle(0.001), 1)
         assert rep.passed
         assert rep.claimed_bound == 0.5
         assert rep.observed == pytest.approx(0.5002501250625313, abs=1e-9)
@@ -293,19 +299,20 @@ class TestHedgeUnlimited:
 
 class TestHedgeLimited:
     def test_uniform_exact_benchmark(self):
-        rep = check_hedge_limited(U01, 2, 1, default_family())
+        rep = check_hedge_limited(U01, 2, 1)
         assert rep.passed
         assert rep.observed >= 0.125
 
-    def test_mc_benchmark_case(self):
-        # a multi-unit benchmark, which was Monte Carlo and is now exact:
-        # the margin is the worst ratio minus the claimed 1/8
-        rep = check_hedge_limited(U01, 10, 3, default_family())
+    def test_capped_benchmark_is_the_one_evaluation(self):
+        # the margin is the capped(B) ratio minus the claimed 1/8
+        rep = check_hedge_limited(U01, 10, 3)
         assert rep.passed
         price = hedge_limited_price(U01, 10, 3)
         rev = myerson_revenue(U01, 10, 3)[0]
-        want = eval_posted_exact(U01, price, 10, 3, linear()).mean_utility / rev
-        assert (rep.observed, rep.margin, rep.worst_instance) == (want, want - 0.125, "linear")
+        want = eval_posted_exact(U01, price, 10, 3, capped(rev)).mean_utility / rev
+        assert (rep.observed, rep.margin) == (want, want - 0.125)
+        assert (rep.instances_checked, rep.worst_instance) == (1, capped(rev).label)
+        assert rep.observed == pytest.approx(0.831832017066, abs=1e-12)
 
 
 class TestVcgChain:
@@ -313,16 +320,132 @@ class TestVcgChain:
         rep = check_vcg_chain(U01, 2, 1, [linear(), power(0.5)])
         assert rep.passed
         assert rep.margin >= -1e-9
-        assert rep.instances_checked >= 5
+        # two vickrey-vs-optimal terms, utility of revenue, bidder augmentation
+        assert rep.instances_checked == 4
+        assert rep.worst_instance == "vickrey-vs-optimal[linear]"
 
     def test_uniform_two_units(self):
-        rep = check_vcg_chain(U01, 6, 2, default_family())
+        rep = check_vcg_chain(U01, 6, 2)
         assert rep.passed
+        assert rep.instances_checked == 2
         # the worst slack is bidder augmentation: 2 E[3rd highest of 6] = 8/7
         # against the benchmark with 4 bidders, 2 units, reserve 1/2
         assert rep.worst_instance == "bidder-augmentation"
         rev = myerson_revenue(U01, 4, 2)[0]
         assert rep.observed == pytest.approx((8 / 7) / rev - 1.0, abs=1e-12)
+
+    def test_utility_of_revenue_is_capped_at_the_revenue(self):
+        # the certificate term E[min(2 * 3rd highest of 6, B)] / B - 1/4,
+        # B = 8/7, stays above the bidder augmentation the chain reports
+        rep = check_vcg_chain(U01, 6, 2)
+        rev = 2 * expected_order_stat_price(U01, 3, 6)
+        want = eval_vcg_exact(U01, 6, 2, capped(rev)).mean_utility / rev - 0.25
+        assert want == pytest.approx(0.874104934411 - 0.25, abs=1e-12)
+        assert want > rep.margin
+
+
+# -- every concave utility at once: E[u(X)] / u(B) >= E[min(X, B)] / B -------------
+
+CERT_DISTS = (U01, exponential(1.0), left_triangle(0.01), gen_regular(3, 16),
+              irregular_example(0.05))
+
+
+@st.composite
+def revenue_instances(draw):
+    """(evaluate, B): u -> exact EvalResult of E[u(revenue)] for a posted
+    price or VCG with a reserve, and a benchmark B > 0 around its revenue."""
+    d = draw(st.sampled_from(CERT_DISTS))
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, n + 1))
+    p = float(d.price(draw(st.floats(0.01, 1.0))))
+    if draw(st.booleans()):
+        def evaluate(u):
+            return eval_posted_exact(d, p, n, k, u)
+    else:
+        p = p if draw(st.booleans()) else 0.0
+
+        def evaluate(u):
+            return eval_vcg_exact(d, n, k, u, p)
+    mean = evaluate(linear()).mean_utility
+    assume(mean > 1e-6)
+    return evaluate, mean * 10.0 ** draw(st.floats(-2.0, 2.0))
+
+
+def _err(res) -> float:
+    """Error bound of an exact value: its estimate plus the target it met
+    (binomial-only values are exact to far below the target)."""
+    return res.abserr + quad_target(res.mean_utility)
+
+
+class TestConcaveCertificate:
+    @given(revenue_instances(), st.floats(0.0, 1.0),
+           st.lists(st.tuples(st.floats(0.01, 1.0), st.floats(-3.0, 3.0)),
+                    min_size=1, max_size=4))
+    def test_mixtures_never_beat_the_certificate(self, case, a, terms):
+        # u = a x + sum w_i min(x, c_i), by linearity of E over linear and
+        # capped(c_i)
+        evaluate, bench = case
+        cert_res = evaluate(capped(bench))
+        cert = cert_res.mean_utility / bench
+        lin = evaluate(linear())
+        num, err, den = a * lin.mean_utility, a * _err(lin), a * bench
+        for w, e in terms:
+            c = bench * 10.0 ** e
+            res = evaluate(capped(c))
+            num, err, den = num + w * res.mean_utility, err + w * _err(res), \
+                den + w * min(bench, c)
+        assert num / den >= cert - err / den - _err(cert_res) / bench
+
+    @given(revenue_instances(), st.floats(0.05, 1.0))
+    def test_powers_never_beat_the_certificate(self, case, alpha):
+        evaluate, bench = case
+        cert_res = evaluate(capped(bench))
+        res = evaluate(power(alpha))
+        ratio = res.mean_utility / bench ** alpha
+        assert ratio >= (cert_res.mean_utility - _err(cert_res)) / bench \
+            - _err(res) / bench ** alpha
+
+    @pytest.mark.parametrize("check,args", [
+        (check_hedge_unlimited, (U01, 5)), (check_hedge_unlimited, (exponential(1.0), 5)),
+        (check_hedge_unlimited, (left_triangle(0.001), 1)),
+        (check_hedge_limited, (U01, 2, 1)), (check_hedge_limited, (U01, 10, 3)),
+        (check_hedge_limited, (exponential(1.0), 8, 2))],
+        ids=lambda x: x.__name__ if callable(x)
+        else "-".join(getattr(a, "label", str(a)) for a in x))
+    def test_capped_benchmark_attains_it_and_the_old_family_stays_above(self, check, args):
+        d, n = args[0], args[1]
+        k = args[2] if len(args) > 2 else n
+        price = hedge_limited_price(d, n, k) if k < n else hedge_unlimited_price(d)
+        bench = myerson_revenue(d, n, k)[0] if k < n else n * price
+        rep = check(*args)
+        assert rep.worst_instance == capped(bench).label
+        # capped(B) is a concave utility, and the report's value is its ratio
+        assert rep.observed == eval_posted_exact(d, price, n, k, capped(bench)) \
+            .mean_utility / float(capped(bench)(bench))
+        # the eleven utilities the check used to search never go below it
+        fam_min = min(eval_posted_exact(d, price, n, k, u).mean_utility / float(u(bench))
+                      for u in default_family())
+        assert fam_min >= rep.observed - rep.tolerance
+
+
+class TestPostedPriceMaximin:
+    @pytest.mark.parametrize("d,want", [
+        (U01, 0.75), (exponential(1.0), MHR_BOUND),
+        (left_triangle(0.001), 1 / 1.999), (irregular_example(0.01), 0.0199),
+        # irregular: a breakpoint above q(B) = 0.2 sells more than q(B)
+        (make_distribution("revenue-curve:0:0;0.1:1;0.2:0.2;0.8:0.79;1:0"), 0.79)])
+    def test_values(self, d, want):
+        assert posted_price_maximin(d) == pytest.approx(want, rel=4 * 2.0 ** -52)
+
+    @pytest.mark.parametrize("d", CERT_DISTS + (
+        make_distribution("revenue-curve:0:0;0.1:1;0.2:0.2;0.8:0.79;1:0"),))
+    def test_no_grid_price_beats_it(self, d):
+        # at capped(B) a price earns its certificate; the worst over
+        # {linear, capped(B)} is that certificate
+        p_star, q_star = d.monopoly_price()
+        res = frontier_search(d, [linear(), capped(p_star * q_star)], grid=2000)
+        best = posted_price_maximin(d)
+        assert best - 1.0 / 2000 <= res.best_min_ratio <= best * (1 + 4 * 2.0 ** -52)
 
 
 class TestFrontier:
