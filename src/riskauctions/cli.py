@@ -206,7 +206,7 @@ def _svg_line_plot(xs, ys, xlabel: str, ylabel: str, title: str) -> str:
 
 
 def cmd_dist(args) -> int:
-    _resolve(args, {"seed": 42, "samples": 1_000_000, "format": "csv", "grid": 100},
+    _resolve(args, {"seed": 42, "format": "csv", "grid": 100},
              svg_ok=True)
     d = make_distribution(args.spec)
     _check_grid(args.grid)
@@ -223,7 +223,7 @@ def cmd_dist(args) -> int:
 
 
 def cmd_price(args) -> int:
-    _resolve(args, {"seed": 42, "samples": 1_000_000, "format": "csv"})
+    _resolve(args, {"seed": 42, "format": "csv"})
     d = make_distribution(args.spec)
     p_star, q_star = d.monopoly_price()
     lines = [f"p_star={_fmt(p_star)}", f"q_star={_fmt(q_star)}"]
@@ -242,7 +242,7 @@ def cmd_price(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _resolve(args, {"seed": 42, "samples": 1_000_000, "format": "csv",
+    _resolve(args, {"seed": 42, "format": "csv",
                     "utility": "linear"})
     d = make_distribution(args.dist)
     mech, implied_n = parse_mechanism(args.mech, d)
@@ -251,10 +251,10 @@ def cmd_eval(args) -> int:
         raise SpecParseError("n must be at least 1")
     parsed = parse_utility_or_family(args.utility)
     members = list(parsed.members) if hasattr(parsed, "members") else [parsed]
-    rev, _ = myerson_revenue(d, n, mech.k, args.seed, args.samples)
+    rev, _ = myerson_revenue(d, n, mech.k)
     rows = []
     for u in members:
-        res = evaluate(mech, d, n, u, args.samples, args.seed)
+        res = evaluate(mech, d, n, u)
         res = res.against(float(u(rev)))
         rows.append([args.mech, args.dist, str(n), str(mech.k), u.label,
                      res.method, _fmt(res.mean_utility), _fmt(res.ci_halfwidth),
@@ -265,7 +265,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_lemmas(args) -> int:
-    _resolve(args, {"seed": 42, "samples": 1_000_000, "format": "csv"})
+    _resolve(args, {"seed": 42, "format": "csv"})
     d = make_distribution(args.dist) if args.dist else None
     names = args.selection or ["all"]
     for name in names:
@@ -323,14 +323,14 @@ def _reproduce_rows() -> list[list[str]]:
 
 
 def cmd_reproduce(args) -> int:
-    _resolve(args, {"seed": 42, "samples": 1_000_000, "format": "csv"})
+    _resolve(args, {"seed": 42, "format": "csv"})
     rows = _reproduce_rows()
     _write_csv(["name", "instance", "claimed", "computed", "passed"], rows, args.out)
     return 0 if all(row[4] == "true" for row in rows) else 1
 
 
 def cmd_frontier(args) -> int:
-    _resolve(args, {"seed": 42, "samples": 1_000_000, "format": "csv",
+    _resolve(args, {"seed": 42, "format": "csv",
                     "grid": 1000, "family": "family:default"}, svg_ok=True)
     d = make_distribution(args.spec)
     parsed = parse_utility_or_family(args.family)
@@ -358,9 +358,11 @@ def build_parser() -> argparse.ArgumentParser:
     it was and returns a fresh Namespace on each call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
-                        help="RNG seed for all sampling (default 42)")
+                        help="seed of the random curves in the lemmas half-bound "
+                             "sweep (default 42)")
     common.add_argument("--samples", type=int, default=None,
-                        help="Monte Carlo sample count (default 1000000)")
+                        help="accepted for compatibility and ignored: every value "
+                             "is exact (at least 1000)")
     common.add_argument("--out", default=None, help="write output to this file")
     common.add_argument("--config", default=None,
                         help="'key = value' file; flags override it")

@@ -325,9 +325,8 @@ class RevenueCurveDistribution(Distribution):
         while i + 1 < len(self._prices) and self._prices[i + 1] == self._prices[0]:
             i += 1
         self._atom = float(qs[i])
-        # Plain-float copies for the scalar path of price().
+        # Plain-float copies for the scalar paths.
         self._qs_list = qs.tolist()
-        self._intercepts_list = self._intercepts.tolist()
         self._slopes_list = self._slopes.tolist()
         self._price0 = float(self._prices[0])
 
@@ -357,16 +356,36 @@ class RevenueCurveDistribution(Distribution):
     def breakpoints(self):
         return tuple(self._qs_list[1:-1])
 
+    @cached_property
+    def _price_segments(self) -> tuple[list, list, list]:
+        """Breakpoints, intercepts and slopes of price(q) = a/q + b, as lists.
+
+        Where R(1) > 0, q = 1 has a segment of its own, the line of slope 0
+        through (1, R(1)), so that price(1) is R(1) = support[0] exactly: the
+        segment search runs on breakpoints whose last is the float below 1.  A
+        curve ending at R(1) = 0 keeps its last segment there, whose price
+        rounds to 0 or a few ulps above it (price() clamps the ulps below);
+        perfbench/reference.py copies that rounding."""
+        r1 = float(self._rs[-1])
+        last_q = math.nextafter(1.0, 0.0) if r1 > 0.0 else 1.0
+        return (self._qs_list[:-1] + [last_q], self._intercepts.tolist() + [r1],
+                self._slopes_list + [0.0])
+
+    @cached_property
+    def _price_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return tuple(np.array(v) for v in self._price_segments)
+
     def price(self, q):
         if isinstance(q, float):  # also np.float64, a float subclass
             return self._price_of_float(float(q))
         q_arr = np.asarray(q, dtype=float)
         scalar = np.isscalar(q) or q_arr.ndim == 0
-        idx = self._segment_of_q(q_arr)
+        qs, intercepts, slopes = self._price_arrays
+        idx = np.maximum(np.searchsorted(qs, q_arr, side="left") - 1, 0)
         with np.errstate(divide="ignore", invalid="ignore"):
             # on curves ending at R(1) = 0 the last segment can round to
             # -2.2e-16 near q = 1
-            v = np.maximum(self._intercepts[idx] / q_arr + self._slopes[idx], 0.0)
+            v = np.maximum(intercepts[idx] / q_arr + slopes[idx], 0.0)
         out = np.where(q_arr <= self._qs[1], self._prices[0], v)
         return _ret(out, scalar)
 
@@ -376,8 +395,9 @@ class RevenueCurveDistribution(Distribution):
         # copies np.maximum(v, 0.0), which keeps NaN and returns +0.0 for -0.0.
         if q <= self._qs_list[1]:
             return self._price0
-        j = min(max(bisect_left(self._qs_list, q) - 1, 0), len(self._slopes_list) - 1)
-        v = self._intercepts_list[j] / q + self._slopes_list[j]
+        qs, intercepts, slopes = self._price_segments
+        j = max(bisect_left(qs, q) - 1, 0)
+        v = intercepts[j] / q + slopes[j]
         return v if v > 0.0 or v != v else 0.0
 
     def marginal_revenue(self, q):

@@ -1,12 +1,14 @@
 """Expected-utility evaluation of mechanisms over i.i.d. bidders.
 
-Both mechanisms are evaluated exactly in quantile space: posted prices as a
-capped binomial sum, and k-unit VCG with a reserve as a binomial sum plus one
-order-statistic integral.  Both sides of the virtual-utility identity are
-quantile-space integrals too.  Only evaluations that need a binomial sum over
-more than MAX_EXACT_N bidders use chunked Monte Carlo (`eval_mc`), whose
-draws are a pure function of (seed, samples, n), so results are
-bit-reproducible.
+Both mechanisms are evaluated exactly in quantile space, at any number of
+bidders: posted prices as a capped binomial sum, and k-unit VCG with a
+reserve as a binomial sum plus one order-statistic integral.  A binomial sum
+runs over the window of `numerics.binom_window`; the mass the window leaves
+out, at most 2^-60, times the largest weight joins the quadrature error in
+``abserr``.  Both sides of the virtual-utility identity are quantile-space
+integrals too.  `eval_mc`, chunked Monte Carlo whose draws are a pure
+function of (seed, samples, n), is kept as an independent cross-check; no
+evaluation here calls it.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import numpy as np
 
 from .distributions import Distribution
 from .mechanisms import Mechanism, PostedPriceMechanism, VcgMechanism, batch_revenue
-from .numerics import MAX_EXACT_N, binom_pmf, gauss_kronrod, order_stat_pdf, quad_target
+from .numerics import binom_window, gauss_kronrod, order_stat_pdf, quad_target
 from .report import LemmaReport, report_from_margin
 from .utilities import UtilityFunction, linear, virtual_utility_at_quantile
 
@@ -47,7 +49,7 @@ class EvalResult:
     samples: int = 0
     benchmark: float | None = None
     ratio: float | None = None
-    abserr: float = 0.0  # quadrature error estimate; 0 for binomial-only values
+    abserr: float = 0.0  # quadrature error estimate plus the binomial window's tail
 
     def against(self, benchmark: float) -> "EvalResult":
         if benchmark <= 0:
@@ -93,14 +95,16 @@ def _weighted(w, v):
 
 def eval_posted_exact(d: Distribution, price: float, n: int, k: int,
                       u: UtilityFunction) -> EvalResult:
-    """E[u(price * min(k, #bidders at or above price))] by binomial summation."""
+    """E[u(price * min(k, #bidders at or above price))] by binomial summation.
+    u is nondecreasing with u(0) = 0, so the largest weight is u(price *
+    min(n, k))."""
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     q_p = float(d.sale_probability(price))
-    pmf = binom_pmf(n, q_p)
-    sold = np.minimum(np.arange(n + 1), k)
-    mean = float(np.sum(u(price * sold) * pmf))
-    return EvalResult(mean, "exact")
+    y, pmf, tail = binom_window(n, q_p)
+    mean = float(np.sum(u(price * np.minimum(y, k)) * pmf))
+    err = tail * float(u(price * min(n, k))) if tail else 0.0
+    return EvalResult(mean, "exact", abserr=err)
 
 
 def eval_second_price_exact(d: Distribution, reserve: float, n: int,
@@ -125,8 +129,10 @@ def eval_vcg_exact(d: Distribution, n: int, k: int, u: UtilityFunction,
     q_r = float(d.sale_probability(reserve))
     mean = err = 0.0
     if q_r < 1.0 or k >= n:  # else all n > k bidders clear the reserve
-        j = np.arange(min(k, n) + 1)
-        mean = float(np.sum(u(reserve * j) * binom_pmf(n, q_r)[:len(j)]))
+        y, pmf, tail = binom_window(n, q_r)
+        j = y[:max(min(k, n) - int(y[0]) + 1, 0)]  # the counts j <= k
+        mean = float(np.sum(u(reserve * j) * pmf[:len(j)]))
+        err = tail * float(u(reserve * min(k, n))) if tail else 0.0
     if k < n and q_r > 0.0:
         pdf = order_stat_pdf(k + 1, n)
 
@@ -136,8 +142,9 @@ def eval_vcg_exact(d: Distribution, n: int, k: int, u: UtilityFunction,
             return _weighted(pdf(q), u(k * d.price(q)))
 
         pts = _split_points(d, u, float(k)) + _peak_points(k + 1, n)
-        val, err = _integrate(integrand, 0.0, q_r, pts)
+        val, quad_err = _integrate(integrand, 0.0, q_r, pts)
         mean += val
+        err += quad_err
     return EvalResult(mean, "exact", abserr=err)
 
 
@@ -186,29 +193,21 @@ def eval_mc(m: Mechanism, d: Distribution, n: int, u: UtilityFunction,
                       samples)
 
 
-def evaluate(m: Mechanism, d: Distribution, n: int, u: UtilityFunction,
-             samples: int = 1_000_000, seed: int = 0) -> EvalResult:
-    """Exact evaluation unless it needs a binomial sum over more than
-    MAX_EXACT_N bidders, Monte Carlo then.  Only VCG with k < n units and a
-    reserve every bidder clears needs no such sum."""
+def evaluate(m: Mechanism, d: Distribution, n: int, u: UtilityFunction) -> EvalResult:
+    """The exact E[u(revenue)] of a posted-price or VCG mechanism."""
     if isinstance(m, PostedPriceMechanism):
-        if n <= MAX_EXACT_N:
-            return eval_posted_exact(d, m.price, n, m.k, u)
-    elif n <= MAX_EXACT_N or (m.k < n and float(d.sale_probability(m.reserve)) == 1.0):
-        return eval_vcg_exact(d, n, m.k, u, m.reserve)
-    return eval_mc(m, d, n, u, samples, seed)
+        return eval_posted_exact(d, m.price, n, m.k, u)
+    return eval_vcg_exact(d, n, m.k, u, m.reserve)
 
 
 # -- revenue benchmark ----------------------------------------------------------
 
 
-def myerson_revenue(d: Distribution, n: int, k: int, seed: int = 0,
-                    samples: int = 1_000_000) -> tuple[float, float]:
+def myerson_revenue(d: Distribution, n: int, k: int) -> tuple[float, float]:
     """Expected revenue of k-unit VCG with the monopoly reserve (Myerson's
-    optimal auction), as (estimate, ci_halfwidth) from `evaluate`; the ci is
-    zero when the value is exact, which it is for n <= MAX_EXACT_N."""
-    res = evaluate(VcgMechanism(k, d.monopoly_price()[0]), d, n, linear(), samples, seed)
-    return res.mean_utility, res.ci_halfwidth
+    optimal auction), exact, as (revenue, ci_halfwidth).  The halfwidth is
+    always 0; the pair keeps the shape of the sampled benchmark it replaced."""
+    return eval_vcg_exact(d, n, k, linear(), d.monopoly_price()[0]).mean_utility, 0.0
 
 
 # -- the virtual utility identity ------------------------------------------------
@@ -296,9 +295,7 @@ def virtual_utility_identity_stats(d: Distribution, m: VcgMechanism,
     quantile space the virtual utility on a top atom at p0 is u(p0)."""
     if not isinstance(m, VcgMechanism) or m.k != 1:
         raise ValueError("the identity applies to single-unit VCG mechanisms")
-    # on curves price(1) can round a few ulps below support[0]: a reserve
-    # there is the lowest value, not below it
-    if m.reserve < min(d.support[0], float(d.price(1.0))):
+    if m.reserve < d.support[0]:
         raise ValueError("the identity needs a reserve at or above the lowest value "
                          f"{d.support[0]:g}")
     return _identity_sides(d, n, u, m.reserve)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Distribution, SpecParseError
-from .numerics import binom_pmf
+from .numerics import binom_window
 
 __all__ = [
     "PostedPriceMechanism",
@@ -154,7 +154,8 @@ def hedge_unlimited_price(d: Distribution) -> float:
 
 def allocation_probability(n: int, k: int, q_r: float) -> float:
     """E[min(k, X)] / n for X ~ Binomial(n, q_r): the chance a given bidder is
-    served when everyone above the price is served while k units last."""
+    served when everyone above the price is served while k units last.  The
+    sum runs over `binom_window`, so it is within 2^-60 of the full one."""
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive integers")
     if not 0.0 <= q_r <= 1.0:
@@ -165,8 +166,7 @@ def allocation_probability(n: int, k: int, q_r: float) -> float:
         return 0.0
     if q_r == 1.0:
         return k / n
-    y = np.arange(n + 1)
-    pmf = binom_pmf(n, q_r)
+    y, pmf, _ = binom_window(n, q_r)
     return float(np.sum(np.minimum(y, k) * pmf) / n)
 
 

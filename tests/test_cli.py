@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import struct
+import time
 import tracemalloc
 import warnings
 from unittest import mock
@@ -15,7 +16,6 @@ from hypothesis import strategies as st
 
 from riskauctions import Distribution, cli, make_distribution, parse_mechanism
 from riskauctions.cli import MAX_GRID, build_parser, main
-from riskauctions.numerics import MAX_EXACT_N
 
 
 def run(argv):
@@ -172,19 +172,19 @@ class TestEval:
             "0.333333333333,0,0.416666666667,0.8\r\n")
 
     def test_monte_carlo_row(self):
-        # reserved multi-unit VCG is exact; only n > MAX_EXACT_N samples
-        def row(n, samples):
+        # no row samples any more, past 10,000 bidders included; --samples and
+        # --seed still parse and change nothing
+        def row(n, samples, seed):
             code, out, err = run(["eval", "--mech", "vcg:2,0.3", "--dist",
                                   "uniform:0,1", "--n", str(n), "--samples",
-                                  str(samples), "--seed", "2"])
+                                  str(samples), "--seed", str(seed)])
             assert code == 0, err
             return next(csv.reader(io.StringIO(out.split("\r\n")[1])))
 
-        exact = row(5, 20000)
-        assert exact[5] == "exact" and exact[7] == "0"
-        mc = row(MAX_EXACT_N + 1, 1000)
-        assert mc[5] == "monte_carlo"
-        assert float(mc[7]) > 0
+        for n in (5, 10_001):
+            exact = row(n, 20000, 2)
+            assert exact[5] == "exact" and exact[7] == "0"
+            assert row(n, 1000, 3) == exact
 
     def test_large_supply_is_exact(self):
         # n!/(600! 599!) overflows a float; the value is the closed form
@@ -197,27 +197,49 @@ class TestEval:
         assert float(row[6]) == pytest.approx(299.875104080, rel=1e-11)
 
     def test_huge_n_is_memory_bounded(self):
-        # one 1000 x 20000 draw alone would take 153 MiB
+        # exact over a window of about 1,300 binomial terms; one 1000 x 20000
+        # draw alone would take 153 MiB
         tracemalloc.start()
         try:
-            code, _, err = run(["eval", "--mech", "posted:0.5,2", "--dist", "uniform:0,1",
-                                "--n", "20000", "--samples", "1000"])
+            code, out, err = run(["eval", "--mech", "posted:0.5,2", "--dist", "uniform:0,1",
+                                  "--n", "20000", "--samples", "1000"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 0, err
+        assert ",exact," in out
         assert peak < 256 * 2 ** 20
 
-    def test_profile_over_the_monte_carlo_budget_exits_2(self, monkeypatch):
-        # 10^11 bids in one row would take 745 GiB
+    def test_many_bidders_are_exact_and_fast(self):
+        start = time.perf_counter()
+        code, out, err = run(["eval", "--mech", "vcg:1,0.5", "--dist", "uniform:0,1",
+                              "--n", "20000"])
+        elapsed = time.perf_counter() - start
+        assert code == 0, err
+        row = next(csv.reader(io.StringIO(out.split("\r\n")[1])))
+        assert (row[5], row[7]) == ("exact", "0")
+        # a reserve of 1/2 over n uniform bids earns (n - 1)/(n + 1) + 2^-n/(n + 1)
+        assert float(row[6]) == pytest.approx(19999 / 20001, rel=1e-9)
+        assert elapsed < 1.0
+
+    def test_window_over_the_budget_exits_2(self, monkeypatch):
+        # 10^15 bidders need a binomial window of 4.6e8 terms: refused up
+        # front, with nothing drawn and nothing of that size allocated
         def no_draws(self, rng, shape):
             raise AssertionError(f"drew {shape}")
 
         monkeypatch.setattr(Distribution, "draw", no_draws)
-        code, out, err = run(["eval", "--mech", "posted:0.5,1", "--dist", "uniform:0,1",
-                              "--n", "100000000000", "--samples", "1000"])
+        tracemalloc.start()
+        try:
+            code, out, err = run(["eval", "--mech", "posted:0.5,3", "--dist", "uniform:0,1",
+                                  "--n", "1000000000000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert (code, out) == (2, "")
-        assert err.startswith("error: Monte Carlo takes at most")
+        assert err.startswith("error: a binomial sum over n = 1000000000000000 needs")
+        assert err.count("\n") == 1
+        assert peak < 2 ** 20
 
     # specs that describe no mechanism
     @pytest.mark.parametrize("mech,reason", [
@@ -252,7 +274,7 @@ class TestEval:
 
     # a well-formed spec whose price cannot be resolved reports why
     @pytest.mark.parametrize("mech,dist,reason", [
-        ("hedge:20000,5", "uniform:0,1", "limited to n <= 10000"),
+        ("hedge:1000000000000000,5", "uniform:0,1", "more than the 4194304 terms allowed"),
         ("opt-single:linear", "irregular-example:0.01", "needs a regular distribution"),
     ])
     def test_derived_price_errors_are_not_parse_errors(self, mech, dist, reason):

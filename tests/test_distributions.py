@@ -272,6 +272,17 @@ class TestScalarPrice:
                     assert got == d.price(q1)
 
 
+    def test_price_at_one_is_the_lowest_value(self):
+        # q = 1 has a segment of its own through (1, R(1)); on the last
+        # segment's line it was off R(1) by up to 7.9e-15 relative on 4,302
+        # of these 9,000 curves
+        for breakpoints in (2, 8, 64):
+            for seed in range(3000):
+                d = gen_regular(seed, breakpoints)
+                assert d.price(1.0) == d.support[0] > 0.0, (seed, breakpoints)
+                assert d.price(np.array([1.0]))[0] == d.support[0]
+
+
 class TestMarginalRevenue:
     def test_closed_forms(self):
         assert uniform(1.0, 3.0).marginal_revenue(0.25) == 2.0

@@ -47,7 +47,7 @@ from riskauctions import (
 )
 from riskauctions.evaluation import MC_BUDGET, MC_CHUNK, MIN_MC_SAMPLES, _split_points
 from riskauctions import evaluation
-from riskauctions.numerics import GK_MAX_PANELS, MAX_EXACT_N, gauss_kronrod, order_stat_cdf
+from riskauctions.numerics import BINOM_TAIL, GK_MAX_PANELS, gauss_kronrod, order_stat_cdf
 
 U01 = uniform(0.0, 1.0)
 
@@ -416,30 +416,32 @@ class TestMonteCarlo:
 
 class TestEvaluateDispatch:
     def test_exact_paths(self):
-        assert evaluate(PostedPriceMechanism(0.3, 2), U01, 5, linear(),
-                        samples=2000, seed=0).method == "exact"
-        assert evaluate(VcgMechanism(1, 0.0), U01, 3, linear(),
-                        samples=2000, seed=0).method == "exact"
-        assert evaluate(VcgMechanism(1, 0.4), U01, 3, linear(),
-                        samples=2000, seed=0).method == "exact"
+        assert evaluate(PostedPriceMechanism(0.3, 2), U01, 5, linear()).method == "exact"
+        assert evaluate(VcgMechanism(1, 0.0), U01, 3, linear()).method == "exact"
+        assert evaluate(VcgMechanism(1, 0.4), U01, 3, linear()).method == "exact"
         # supply covering all bidders is a posted offer at the reserve
-        r = evaluate(VcgMechanism(4, 0.4), U01, 3, linear(), samples=2000, seed=0)
+        r = evaluate(VcgMechanism(4, 0.4), U01, 3, linear())
         assert r.method == "exact"
         assert r.mean_utility == pytest.approx(
             eval_posted_exact(U01, 0.4, 3, 3, linear()).mean_utility, abs=1e-12)
 
     def test_mc_fallback_for_reserved_multiunit(self):
-        # reserved multi-unit VCG is exact; MC only takes binomial sums over
-        # more than MAX_EXACT_N bidders
-        r = evaluate(VcgMechanism(2, 0.3), U01, 5, linear(), samples=2000, seed=0)
+        # there is no Monte Carlo fallback: reserved multi-unit VCG, posted
+        # prices and k >= n are exact past the 10,000 bidders that once sampled
+        r = evaluate(VcgMechanism(2, 0.3), U01, 5, linear())
         assert r.method == "exact" and r.samples == 0
         assert r == eval_vcg_exact(U01, 5, 2, linear(), 0.3)
-        for m in (VcgMechanism(2, 0.3), PostedPriceMechanism(0.3, 2),
-                  VcgMechanism(MAX_EXACT_N + 1, 0.0)):
-            r = evaluate(m, U01, MAX_EXACT_N + 1, linear(), samples=1000, seed=0)
-            assert r.method == "monte_carlo" and r.samples == 1000
+        n = 10_001
+        for m in (VcgMechanism(2, 0.3), PostedPriceMechanism(0.3, 2), VcgMechanism(n, 0.0)):
+            r = evaluate(m, U01, n, linear())
+            assert r.method == "exact" and r.samples == 0 and r.ci_halfwidth == 0.0
+        # all n bidders clear a reserve of 0: k >= n units earn the reserve, 0
+        assert evaluate(VcgMechanism(n, 0.0), U01, n, linear()).mean_utility == 0.0
+        # 0.3 sells to each of n bidders w.p. 0.7, and 2 units nearly surely go
+        r = evaluate(PostedPriceMechanism(0.3, 2), U01, n, linear())
+        assert r.mean_utility == pytest.approx(0.6, rel=1e-15)
 
-    @pytest.mark.parametrize("n", [MAX_EXACT_N + 1, 50_000, 10 ** 6])
+    @pytest.mark.parametrize("n", [10_001, 50_000, 10 ** 6])
     def test_scarce_units_above_a_cleared_reserve_stay_exact(self, n):
         # every bidder clears the reserve and k < n: no binomial sum, so
         # any n is exact; E of the second highest of n uniforms is
@@ -448,15 +450,43 @@ class TestEvaluateDispatch:
                            (VcgMechanism(n // 2, 0.0), U01, n // 2 * (n - n // 2) / (n + 1)),
                            (VcgMechanism(1, 0.4), uniform(0.5, 2.0),
                             0.5 + 1.5 * (n - 1) / (n + 1))):
-            r = evaluate(m, d, n, linear(), samples=1000, seed=0)
+            r = evaluate(m, d, n, linear())
             assert r.method == "exact"
             assert r.mean_utility == pytest.approx(want, rel=1e-8)
 
     def test_agreement_between_paths(self):
-        exact = evaluate(VcgMechanism(1, 0.4), U01, 3, linear(),
-                         samples=2000, seed=0)
+        exact = evaluate(VcgMechanism(1, 0.4), U01, 3, linear())
         mc = eval_mc(VcgMechanism(1, 0.4), U01, 3, linear(),
                      samples=300_000, seed=1)
+        assert abs(mc.mean_utility - exact.mean_utility) <= 4 * mc.ci_halfwidth
+
+
+class TestManyBidders:
+    """Closed forms past the 10,000 bidders where evaluation once sampled."""
+
+    @pytest.mark.parametrize("n", [10_001, 10 ** 5, 10 ** 6, 10 ** 8])
+    def test_reserve_free_second_price(self, n):
+        # E of the second highest of n uniforms
+        r = evaluate(VcgMechanism(1, 0.0), U01, n, linear())
+        assert r.method == "exact"
+        assert r.mean_utility == pytest.approx((n - 1) / (n + 1), rel=1e-8)
+
+    @pytest.mark.parametrize("n", [10_001, 10 ** 5, 10 ** 6, 10 ** 8])
+    @pytest.mark.parametrize("k_extra", [0, 3])
+    def test_posted_price_with_supply_for_all(self, n, k_extra):
+        # k >= n: each of n bidders pays 0.3 w.p. 0.7; the window leaves out
+        # mass, which abserr states at its largest weight, u(0.3 n)
+        r = evaluate(PostedPriceMechanism(0.3, n + k_extra), U01, n, linear())
+        want = 0.3 * n * 0.7
+        assert r.method == "exact"
+        assert r.abserr == BINOM_TAIL * 0.3 * n
+        assert abs(r.mean_utility - want) <= r.abserr + 1e-12 * want
+
+    def test_monte_carlo_agrees_at_20000_bidders(self):
+        m, n = VcgMechanism(2, 0.3), 20_000
+        exact = evaluate(m, U01, n, linear())
+        mc = eval_mc(m, U01, n, linear(), samples=1000, seed=11)
+        assert mc.ci_halfwidth > 0
         assert abs(mc.mean_utility - exact.mean_utility) <= 4 * mc.ci_halfwidth
 
 
@@ -489,7 +519,8 @@ class TestBenchmark:
         assert myerson_revenue(U01, 3, 2) == (pytest.approx(23 / 32, abs=1e-14), 0.0)
 
     def test_myerson_revenue_mc_branch(self):
-        rev, ci = myerson_revenue(U01, 3, 2, seed=0, samples=200_000)
+        # the exact benchmark against a plain-NumPy Monte Carlo estimate
+        rev, ci = myerson_revenue(U01, 3, 2)
         assert ci == 0.0
         # independent plain-numpy estimate of vcg(2, 0.5) revenue on 3 bidders:
         # min(2, #{bids >= 1/2}) winners each pay max(1/2, lowest bid)
@@ -500,11 +531,11 @@ class TestBenchmark:
         want = float(revs.mean())
         w_ci = 1.96 * float(revs.std(ddof=1)) / math.sqrt(len(revs))
         assert abs(rev - want) <= 4 * w_ci
-        # beyond MAX_EXACT_N bidders the benchmark is Monte Carlo
-        n = MAX_EXACT_N + 1
-        big = myerson_revenue(U01, n, 2, seed=0, samples=1000)
-        assert big[1] > 0
-        assert big == myerson_revenue(U01, n, 2, seed=0, samples=1000)
+        # past 10,000 bidders the benchmark is exact too: 2 units at the 3rd
+        # highest of n uniforms, all above the reserve 1/2 but for 2^-n
+        n = 10_001
+        big = myerson_revenue(U01, n, 2)
+        assert big == (pytest.approx(2 * (n - 2) / (n + 1), rel=1e-12), 0.0)
 
 
 def worst_ratio(m, d, n, k, fam) -> float:
@@ -639,10 +670,9 @@ class TestIdentity:
         for d, r in ((curve, 0.0), (curve, 0.79), (uniform(0.5, 2.0), 0.4)):
             with pytest.raises(ValueError, match="lowest value"):
                 virtual_utility_identity_stats(d, VcgMechanism(1, r), linear(), 1)
-        # price(1) rounds below support[0] on some curves; a reserve there
-        # is the lowest value
+        # price(1) is support[0], the lowest value, exactly
         d = gen_regular(3, 8)
-        assert float(d.price(1.0)) < d.support[0]
+        assert float(d.price(1.0)) == d.support[0]
         sides = virtual_utility_identity_stats(d, VcgMechanism(1, float(d.price(1.0))),
                                                linear(), 2)
         assert abs(sides["lhs"] - sides["rhs"]) <= sides["tolerance"]
@@ -659,8 +689,9 @@ class TestIdentity:
 
 
 def test_no_scipy_quadrature_in_the_package():
+    # nor any other part of SciPy: the binomial kernel was its last use
     code = ("import sys, riskauctions, riskauctions.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env).stdout

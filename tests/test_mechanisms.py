@@ -261,7 +261,7 @@ class TestAllocationProbability:
 
     def test_refuses_huge_n(self):
         with pytest.raises(ValueError):
-            allocation_probability(10_001, 5, 0.6)
+            allocation_probability(10 ** 15, 5, 0.6)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,8 @@
-"""Binomial pmf rows: bit identity with the one-pmf-per-call formula; the
+"""The binomial kernel against 40-digit mpmath, its windows and rows; the
 sign-change bisection; the adaptive Gauss-Kronrod quadrature.
-
-`scalar_binom_pmf` is the log-space formula that evaluated one pmf per call
-before the row form existed; every row must reproduce its bits.
 """
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -12,24 +10,67 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln
 
 from riskauctions import numerics
-from riskauctions.numerics import (GK21_NODES, GK21_WEIGHTS, MAX_EXACT_N, QUAD_EPSABS,
-                                  QUAD_EPSREL, binom_pmf, binom_pmf_rows, bisect_root,
+from riskauctions.numerics import (BINOM_BUDGET, BINOM_TAIL, GK21_NODES, GK21_WEIGHTS,
+                                  PMF_ERR, PMF_ERR_LAMBDA, QUAD_EPSABS, QUAD_EPSREL,
+                                  STIRLERR_EXACT, binom_halfwidth, binom_pmf,
+                                  binom_pmf_rows, binom_window, bisect_root,
                                   gauss_kronrod, order_stat_pdf)
 
 SPECIAL_PS = [0.0, 1.0, 1e-300, 1.0 - 2.0 ** -53]
+U = 2.0 ** -53
 
 
-def scalar_binom_pmf(n, p):
-    y = np.arange(n + 1)
-    if p == 0.0 or p == 1.0:
-        out = np.zeros(n + 1)
-        out[0 if p == 0.0 else n] = 1.0
-        return out
-    return np.exp(gammaln(n + 1) - gammaln(y + 1) - gammaln(n - y + 1)
-                  + y * math.log(p) + (n - y) * math.log1p(-p))
+def mp_pmf_and_lambda(n, p, y):
+    """The Bin(n, p) pmf at y to 40 digits, and lambda = bd0(y, np) +
+    bd0(n - y, nq) of the kernel's error bound."""
+    with mpmath.workdps(40):
+        p, q = mpmath.mpf(p), 1 - mpmath.mpf(p)
+        pmf = mpmath.binomial(n, y) * p ** y * q ** (n - y)
+        lam = ((y * mpmath.log(y / (n * p)) if y else 0)
+               + ((n - y) * mpmath.log((n - y) / (n * q)) if y < n else 0))
+        return pmf, float(lam)
+
+
+def test_stirlerr_constants_against_mpmath():
+    with mpmath.workdps(40):
+        for y in range(1, 16):
+            want = (mpmath.loggamma(y + 1) - (y + mpmath.mpf(0.5)) * mpmath.log(y) + y
+                    - mpmath.log(2 * mpmath.pi) / 2)
+            assert STIRLERR_EXACT[y] == float(want), y
+        # the series takes over above 15; its error, which enters the pmf's
+        # exponent as it is, stays below 2^-52 (the truncation at 16)
+        for y in (16, 17, 40, 1000, 10 ** 6):
+            want = (mpmath.loggamma(y + 1) - (y + mpmath.mpf(0.5)) * mpmath.log(y) + y
+                    - mpmath.log(2 * mpmath.pi) / 2)
+            got = float(numerics._stirlerr_range(y, y)[0])
+            assert abs(got - want) <= 2 * U, y
+
+
+@pytest.mark.parametrize("n,p", [(60, 0.95), (10 ** 4, 0.5), (10 ** 4, 1e-3),
+                                 (10 ** 6, 0.37), (10 ** 8, 0.5)])
+def test_kernel_within_its_stated_bound(n, p):
+    # y at the mean and 1, 3, 8 and 30 standard deviations either side
+    sd = math.sqrt(n * p * (1 - p))
+    ys, pmf, _ = binom_window(n, p)
+    for z in (0, 1, 3, 8, 30):
+        for y in {min(max(round(n * p + s * z * sd), 0), n) for s in (-1, 1)}:
+            if not ys[0] <= y <= ys[-1]:
+                continue  # outside the window at 30 sd
+            got = float(pmf[int(y - ys[0])])
+            want, lam = mp_pmf_and_lambda(n, p, y)
+            assert abs(got - want) <= (PMF_ERR + PMF_ERR_LAMBDA * lam) * U * want, (y, lam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 400), p=st.floats(1e-6, 1.0, exclude_max=True))
+def test_kernel_within_its_stated_bound_on_whole_rows(n, p):
+    # both sides of n = 180, where the deviance series starts
+    for y, got in enumerate(binom_pmf(n, p).tolist()):
+        want, lam = mp_pmf_and_lambda(n, p, y)
+        if want > 1e-300:
+            assert abs(got - want) <= (PMF_ERR + PMF_ERR_LAMBDA * lam) * U * want, y
 
 
 @settings(max_examples=300, deadline=None)
@@ -42,9 +83,9 @@ def test_rows_are_bit_equal_to_one_pmf_per_call(n, drawn, order):
     rows = binom_pmf_rows(n, ps)
     assert rows.shape == (len(ps), n + 1)
     for p, row in zip(ps, rows):
-        want = scalar_binom_pmf(n, p)
-        assert row.tobytes() == want.tobytes(), p
-        assert binom_pmf(n, p).tobytes() == want.tobytes(), p
+        assert binom_pmf(n, p).tobytes() == row.tobytes(), p
+        ys, pmf, _ = binom_window(n, p)
+        assert pmf.tobytes() == row[int(ys[0]):int(ys[-1]) + 1].tobytes(), p
 
 
 def test_edge_rows_are_unit_vectors():
@@ -52,33 +93,69 @@ def test_edge_rows_are_unit_vectors():
     assert rows.tolist() == [[1, 0, 0, 0, 0], [0, 0, 0, 0, 1], [1, 0, 0, 0, 0]]
     assert binom_pmf_rows(0, [0.0, 0.3, 1.0]).tolist() == [[1.0], [1.0], [1.0]]
     assert binom_pmf_rows(7, []).shape == (0, 8)
+    for p, y in ((0.0, 0.0), (1.0, 7.0)):
+        assert [a.tolist() for a in binom_window(7, p)[:2]] == [[y], [1.0]]
 
 
 def test_edge_rows_raise_no_overflow_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rows = binom_pmf_rows(MAX_EXACT_N, [0.0, 1.0, 0.5])
+        rows = binom_pmf_rows(10_000, [0.0, 1.0, 0.5])
     assert rows[0, 0] == 1.0 and rows[1, -1] == 1.0 and rows[:2].sum() == 2.0
 
 
 def test_rows_sum_to_one():
     rows = binom_pmf_rows(60, np.linspace(0.0, 1.0, 41))
-    np.testing.assert_allclose(rows.sum(axis=1), 1.0, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(rows.sum(axis=1), 1.0, rtol=0, atol=60 * 2 * U)
+
+
+@pytest.mark.parametrize("n", [1, 21, 22, 1000, 20_000, 10 ** 6, 10 ** 8])
+@pytest.mark.parametrize("p", [1e-9, 1e-3, 0.37, 0.5, 1 - 1e-6])
+def test_windows_sum_to_one_within_their_tail(n, p):
+    ys, pmf, tail = binom_window(n, p)
+    assert np.array_equal(ys, np.arange(ys[0], ys[-1] + 1))
+    assert tail == (0.0 if len(ys) == n + 1 else BINOM_TAIL)
+    assert len(ys) <= min(n + 1, 2 * binom_halfwidth(n) + 3)
+    assert abs(float(pmf.sum()) - 1.0) <= n * 2 * U + tail
+
+
+def test_small_n_windows_are_whole_rows():
+    # a > n up to n = 21, so nothing is left out whatever p is
+    assert binom_halfwidth(21) > 21
+    for n in range(22):
+        for p in (1e-300, 1e-3, 0.5, 0.999):
+            ys, _, tail = binom_window(n, p)
+            assert (ys[0], ys[-1], tail) == (0, n, 0.0)
+
+
+def test_huge_n_is_refused_before_anything_is_allocated():
+    tracemalloc.start()
+    try:
+        for call in (lambda: binom_window(10 ** 15, 0.5), lambda: binom_window(10 ** 400, 0.5),
+                     lambda: binom_pmf(BINOM_BUDGET, 0.5),
+                     lambda: binom_pmf_rows(1000, np.full(BINOM_BUDGET // 1000, 0.5))):
+            with pytest.raises(ValueError, match="more than the 4194304 terms allowed"):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20  # the last call's 4,194 probabilities, no rows
+    # the largest window that fits: n = 2 * 10^11, about 2.9 million terms
+    assert 2 * binom_halfwidth(2 * 10 ** 11) + 3 <= BINOM_BUDGET
 
 
 def test_validation_matches_the_scalar_form():
-    for call in (lambda: binom_pmf_rows(-1, [0.5]), lambda: binom_pmf(-1, 0.5)):
+    for call in (lambda: binom_pmf_rows(-1, [0.5]), lambda: binom_pmf(-1, 0.5),
+                 lambda: binom_window(-1, 0.5)):
         with pytest.raises(ValueError, match="nonnegative"):
-            call()
-    for call in (lambda: binom_pmf_rows(MAX_EXACT_N + 1, [0.5]),
-                 lambda: binom_pmf(MAX_EXACT_N + 1, 0.5)):
-        with pytest.raises(ValueError, match="limited to n <= 10000"):
             call()
     for bad in (-1e-12, 1.0 + 1e-12, math.nan, math.inf):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             binom_pmf_rows(5, [0.5, bad])
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             binom_pmf(5, bad)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            binom_window(5, bad)
     with pytest.raises(ValueError, match="1-d"):
         binom_pmf_rows(5, [[0.5]])
 
@@ -156,9 +233,9 @@ def test_gauss_kronrod_reports_a_hit_budget(monkeypatch):
 
 @pytest.mark.parametrize("t,n", [(2, 5), (3, 40), (600, 1200), (5000, 10_000), (2, 10 ** 6)])
 def test_order_stat_pdf_takes_arrays(t, n):
-    # the log-space branch (the middle two) runs the same NumPy operations
-    # on a float and on an array; the polynomial branch's power differs
-    # between Python floats and NumPy by an ulp or so
+    # the kernel branch (the middle two) runs the same NumPy operations on a
+    # float and on an array; the polynomial branch's power differs between
+    # Python floats and NumPy by an ulp or so
     qs = np.concatenate([[0.0, 5e-324, 1e-300, 1.0 - 2.0 ** -53, 1.0],
                          np.random.default_rng(1).random(2000)])
     pdf = order_stat_pdf(t, n)
@@ -166,3 +243,12 @@ def test_order_stat_pdf_takes_arrays(t, n):
     assert all(isinstance(pdf(float(q)), float) for q in qs[:5])
     np.testing.assert_allclose(pdf(qs), one_at_a_time, rtol=1e-15, atol=0.0)
     assert pdf(qs)[0] == 0.0 and pdf(qs)[4] == 0.0
+
+
+@pytest.mark.parametrize("t,n,q", [(600, 1200, 0.5), (600, 1200, 0.47),
+                                   (5000, 10_000, 0.51), (1100, 3000, 0.35)])
+def test_order_stat_pdf_kernel_branch_against_mpmath(t, n, q):
+    # n pmf(t - 1; n - 1, q), within the kernel's bound (and a rounding of n)
+    got = order_stat_pdf(t, n)(q)
+    want, lam = mp_pmf_and_lambda(n - 1, q, t - 1)
+    assert abs(got - n * want) <= (PMF_ERR + 1 + PMF_ERR_LAMBDA * lam) * U * n * want
