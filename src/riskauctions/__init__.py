@@ -24,10 +24,9 @@ from .mechanisms import (PostedPriceMechanism, VcgMechanism, allocation_probabil
                          batch_outcomes, batch_revenue, hedge_limited_price,
                          hedge_unlimited_price, make_mechanism, parse_mechanism)
 from .report import CSV_COLUMNS, LemmaReport, report_from_margin
-from .utilities import (UtilityFamily, UtilityFunction, capped,
-                        check_virtual_utility_monotone, default_family, linear,
-                        maximize_single_bidder, optimal_reserve, parse_family,
-                        parse_utility, parse_utility_or_family, power,
+from .utilities import (UtilityFunction, capped, check_virtual_utility_monotone,
+                        default_family, linear, maximize_single_bidder,
+                        optimal_reserve, parse_utilities, parse_utility, power,
                         virtual_utility_at_quantile)
 
 __version__ = "0.1.0"
@@ -38,9 +37,9 @@ __all__ = [
     "RevenueCurveDistribution", "SpecParseError", "exponential",
     "irregular_example", "left_triangle", "make_distribution", "revenue_curve",
     "uniform",
-    "UtilityFamily", "UtilityFunction", "capped", "default_family", "linear",
-    "maximize_single_bidder", "optimal_reserve", "parse_family", "parse_utility",
-    "parse_utility_or_family", "power", "virtual_utility_at_quantile",
+    "UtilityFunction", "capped", "default_family", "linear",
+    "maximize_single_bidder", "optimal_reserve", "parse_utilities", "parse_utility",
+    "power", "virtual_utility_at_quantile",
     "check_virtual_utility_monotone",
     "PostedPriceMechanism", "VcgMechanism", "allocation_probability",
     "batch_outcomes", "batch_revenue", "hedge_limited_price", "hedge_unlimited_price",

@@ -33,7 +33,7 @@ from .mechanisms import VcgMechanism, hedge_limited_price, hedge_unlimited_price
     parse_mechanism
 from .report import CSV_COLUMNS
 from .utilities import (linear, maximize_single_bidder, optimal_reserve,
-                        parse_utility_or_family, power)
+                        parse_utilities, power)
 
 MIN_SAMPLES = 1_000
 MAX_GRID = 1_000_000
@@ -72,10 +72,11 @@ def _read_config(path: str) -> dict[str, str]:
     return values
 
 
+# the config keys: options that a subcommand may leave unset (a positional
+# spec and eval's --mech and --dist are required on the command line)
 _CONVERTERS = {
     "seed": int, "samples": int, "grid": int, "n": int, "k": int,
-    "out": str, "format": str, "dist": str, "mech": str, "utility": str,
-    "family": str, "spec": str,
+    "out": str, "format": str, "dist": str, "utility": str, "family": str,
 }
 
 
@@ -97,7 +98,9 @@ def _resolve(args: argparse.Namespace, defaults: dict, svg_ok: bool = False) -> 
             setattr(args, key, defaults[key])
     if getattr(args, "samples", None) is not None and args.samples < MIN_SAMPLES:
         raise SpecParseError(f"samples must be at least {MIN_SAMPLES}")
-    if getattr(args, "format", None) == "svg" and not svg_ok:
+    if args.format not in ("csv", "svg"):  # a config value skips argparse's choices
+        raise SpecParseError(f"format must be csv or svg, not {args.format!r}")
+    if args.format == "svg" and not svg_ok:
         raise SpecParseError("svg output applies to dist and frontier only")
 
 
@@ -233,8 +236,8 @@ def cmd_price(args) -> int:
             k = args.k if args.k is not None else 1
             lines.append(f"hedge_limited={_fmt(hedge_limited_price(d, args.n, k))}")
     if args.utility is not None:
-        u = parse_utility_or_family(args.utility)
-        if hasattr(u, "members"):
+        u = parse_utilities(args.utility)[0]
+        if args.utility.strip().startswith("family"):
             raise SpecParseError("price takes a single utility, not a family")
         lines.append(f"r_u_star={_fmt_toward_zero(maximize_single_bidder(d, u)[0])}")
     _emit("".join(line + "\n" for line in lines), args.out)
@@ -249,13 +252,12 @@ def cmd_eval(args) -> int:
     n = args.n if args.n is not None else (implied_n if implied_n is not None else 1)
     if n < 1:
         raise SpecParseError("n must be at least 1")
-    parsed = parse_utility_or_family(args.utility)
-    members = list(parsed.members) if hasattr(parsed, "members") else [parsed]
+    utilities = parse_utilities(args.utility)
     rev, _ = myerson_revenue(d, n, mech.k)
     rows = []
-    for u in members:
+    for u in utilities:
         res = evaluate(mech, d, n, u)
-        res = res.against(float(u(rev)))
+        res = res.against(u(rev))
         rows.append([args.mech, args.dist, str(n), str(mech.k), u.label,
                      res.method, _fmt(res.mean_utility), _fmt(res.ci_halfwidth),
                      _fmt(res.benchmark), _fmt(res.ratio)])
@@ -333,8 +335,7 @@ def cmd_frontier(args) -> int:
     _resolve(args, {"seed": 42, "format": "csv",
                     "grid": 1000, "family": "family:default"}, svg_ok=True)
     d = make_distribution(args.spec)
-    parsed = parse_utility_or_family(args.family)
-    fam = list(parsed.members) if hasattr(parsed, "members") else [parsed]
+    fam = parse_utilities(args.family)
     _check_grid(args.grid)
     fr = frontier_search(d, fam, args.grid)
     min_ratio = fr.ratios.min(axis=0)

@@ -20,6 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .numerics import elementwise
+
 __all__ = [
     "SpecParseError",
     "NotDifferentiableError",
@@ -47,12 +49,15 @@ class NotDifferentiableError(ValueError):
     """A density-based quantity was requested at a kink or atom."""
 
 
-def _ret(x, scalar):
-    return float(x) if scalar else x
-
-
 class Distribution:
-    """Common interface; concrete behavior lives in the subclasses."""
+    """Common interface: a float in, a float out; an array in, an array out.
+
+    A kind supplies array kernels (``_price``, ``_sale_probability``,
+    ``_marginal_revenue``, ``_cdf``, ``_quantile``, ``_inverse_hazard``, and
+    ``_revenue`` if R(q) has a better form than q * price(q)); the public
+    methods here check the domain once and run them through
+    `numerics.elementwise`.
+    """
 
     kind: str = ""
 
@@ -60,38 +65,40 @@ class Distribution:
 
     def cdf(self, v):
         """F(v) = Pr[value <= v], right-continuous; v must be >= 0."""
-        raise NotImplementedError
+        return elementwise(self._cdf, v, lo=0.0, message="values are nonnegative")
 
     def sale_probability(self, p):
         """Pr[value >= p]; includes any atom sitting exactly at p."""
-        raise NotImplementedError
+        return elementwise(self._sale_probability, p)
 
     def quantile(self, p):
         """Generalized inverse inf{v : F(v) >= p} for p in [0, 1]."""
-        raise NotImplementedError
+        return elementwise(self._quantile, p, lo=0.0, hi=1.0,
+                           message="quantile needs p in [0, 1]")
 
     def price(self, q):
         """Price reaching the q highest-value buyers; equals R(q)/q on (0, 1]."""
-        raise NotImplementedError
+        return elementwise(self._price, q)
 
     def marginal_revenue(self, q):
         """R'(q) for q in (0, 1]: the slope of the revenue curve, from the left
         at kinks, so a top atom's marginal revenue is its price."""
-        raise NotImplementedError
+        return elementwise(self._marginal_revenue, q)
 
     def revenue(self, q):
         """R(q) = q * price(q), with R(0) = 0 taken as the limit."""
-        q_arr = np.asarray(q, dtype=float)
-        if np.any(q_arr < 0) or np.any(q_arr > 1):
-            raise ValueError("revenue is defined for q in [0, 1]")
-        scalar = np.isscalar(q) or q_arr.ndim == 0
-        with np.errstate(invalid="ignore"):
-            out = np.where(q_arr > 0, q_arr * self.price(np.maximum(q_arr, 1e-300)), 0.0)
-        return _ret(out, scalar)
+        return elementwise(self._revenue, q, lo=0.0, hi=1.0,
+                           message="revenue is defined for q in [0, 1]")
 
     def inverse_hazard(self, v):
         """(1 - F(v)) / f(v); finite limits at support edges are honored."""
-        raise NotImplementedError
+        lo, hi = self.support
+        return elementwise(self._inverse_hazard, v, lo=lo, hi=hi,
+                           message="hazard is defined on the support only")
+
+    def _revenue(self, q):
+        with np.errstate(invalid="ignore"):
+            return np.where(q > 0, q * self._price(np.maximum(q, 1e-300)), 0.0)
 
     def breakpoints(self) -> tuple[float, ...]:
         """Interior quantiles where price(q) has a kink or a jump; none here."""
@@ -100,10 +107,6 @@ class Distribution:
     @property
     def support(self) -> tuple[float, float]:
         raise NotImplementedError
-
-    @property
-    def top_atom_mass(self) -> float:
-        return 0.0
 
     @property
     def spec_string(self) -> str:
@@ -167,48 +170,28 @@ class Uniform(Distribution):
     def spec_string(self):
         return f"uniform:{self.a:g},{self.b:g}"
 
-    def cdf(self, v):
-        v_arr = np.asarray(v, dtype=float)
-        if np.any(v_arr < 0):
-            raise ValueError("values are nonnegative")
-        scalar = np.isscalar(v) or v_arr.ndim == 0
-        out = np.clip((v_arr - self.a) / (self.b - self.a), 0.0, 1.0)
-        return _ret(out, scalar)
+    def _cdf(self, v):
+        return np.clip((v - self.a) / (self.b - self.a), 0.0, 1.0)
 
-    def sale_probability(self, p):
-        p_arr = np.asarray(p, dtype=float)
-        scalar = np.isscalar(p) or p_arr.ndim == 0
-        out = 1.0 - np.clip((p_arr - self.a) / (self.b - self.a), 0.0, 1.0)
-        return _ret(out, scalar)
+    def _sale_probability(self, p):
+        return 1.0 - np.clip((p - self.a) / (self.b - self.a), 0.0, 1.0)
 
-    def quantile(self, p):
-        p_arr = np.asarray(p, dtype=float)
-        if np.any(p_arr < 0) or np.any(p_arr > 1):
-            raise ValueError("quantile needs p in [0, 1]")
-        scalar = np.isscalar(p) or p_arr.ndim == 0
-        return _ret(self.a + p_arr * (self.b - self.a), scalar)
+    def _quantile(self, p):
+        return self.a + p * (self.b - self.a)
 
-    def price(self, q):
-        q_arr = np.asarray(q, dtype=float)
-        scalar = np.isscalar(q) or q_arr.ndim == 0
-        return _ret(self.a + (1.0 - q_arr) * (self.b - self.a), scalar)
+    def _price(self, q):
+        return self.a + (1.0 - q) * (self.b - self.a)
 
-    def marginal_revenue(self, q):
-        q_arr = np.asarray(q, dtype=float)
-        scalar = np.isscalar(q) or q_arr.ndim == 0
-        return _ret(self.a + (1.0 - 2.0 * q_arr) * (self.b - self.a), scalar)
+    def _marginal_revenue(self, q):
+        return self.a + (1.0 - 2.0 * q) * (self.b - self.a)
 
-    def inverse_hazard(self, v):
-        v_arr = np.asarray(v, dtype=float)
-        if np.any(v_arr < self.a) or np.any(v_arr > self.b):
-            raise ValueError("hazard is defined on the support only")
-        scalar = np.isscalar(v) or v_arr.ndim == 0
-        return _ret(self.b - v_arr, scalar)
+    def _inverse_hazard(self, v):
+        return self.b - v
 
     def _find_monopoly(self):
         # closed form: p(b - p)/(b - a) peaks at b/2, clipped to the support
         p = max(self.b / 2.0, self.a)
-        return p, float(self.sale_probability(p))
+        return p, self.sale_probability(p)
 
 
 class Exponential(Distribution):
@@ -227,47 +210,27 @@ class Exponential(Distribution):
     def spec_string(self):
         return f"exponential:{self.rate:g}"
 
-    def cdf(self, v):
-        v_arr = np.asarray(v, dtype=float)
-        if np.any(v_arr < 0):
-            raise ValueError("values are nonnegative")
-        scalar = np.isscalar(v) or v_arr.ndim == 0
-        return _ret(-np.expm1(-self.rate * v_arr), scalar)
+    def _cdf(self, v):
+        return -np.expm1(-self.rate * v)
 
-    def sale_probability(self, p):
-        p_arr = np.asarray(p, dtype=float)
-        scalar = np.isscalar(p) or p_arr.ndim == 0
-        return _ret(np.exp(-self.rate * np.maximum(p_arr, 0.0)), scalar)
+    def _sale_probability(self, p):
+        return np.exp(-self.rate * np.maximum(p, 0.0))
 
-    def quantile(self, p):
-        p_arr = np.asarray(p, dtype=float)
-        if np.any(p_arr < 0) or np.any(p_arr > 1):
-            raise ValueError("quantile needs p in [0, 1]")
-        if np.any(p_arr >= 1):
+    def _quantile(self, p):
+        if np.any(p >= 1):
             raise ValueError("p >= 1 has no finite quantile for an unbounded support")
-        scalar = np.isscalar(p) or p_arr.ndim == 0
-        return _ret(-np.log1p(-p_arr) / self.rate, scalar)
+        return -np.log1p(-p) / self.rate
 
-    def price(self, q):
-        q_arr = np.asarray(q, dtype=float)
-        scalar = np.isscalar(q) or q_arr.ndim == 0
+    def _price(self, q):
         with np.errstate(divide="ignore"):
-            out = -np.log(q_arr) / self.rate + 0.0  # price(1) is +0, not -0
-        return _ret(out, scalar)
+            return -np.log(q) / self.rate + 0.0  # price(1) is +0, not -0
 
-    def marginal_revenue(self, q):
-        q_arr = np.asarray(q, dtype=float)
-        scalar = np.isscalar(q) or q_arr.ndim == 0
+    def _marginal_revenue(self, q):
         with np.errstate(divide="ignore"):
-            out = (-np.log(q_arr) - 1.0) / self.rate
-        return _ret(out, scalar)
+            return (-np.log(q) - 1.0) / self.rate
 
-    def inverse_hazard(self, v):
-        v_arr = np.asarray(v, dtype=float)
-        if np.any(v_arr < 0):
-            raise ValueError("hazard is defined on the support only")
-        scalar = np.isscalar(v) or v_arr.ndim == 0
-        return _ret(np.full_like(v_arr, 1.0 / self.rate), scalar)
+    def _inverse_hazard(self, v):
+        return np.full_like(v, 1.0 / self.rate)
 
     def _find_monopoly(self):
         # closed form: p*exp(-rate*p) peaks at 1/rate with sale probability 1/e
@@ -320,12 +283,7 @@ class RevenueCurveDistribution(Distribution):
 
         self.kind = kind
         self._label = label
-        # Collinear leading segments extend the constant-price stretch.
-        i = 1
-        while i + 1 < len(self._prices) and self._prices[i + 1] == self._prices[0]:
-            i += 1
-        self._atom = float(qs[i])
-        # Plain-float copies for the scalar paths.
+        # Plain-float copies for the float paths.
         self._qs_list = qs.tolist()
         self._slopes_list = self._slopes.tolist()
         self._price0 = float(self._prices[0])
@@ -339,19 +297,11 @@ class RevenueCurveDistribution(Distribution):
         return (float(self._prices[-1]), float(self._prices[0]))
 
     @property
-    def top_atom_mass(self):
-        return self._atom
-
-    @property
     def spec_string(self):
         body = ";".join(f"{q:g}:{r:g}" for q, r in zip(self._qs, self._rs))
         return f"revenue-curve:{body}"
 
     # -- quantile-space primitives ------------------------------------------
-
-    def _segment_of_q(self, q_arr):
-        idx = np.searchsorted(self._qs, q_arr, side="left") - 1
-        return np.clip(idx, 0, len(self._slopes) - 1)
 
     def breakpoints(self):
         return tuple(self._qs_list[1:-1])
@@ -375,19 +325,22 @@ class RevenueCurveDistribution(Distribution):
     def _price_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return tuple(np.array(v) for v in self._price_segments)
 
+    # price and marginal_revenue take a float without NumPy, as the
+    # single-bidder search calls them once per bisection step
+
     def price(self, q):
         if isinstance(q, float):  # also np.float64, a float subclass
             return self._price_of_float(float(q))
-        q_arr = np.asarray(q, dtype=float)
-        scalar = np.isscalar(q) or q_arr.ndim == 0
+        return elementwise(self._price, q)
+
+    def _price(self, q):
         qs, intercepts, slopes = self._price_arrays
-        idx = np.maximum(np.searchsorted(qs, q_arr, side="left") - 1, 0)
+        idx = np.maximum(np.searchsorted(qs, q, side="left") - 1, 0)
         with np.errstate(divide="ignore", invalid="ignore"):
             # on curves ending at R(1) = 0 the last segment can round to
             # -2.2e-16 near q = 1
-            v = np.maximum(intercepts[idx] / q_arr + slopes[idx], 0.0)
-        out = np.where(q_arr <= self._qs[1], self._prices[0], v)
-        return _ret(out, scalar)
+            v = np.maximum(intercepts[idx] / q + slopes[idx], 0.0)
+        return np.where(q <= self._qs[1], self._prices[0], v)
 
     def _price_of_float(self, q: float) -> float:
         # The array path above, one point at a time: the same bisection, one
@@ -405,22 +358,20 @@ class RevenueCurveDistribution(Distribution):
         if isinstance(q, float):
             j = bisect_left(self._qs_list, q) - 1
             return self._slopes_list[min(max(j, 0), len(self._slopes_list) - 1)]
-        q_arr = np.asarray(q, dtype=float)
-        scalar = np.isscalar(q) or q_arr.ndim == 0
-        return _ret(self._slopes[self._segment_of_q(q_arr)], scalar)
+        return elementwise(self._marginal_revenue, q)
 
-    def revenue(self, q):
-        q_arr = np.asarray(q, dtype=float)
-        if np.any(q_arr < 0) or np.any(q_arr > 1):
-            raise ValueError("revenue is defined for q in [0, 1]")
-        scalar = np.isscalar(q) or q_arr.ndim == 0
-        return _ret(np.interp(q_arr, self._qs, self._rs), scalar)
+    def _marginal_revenue(self, q):
+        idx = np.searchsorted(self._qs, q, side="left") - 1
+        return self._slopes[np.clip(idx, 0, len(self._slopes) - 1)]
 
-    def _q_at_price(self, v_arr, strict: bool):
+    def _revenue(self, q):
+        return np.interp(q, self._qs, self._rs)
+
+    def _q_at_price(self, v, strict: bool):
         """Largest q whose price exceeds (strict) or reaches (non-strict) v."""
+        v_arr = np.atleast_1d(v)
         side = "left" if strict else "right"
         j = np.searchsorted(-self._prices, -v_arr, side=side) - 1
-        j = np.asarray(j)
         m = len(self._prices) - 1
         out = np.empty(np.shape(v_arr), dtype=float)
         none = j < 0          # v above every price
@@ -432,64 +383,35 @@ class RevenueCurveDistribution(Distribution):
             jm = j[mid]
             a = self._intercepts[jm]
             b = self._slopes[jm]
-            vm = np.asarray(v_arr)[mid]
             with np.errstate(divide="ignore", invalid="ignore"):
-                q = a / (vm - b)
+                q = a / (v_arr[mid] - b)
             flat = a == 0.0  # constant-price segment: the whole stretch counts
             q = np.where(flat, self._qs[jm + 1], q)
             out[mid] = q
-        return out
+        return out.reshape(np.shape(v))
 
-    def cdf(self, v):
-        v_arr = np.asarray(v, dtype=float)
-        if np.any(v_arr < 0):
-            raise ValueError("values are nonnegative")
-        scalar = np.isscalar(v) or v_arr.ndim == 0
-        out = 1.0 - self._q_at_price(np.atleast_1d(v_arr), strict=True)
-        out = out.reshape(np.shape(v_arr))
-        return _ret(out, scalar)
+    def _cdf(self, v):
+        return 1.0 - self._q_at_price(v, strict=True)
 
-    def sale_probability(self, p):
-        p_arr = np.asarray(p, dtype=float)
-        scalar = np.isscalar(p) or p_arr.ndim == 0
-        out = self._q_at_price(np.atleast_1d(p_arr), strict=False)
-        out = out.reshape(np.shape(p_arr))
-        return _ret(out, scalar)
+    def _sale_probability(self, p):
+        return self._q_at_price(p, strict=False)
 
-    def quantile(self, p):
-        p_arr = np.asarray(p, dtype=float)
-        if np.any(p_arr < 0) or np.any(p_arr > 1):
-            raise ValueError("quantile needs p in [0, 1]")
-        scalar = np.isscalar(p) or p_arr.ndim == 0
-        q = 1.0 - p_arr
-        out = np.where(q <= 0, self._prices[0], self.price(np.maximum(q, 1e-300)))
-        return _ret(out, scalar)
+    def _quantile(self, p):
+        q = 1.0 - p
+        return np.where(q <= 0, self._prices[0], self._price(np.maximum(q, 1e-300)))
 
     # -- density-based quantities -------------------------------------------
 
-    def _segment_of_price(self, v: float) -> int:
-        if not (self.support[0] <= v <= self.support[1]):
-            raise ValueError("hazard is defined on the support only")
-        if v == self._prices[0]:
+    def _inverse_hazard(self, v):
+        if np.any(v == self._prices[0]):
             raise NotDifferentiableError("no density at the atom at the top of the support")
-        interior = self._prices[1:-1]
-        if np.any(v == interior):
+        if np.any(np.isin(v, self._prices[1:-1])):
             raise NotDifferentiableError("not differentiable at a kink of the revenue curve")
-        j = int(np.searchsorted(-self._prices, -v, side="left")) - 1
-        j = min(max(j, 0), len(self._slopes) - 1)
-        if self._intercepts[j] == 0.0:
-            raise NotDifferentiableError("no density inside a constant-price stretch")
-        return j
-
-    def inverse_hazard(self, v):
-        v_arr = np.asarray(v, dtype=float)
-        scalar = np.isscalar(v) or v_arr.ndim == 0
-        if scalar:
-            j = self._segment_of_price(float(v_arr))
-            return float(v_arr) - self._slopes[j]
-        j = np.searchsorted(-self._prices, -v_arr, side="left") - 1
+        j = np.searchsorted(-self._prices, -v, side="left") - 1
         j = np.clip(j, 0, len(self._slopes) - 1)
-        return v_arr - self._slopes[j]
+        if np.any(self._intercepts[j] == 0.0):
+            raise NotDifferentiableError("no density inside a constant-price stretch")
+        return v - self._slopes[j]
 
     # -- structure ------------------------------------------------------------
 

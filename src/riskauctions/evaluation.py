@@ -61,7 +61,7 @@ def _split_points(d: Distribution, u: UtilityFunction, scale: float) -> list[flo
     """Quantile-space points where the integrand loses smoothness."""
     pts = list(d.breakpoints())
     if u.kink is not None and scale > 0:
-        pts.append(float(d.sale_probability(u.kink / scale)))
+        pts.append(d.sale_probability(u.kink / scale))
     return pts
 
 
@@ -100,10 +100,10 @@ def eval_posted_exact(d: Distribution, price: float, n: int, k: int,
     min(n, k))."""
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    q_p = float(d.sale_probability(price))
+    q_p = d.sale_probability(price)
     y, pmf, tail = binom_window(n, q_p)
     mean = float(np.sum(u(price * np.minimum(y, k)) * pmf))
-    err = tail * float(u(price * min(n, k))) if tail else 0.0
+    err = tail * u(price * min(n, k)) if tail else 0.0
     return EvalResult(mean, "exact", abserr=err)
 
 
@@ -126,13 +126,13 @@ def eval_vcg_exact(d: Distribution, n: int, k: int, u: UtilityFunction,
         raise ValueError("need n >= 1 and k >= 1")
     if reserve < 0:
         raise ValueError("reserve must be nonnegative")
-    q_r = float(d.sale_probability(reserve))
+    q_r = d.sale_probability(reserve)
     mean = err = 0.0
     if q_r < 1.0 or k >= n:  # else all n > k bidders clear the reserve
         y, pmf, tail = binom_window(n, q_r)
         j = y[:max(min(k, n) - int(y[0]) + 1, 0)]  # the counts j <= k
         mean = float(np.sum(u(reserve * j) * pmf[:len(j)]))
-        err = tail * float(u(reserve * min(k, n))) if tail else 0.0
+        err = tail * u(reserve * min(k, n)) if tail else 0.0
     if k < n and q_r > 0.0:
         pdf = order_stat_pdf(k + 1, n)
 
@@ -183,7 +183,7 @@ def eval_mc(m: Mechanism, d: Distribution, n: int, u: UtilityFunction,
     for idx, start in enumerate(range(0, samples, rows)):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
         bids = d.draw(rng, (min(rows, samples - start), n))
-        v = np.asarray(u(batch_revenue(m, bids)), dtype=float)
+        v = u(batch_revenue(m, bids))
         del bids  # one chunk of bids at a time, freed after u's result is allocated
         s += v.sum()
         s2 += (v * v).sum()
@@ -243,11 +243,11 @@ def _identity_sides(d: Distribution, n: int, u: UtilityFunction, reserve: float)
       and the held one n * |phi_u(q_last)| * (q_r - q_last).
     """
     lhs = eval_vcg_exact(d, n, 1, u, reserve)
-    q_r = float(d.sale_probability(reserve))
+    q_r = d.sale_probability(reserve)
     rhs = rhs_err = ends = 0.0
     if q_r > 5e-324:
         def phi(q: float) -> float:
-            return float(virtual_utility_at_quantile(d, u, q))
+            return virtual_utility_at_quantile(d, u, q)
 
         # a float or two below q_r = 1, price() can round to 0 on curves
         # ending at R(1) = 0, where phi_u of a power utility is infinite
@@ -264,7 +264,7 @@ def _identity_sides(d: Distribution, n: int, u: UtilityFunction, reserve: float)
             return n * virtual_utility_at_quantile(d, u, q) * (1.0 - q) ** (n - 1)
 
         def g(q: float) -> float:
-            return q * float(u(float(d.price(q))))
+            return q * u(d.price(q))
 
         # phi_u is unbounded where the price falls to 0 (power utilities,
         # q = 1), 1 - q_r past q_r: edges 2^j s short of 1, s = 1 - q_r or

@@ -95,7 +95,7 @@ def check_half_bound(d: Distribution) -> LemmaReport:
     if not d.is_regular():
         raise ValueError("the half bound applies to regular distributions")
     p_star, q_star = d.monopoly_price()
-    s = float(d.sale_probability(p_star * q_star))
+    s = d.sale_probability(p_star * q_star)
     return report_from_margin(f"half-bound[{d.label}]", 0.5, s, 1e-9, 1, d.label)
 
 
@@ -107,7 +107,7 @@ def check_half_bound_sweep(count: int = 200, seed: int = 0) -> LemmaReport:
         if r.observed < observed:
             observed, worst = r.observed, r.worst_instance
     return report_from_margin(f"half-bound[gen-regular x{count}]", 0.5,
-                              float(observed), 1e-9, count, worst or "")
+                              observed, 1e-9, count, worst or "")
 
 
 def check_mhr_bound(d: Distribution) -> LemmaReport:
@@ -115,7 +115,7 @@ def check_mhr_bound(d: Distribution) -> LemmaReport:
     if not d.is_mhr():
         raise ValueError("the stronger bound needs a nondecreasing hazard")
     p_star, q_star = d.monopoly_price()
-    s = float(d.sale_probability(p_star * q_star))
+    s = d.sale_probability(p_star * q_star)
     return report_from_margin(f"mhr-bound[{d.label}]", MHR_BOUND, s, 1e-9, 1, d.label)
 
 
@@ -211,7 +211,7 @@ def check_tail(d: Distribution, t: int, n: int) -> LemmaReport:
     if not d.is_regular():
         raise ValueError("the tail bound applies to regular distributions")
     ey = expected_order_stat_price(d, t, n)
-    z = float(d.sale_probability(ey))
+    z = d.sale_probability(ey)
     observed = order_stat_cdf(t, n, z)
     return report_from_margin(f"tail[{d.label}|t={t},n={n}]", 0.25, observed,
                               1e-6, 1, f"E[Y]={ey:.9g}, q={z:.9g}")
@@ -340,13 +340,13 @@ def frontier_search(d: Distribution, fam, grid: int = 1000) -> FrontierResult:
     bench_rev = p_star * q_star
     qs = np.unique(np.concatenate([
         np.linspace(1.0 / grid, 1.0, grid),
-        [0.5, float(d.sale_probability(bench_rev))],
+        [0.5, d.sale_probability(bench_rev)],
     ]))
-    prices = np.unique(np.asarray(d.price(qs), dtype=float))
-    sale = np.asarray(d.sale_probability(prices), dtype=float)
+    prices = np.unique(d.price(qs))
+    sale = d.sale_probability(prices)
     members = list(fam)
     ratios = np.vstack([
-        np.asarray(u(prices), dtype=float) * sale / float(u(bench_rev))
+        u(prices) * sale / u(bench_rev)
         for u in members])
     min_ratio = ratios.min(axis=0)
     best = int(np.argmax(min_ratio))
@@ -364,10 +364,10 @@ def posted_price_maximin(d: Distribution) -> float:
     inputs; a piecewise-linear R peaks at a breakpoint or q = 1."""
     p_star, q_star = d.monopoly_price()
     bench = p_star * q_star
-    q_b = float(d.sale_probability(bench))
+    q_b = d.sale_probability(bench)
     if d.is_regular():
         return q_b
-    return max([q_b] + [float(d.revenue(q)) / bench
+    return max([q_b] + [d.revenue(q) / bench
                         for q in d.breakpoints() + (1.0,) if q > q_b])
 
 

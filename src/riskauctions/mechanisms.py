@@ -176,9 +176,9 @@ def hedge_limited_price(d: Distribution, n: int, k: int) -> float:
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     r = hedge_unlimited_price(d)
-    q_r = float(d.sale_probability(r))
+    q_r = d.sale_probability(r)
     q = allocation_probability(n, k, q_r)
-    return float(d.price(q))
+    return d.price(q)
 
 
 # -- construction ---------------------------------------------------------------

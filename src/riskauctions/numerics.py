@@ -10,6 +10,22 @@ import math
 
 import numpy as np
 
+
+def elementwise(kernel, x, lo=None, hi=None, message: str = ""):
+    """``kernel`` applied to ``x`` as a float array: a float in, a float out.
+
+    ``x`` is a number or an array-like.  The kernel sees a NumPy array (0-d
+    for a number) and returns values of the same shape, which come back as a
+    Python float for a 0-d input.  Before it runs, an element below ``lo`` or
+    above ``hi`` raises ValueError(``message``); NaN passes.
+    """
+    a = np.asarray(x, dtype=float)
+    if (lo is not None and (a < lo).any()) or (hi is not None and (a > hi).any()):
+        raise ValueError(message)
+    out = kernel(a)
+    return float(out) if a.ndim == 0 else out
+
+
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 
@@ -376,18 +392,28 @@ def binom_pmf(n: int, p: float) -> np.ndarray:
     return binom_pmf_rows(n, [p])[0]
 
 
+POLY_MAX_EXPONENT = 2 ** 20  # largest n - t for order_stat_pdf's polynomial
+
+
 def order_stat_pdf(t: int, n: int):
     """Density q -> n!/((t-1)!(n-t)!) q^(t-1) (1-q)^(n-t) of the t-th smallest
-    of n uniforms, for q in [0, 1], a float or an array.
+    of n uniforms (2 <= t <= n), for q in [0, 1], a float or an array.
 
-    Where the constant fits a float it is the correctly rounded integer and
-    the density a polynomial: three array operations per quadrature round,
-    against about fifteen for the kernel, and every VCG quadrature at small n
-    takes this branch.  C(n-1, m) >= 2^m for m = min(t-1, n-t), so from m =
-    1,024 on the constant overflows; otherwise it is n pmf(t-1; n-1, q), the
-    binomial kernel elementwise in q, with the error bound of `binom_window`.
+    Where n - t <= POLY_MAX_EXPONENT and the constant fits a float, the
+    constant is the correctly rounded integer and the density a polynomial:
+    three array operations per quadrature round, against about fifteen for
+    the kernel, and every VCG quadrature at small n takes this branch.  The
+    rounding of 1 - q, at most 2^-53 relative, grows to (n - t) 2^-53 in the
+    power, 1.2e-10 at most here.  C(n-1, m) >= 2^m for m = min(t-1, n-t), so
+    from m = 1,024 on the constant overflows.  Otherwise the density is n
+    pmf(t-1; n-1, q), the binomial kernel elementwise in q, with the error
+    bound of `binom_window`.
     """
-    if min(t - 1, n - t) < 1024:
+    if not 2 <= t <= n:
+        raise ValueError("need 2 <= t <= n")
+    if n >= 2 ** 53:  # _mean's split of n into two halves needs n < 2^53
+        raise ValueError("n must be below 2^53")
+    if n - t <= POLY_MAX_EXPONENT and min(t - 1, n - t) < 1024:
         try:
             coef = float(n * math.comb(n - 1, t - 1))
         except OverflowError:
@@ -396,14 +422,11 @@ def order_stat_pdf(t: int, n: int):
             return lambda q: coef * q ** (t - 1) * (1.0 - q) ** (n - t)
     y, trials = t - 1, n - 1
 
-    def kernel_pdf(q):
-        q = np.asarray(q, dtype=float)
-        col = q.reshape(-1, 1)
-        out = _interior(trials, y, y, *_mean(trials, col), True)  # q may be 0
-        out = n * out.reshape(q.shape)
-        return float(out) if out.ndim == 0 else out
+    def kernel(q):
+        out = _interior(trials, y, y, *_mean(trials, q.reshape(-1, 1)), True)  # q may be 0
+        return n * out.reshape(q.shape)
 
-    return kernel_pdf
+    return functools.partial(elementwise, kernel)
 
 
 def order_stat_cdf(t: int, n: int, x) -> float:

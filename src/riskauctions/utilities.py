@@ -16,19 +16,17 @@ from functools import partial
 import numpy as np
 
 from .distributions import Distribution, SpecParseError
-from .numerics import bisect_root
+from .numerics import bisect_root, elementwise
 from .report import LemmaReport, report_from_margin
 
 __all__ = [
     "UtilityFunction",
-    "UtilityFamily",
     "linear",
     "power",
     "capped",
     "default_family",
     "parse_utility",
-    "parse_family",
-    "parse_utility_or_family",
+    "parse_utilities",
     "virtual_utility_at_quantile",
     "optimal_reserve",
     "maximize_single_bidder",
@@ -36,7 +34,9 @@ __all__ = [
 ]
 
 MONOTONE_GRID = 10_000
-MONOTONE_TOL = 1e-8
+# the rounding bound of phi = u(p) - u'(p) (p - R'(q)) at a point: MONOTONE_ULPS
+# ulps of |u(p)| + |u'(p)| (|p| + |R'(q)|), the size of its terms
+MONOTONE_ULPS = 8
 
 
 @dataclass(frozen=True)
@@ -47,32 +47,26 @@ class UtilityFunction:
     param: float | None = None
 
     def __call__(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        scalar = np.isscalar(x) or x_arr.ndim == 0
-        if self.kind == "linear":
-            out = x_arr + 0.0
-        elif self.kind == "power":
-            out = np.power(x_arr, self.param)
-        else:
-            out = np.minimum(x_arr, self.param)
-        return float(out) if scalar else out
+        return elementwise(self._value, x)
 
     def derivative(self, x):
         """Right derivative (relevant only for the capped kink)."""
-        x_arr = np.asarray(x, dtype=float)
-        scalar = np.isscalar(x) or x_arr.ndim == 0
+        return elementwise(self._slope, x)
+
+    def _value(self, x):
         if self.kind == "linear":
-            out = np.ones_like(x_arr)
-        elif self.kind == "power":
-            a = self.param
-            if a == 1.0:
-                out = np.ones_like(x_arr)
-            else:
-                with np.errstate(divide="ignore", over="ignore"):
-                    out = np.where(x_arr > 0, a * np.power(x_arr, a - 1.0), np.inf)
-        else:
-            out = np.where(x_arr < self.param, 1.0, 0.0)
-        return float(out) if scalar else out
+            return x + 0.0
+        if self.kind == "power":
+            return np.power(x, self.param)
+        return np.minimum(x, self.param)
+
+    def _slope(self, x):
+        if self.kind == "capped":
+            return np.where(x < self.param, 1.0, 0.0)
+        if self.kind == "linear" or self.param == 1.0:
+            return np.ones_like(x)
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.where(x > 0, self.param * np.power(x, self.param - 1.0), np.inf)
 
     @property
     def kink(self) -> float | None:
@@ -111,31 +105,10 @@ def capped(eps: float) -> UtilityFunction:
     return UtilityFunction("capped", eps)
 
 
-@dataclass(frozen=True)
-class UtilityFamily:
-    members: tuple[UtilityFunction, ...]
-    name: str = ""
-
-    def __post_init__(self):
-        if not self.members:
-            raise SpecParseError("a utility family needs at least one member")
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self):
-        return len(self.members)
-
-    @property
-    def label(self) -> str:
-        return self.name or ";".join(u.label for u in self.members)
-
-
-def default_family() -> UtilityFamily:
+def default_family() -> tuple[UtilityFunction, ...]:
     """Linear, two powers, and eight caps log-spaced over [1e-4, 1e-1]."""
     caps = tuple(capped(e) for e in np.logspace(-4, -1, 8))
-    return UtilityFamily((linear(), power(0.5), power(1.0 / 3.0)) + caps,
-                         name="default")
+    return (linear(), power(0.5), power(1.0 / 3.0)) + caps
 
 
 def parse_utility(spec: str) -> UtilityFunction:
@@ -156,20 +129,18 @@ def parse_utility(spec: str) -> UtilityFunction:
     raise SpecParseError(f"unknown utility spec: {spec!r}")
 
 
-def parse_family(spec: str) -> UtilityFamily:
+def parse_utilities(spec: str) -> tuple[UtilityFunction, ...]:
+    """A utility spec as a 1-tuple, or a family: ``family:default`` (the 11
+    of `default_family`) or ``family:u1;u2;...``."""
     spec = spec.strip()
+    if not spec.startswith("family"):
+        return (parse_utility(spec),)
     head, sep, rest = spec.partition(":")
     if head != "family" or not sep:
         raise SpecParseError(f"malformed family spec: {spec!r}")
     if rest == "default":
         return default_family()
-    return UtilityFamily(tuple(parse_utility(s) for s in rest.split(";")))
-
-
-def parse_utility_or_family(spec: str):
-    if spec.strip().startswith("family"):
-        return parse_family(spec)
-    return parse_utility(spec)
+    return tuple(parse_utility(s) for s in rest.split(";"))
 
 
 # -- induced quantities --------------------------------------------------------
@@ -212,8 +183,8 @@ def maximize_single_bidder(d: Distribution, u: UtilityFunction) -> tuple[float, 
 
     def best_on(lo: float, hi: float) -> tuple[float, float, float]:
         q = hi if slope(hi) >= 0 else bisect_root(slope, lo, hi)
-        p = float(d.price(q))
-        return float(u(p)) * q, q, p
+        p = d.price(q)
+        return u(p) * q, q, p
 
     qs = (0.0,) + (() if d.is_regular() else d.breakpoints()) + (1.0,)
     g, _, p = max(best_on(lo, hi) for lo, hi in zip(qs, qs[1:]))
@@ -229,7 +200,10 @@ def check_virtual_utility_monotone(d: Distribution, u: UtilityFunction,
     It walks the revenue curve's linear segments (a closed form is one) in
     ascending-price order, at points inside each.  A constant-price segment
     (price equals R' there) has no density, so it is skipped unless every
-    segment is one, as on a point mass.
+    segment is one, as on a point mass.  A step between two points may fall
+    below 0 by the rounding bound of phi at both (MONOTONE_ULPS); the row
+    reports the smallest step, or, if some step falls below its bound, the
+    one furthest below it.
     """
     qs = (0.0,) + d.breakpoints() + (1.0,)
     pieces = list(zip(qs[-2::-1], qs[:0:-1]))
@@ -237,14 +211,21 @@ def check_virtual_utility_monotone(d: Distribution, u: UtilityFunction,
     q_all = np.concatenate([
         np.linspace(lo, hi, max(int(grid * (hi - lo)), 16) + 2)[-2:0:-1]
         for lo, hi in dense or pieces])
-    phi_all = virtual_utility_at_quantile(d, u, q_all)
+    # virtual_utility_at_quantile's expression, from terms whose sizes bound
+    # its rounding; u(p), u'(p) and p are >= 0
+    p = d.price(q_all)
+    value, slope, mr = u(p), u.derivative(p), d.marginal_revenue(q_all)
+    phi_all = value - slope * (p - mr)
+    size = value + slope * (p + np.abs(mr))
+    bound = MONOTONE_ULPS * 2.0 ** -53 * (size[1:] + size[:-1])
 
     diffs = phi_all[1:] - phi_all[:-1]
-    i = int(np.argmin(diffs))
+    slack = diffs + bound
+    i = int(np.argmin(diffs)) if slack.min() >= 0 else int(np.argmin(slack))
     v_lo, v_hi = d.price(float(q_all[i])), d.price(float(q_all[i + 1]))
     worst = (f"{d.label}|{u.label}: phi({v_lo:.6g})={phi_all[i]:.6g} -> "
              f"phi({v_hi:.6g})={phi_all[i + 1]:.6g}")
     return report_from_margin(
         name=f"virtual-utility-monotone[{d.label}|{u.label}]",
-        claimed=0.0, observed=float(diffs[i]), tolerance=MONOTONE_TOL,
+        claimed=0.0, observed=float(diffs[i]), tolerance=float(bound[i]),
         instances=len(diffs), worst=worst)

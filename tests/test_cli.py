@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskauctions import Distribution, cli, make_distribution, parse_mechanism
@@ -412,6 +412,31 @@ class TestConfigFile:
         assert code == 2
         assert "unknown config keys: zebra" in err
 
+    @pytest.mark.parametrize("line,argv", [
+        ("spec = uniform:0,1", ["dist", "uniform:0,2"]),
+        ("mech = vcg:1,0", ["eval", "--mech", "vcg:1,0.5", "--dist", "uniform:0,1"]),
+    ])
+    def test_required_arguments_are_not_config_keys(self, tmp_path, line, argv):
+        # argparse requires these on the command line, so a config value
+        # could never take effect
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(line + "\n")
+        code, out, err = run(argv + ["--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert err == f"error: unknown config keys: {line.split()[0]}\n"
+
+    def test_config_format_is_checked_like_the_flag(self, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("format = xml\n")
+        assert run(["dist", "uniform:0,1", "--config", str(cfg)]) == \
+            (2, "", "error: format must be csv or svg, not 'xml'\n")
+
+    def test_config_names_the_lemmas_distribution(self, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("dist = uniform:0,2\n")
+        assert run(["lemmas", "tail", "--config", str(cfg)]) == \
+            run(["lemmas", "tail", "--dist", "uniform:0,2"])
+
     def test_missing_file_rejected(self, tmp_path):
         code, _, err = run(["lemmas", "tail", "--config",
                             str(tmp_path / "nope.ini")])
@@ -489,3 +514,89 @@ class TestParserReuse:
         for argv in self.COMMANDS + self.COMMANDS[::-1]:
             assert run(argv) == first[tuple(argv)], argv
         assert build_parser() is parser
+
+
+# -- fuzzing ---------------------------------------------------------------------
+
+JUNK = st.text(alphabet="0123456789.,:;-+eEinfa xyz", max_size=14)
+ODD_NUMBER = st.one_of(st.integers(-3, 50).map(str), st.floats(-1.0, 1e3).map(repr),
+                       st.sampled_from(["1e308", "5e-324", "1e-300", "-0.0", "inf", "nan", ""]))
+
+
+def _specs(x, k):
+    """Strategies for distribution, utility and mechanism specs whose
+    parameters come from ``x`` (a fraction) and ``k`` (a count)."""
+    dist = st.one_of(
+        st.builds("uniform:{},{}".format, x, st.sampled_from(["1", "2.5", "1e3"])),
+        st.builds("exponential:{}".format, x),
+        st.builds("left-triangle:{}".format, x),
+        st.builds("irregular-example:{}".format, x),
+        st.builds("revenue-curve:{}:{};1:{}".format, x, k, x))
+    utility = st.one_of(
+        st.sampled_from(["linear", "family:default", "family:linear;capped:0.2"]),
+        st.builds("power:{}".format, x), st.builds("capped:{}".format, x))
+    mech = st.one_of(
+        st.builds("posted:{},{}".format, x, k), st.builds("vcg:{},{}".format, k, x),
+        st.builds("hedge:{},{}".format, k, k), st.builds("myerson:{}".format, k),
+        st.builds("opt-single:{}".format, utility))
+    return dist, utility, mech
+
+
+def _mangled(spec):
+    """A spec with a piece of junk spliced in, or junk alone."""
+    return st.one_of(JUNK, st.builds(lambda s, i, junk: s[:i] + junk + s[i + 1:],
+                                     spec, st.integers(0, 30), JUNK))
+
+
+VALID = _specs(st.floats(0.001, 0.3).map(repr), st.integers(1, 9).map(str))
+ODD = tuple(st.one_of(s, _mangled(s)) for s in _specs(ODD_NUMBER, ODD_NUMBER))
+HUGE = st.sampled_from([2 ** 53, 10 ** 16, 10 ** 30])
+COUNT = st.one_of(st.integers(1, 64), st.integers(-2, 10 ** 4))  # allocates little
+SAMPLES = st.one_of(st.none(), st.none(), st.integers(1000, 10 ** 6),
+                    st.sampled_from([-1, 0, 999]), HUGE)
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, refused): a command line, and whether it must exit 2 (huge n
+    or grid)."""
+    cmd = draw(st.sampled_from(["dist", "frontier", "price", "eval", "lemmas"]))
+    dist, utility, mech = draw(st.sampled_from([VALID, ODD]))
+    spec = draw(dist)
+    size = draw(st.one_of(COUNT, COUNT, HUGE))
+    if cmd in ("dist", "frontier"):
+        argv = [cmd, spec, "--grid", str(size)]
+        if cmd == "frontier":
+            argv += ["--family", draw(utility)]
+    elif cmd == "price":
+        argv = [cmd, spec, "--n", str(size), "--k", str(draw(st.one_of(COUNT, HUGE))),
+                "--utility", draw(utility)]
+    elif cmd == "eval":
+        argv = [cmd, "--mech", draw(mech), "--dist", spec, "--n", str(size),
+                "--utility", draw(utility)]
+    else:
+        argv = [cmd, draw(st.sampled_from(["half-bound", "mhr-bound", "tail",
+                                           "virtual-utility-monotone"])), "--dist", spec]
+    samples = draw(SAMPLES)
+    if samples is not None:
+        argv += ["--samples", str(samples)]
+    return argv, cmd in ("dist", "frontier", "eval") and size > 10 ** 4
+
+
+@given(command_lines())
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_command_lines_exit_0_1_or_2(case):
+    argv, refused = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        tracemalloc.start()
+        try:
+            code, out, err = run(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code in (0, 1, 2), (argv, err)
+    assert "Traceback" not in err and "internal error" not in err
+    if refused:  # a huge n or grid is turned away before it is allocated
+        assert code == 2, argv
+        assert peak < 16 * 2 ** 20, argv

@@ -52,7 +52,7 @@ class TestUniform:
         assert d.marginal_revenue(0.5) == pytest.approx(0.0, abs=1e-12)
         assert d.marginal_revenue(0.0) == pytest.approx(1.0, abs=1e-12)
         assert d.support == (0.0, 1.0)
-        assert d.top_atom_mass == 0.0
+        assert d.sale_probability(1.0) == 0.0  # no atom at the top
 
     def test_shifted_interval(self):
         d = uniform(1.0, 3.0)
@@ -117,7 +117,7 @@ class TestLeftTriangle:
         eps = 0.01
         d = left_triangle(eps)
         assert d.support == pytest.approx((0.0, 100.0))
-        assert d.top_atom_mass == pytest.approx(eps, abs=1e-12)
+        assert d.points[1] == (eps, 1.0)  # an atom of mass eps at 1/eps
         assert d.cdf(1.0) == pytest.approx(1.0 - lt_sale(1.0, eps), abs=1e-12)
         assert d.cdf(1.0) == pytest.approx(0.4974874371859297, abs=1e-12)
         assert d.sale_probability(1.0) == pytest.approx(0.5025125628140703, abs=1e-12)
@@ -321,7 +321,7 @@ class TestInvariants:
     )
     def test_quantile_cdf_round_trip(self, d):
         # stay on the continuous part: atoms make the round trip overshoot
-        hi = 1.0 - d.top_atom_mass
+        hi = 1.0 - (d.points[1][0] if hasattr(d, "points") else 0.0)  # the top atom
         ps = np.linspace(1e-4, hi - 1e-9 if hi < 1.0 else 1.0 - 1e-4, 400)
         vs = d.quantile(ps)
         np.testing.assert_allclose(d.cdf(vs), ps, rtol=0, atol=1e-8)

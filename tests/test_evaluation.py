@@ -35,6 +35,7 @@ from riskauctions import (
     eval_second_price_exact,
     eval_vcg_exact,
     evaluate,
+    expected_order_stat_price,
     exponential,
     gen_regular,
     left_triangle,
@@ -47,7 +48,8 @@ from riskauctions import (
 )
 from riskauctions.evaluation import MC_BUDGET, MC_CHUNK, MIN_MC_SAMPLES, _split_points
 from riskauctions import evaluation
-from riskauctions.numerics import BINOM_TAIL, GK_MAX_PANELS, gauss_kronrod, order_stat_cdf
+from riskauctions.numerics import (BINOM_TAIL, GK_MAX_PANELS, gauss_kronrod, order_stat_cdf,
+                                  quad_target)
 
 U01 = uniform(0.0, 1.0)
 
@@ -232,7 +234,7 @@ def second_price(d, reserve, n, u) -> tuple[float, float]:
 
 REFERENCE_DISTS = (uniform(0.0, 1.0), exponential(1.0), exponential(2.5),
                    left_triangle(0.01), uniform(0.5, 2.0), gen_regular(3, 64))
-FAMILY = default_family().members
+FAMILY = default_family()
 
 
 @st.composite
@@ -470,6 +472,27 @@ class TestManyBidders:
         r = evaluate(VcgMechanism(1, 0.0), U01, n, linear())
         assert r.method == "exact"
         assert r.mean_utility == pytest.approx((n - 1) / (n + 1), rel=1e-8)
+
+    @pytest.mark.parametrize("n", [10 ** 9, 10 ** 12, 10 ** 15])
+    def test_second_price_within_its_error_estimate_up_to_2_to_53(self, n):
+        # a polynomial density would round 1 - q, an error that (1 - q)^(n-2)
+        # grows to n 2^-53: 1.1e-8 at 10^9, and a revenue above 1 at 10^13;
+        # as in test_edges_agree_with_mpmath, the quadrature converges and its
+        # error estimate bounds the true error
+        for d, want in ((U01, (n - 1) / (n + 1)),
+                        (uniform(0.5, 1.0), 0.5 + 0.5 * (n - 1) / (n + 1))):
+            r = eval_vcg_exact(d, n, 1, linear())
+            assert r.abserr <= quad_target(want)
+            assert abs(r.mean_utility - want) <= r.abserr + 1e-13 * want
+            assert r.mean_utility <= 1.0
+
+    def test_refuses_2_to_53_bidders(self):
+        # n is split into two 26-bit halves for the binomial kernel's mean
+        with pytest.raises(ValueError, match="below 2"):
+            eval_vcg_exact(U01, 2 ** 53, 1, linear())
+        with pytest.raises(ValueError, match="below 2"):
+            expected_order_stat_price(U01, 2, 2 ** 53)
+        assert eval_vcg_exact(U01, 2 ** 53 - 1, 1, linear()).mean_utility <= 1.0
 
     @pytest.mark.parametrize("n", [10_001, 10 ** 5, 10 ** 6, 10 ** 8])
     @pytest.mark.parametrize("k_extra", [0, 3])

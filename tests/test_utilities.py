@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from riskauctions import (
     SpecParseError,
-    UtilityFamily,
     capped,
     check_virtual_utility_monotone,
     cli,
@@ -28,9 +27,8 @@ from riskauctions import (
     make_distribution,
     maximize_single_bidder,
     optimal_reserve,
-    parse_family,
+    parse_utilities,
     parse_utility,
-    parse_utility_or_family,
     power,
     revenue_curve,
     uniform,
@@ -91,7 +89,7 @@ class TestDefaultFamily:
         # log-spaced grid of cap levels
         ratios = np.diff(np.log(caps))
         np.testing.assert_allclose(ratios, ratios[0], rtol=1e-9)
-        assert fam.label == "default"
+        assert fam == parse_utilities("family:default")
 
     def test_members_are_normalized_monotone_concave(self):
         xs = np.linspace(0.0, 2.0, 201)
@@ -104,7 +102,7 @@ class TestDefaultFamily:
 
     def test_empty_family_rejected(self):
         with pytest.raises(SpecParseError):
-            UtilityFamily(())
+            parse_utilities("family:")
 
 
 class TestVirtualUtility:
@@ -138,7 +136,7 @@ class TestVirtualUtility:
             pytest.approx(0.3)
         assert virtual_utility_at_quantile(left_triangle(0.01), power(0.5), 0.01) == 10.0
 
-    @given(st.floats(0.01, 0.99), st.sampled_from(default_family().members),
+    @given(st.floats(0.01, 0.99), st.sampled_from(default_family()),
            st.sampled_from([uniform(0.0, 1.0), uniform(0.5, 2.0), exponential(0.3)]))
     def test_quantile_form_matches_value_form(self, q, u, d):
         # (1 - F)/f at price(q) is price(q) - R'(q)
@@ -243,7 +241,7 @@ REGULAR_SPECS = st.one_of(
               st.floats(1e-3, 10.0), st.floats(1e-3, 10.0)),
     st.floats(1e-3, 1e3).map(lambda rate: f"exponential:{rate!r}"),
 )
-FAMILY = st.sampled_from(default_family().members)
+FAMILY = st.sampled_from(default_family())
 
 
 def nonconcave_spec(seed: int, breakpoints: int) -> str:
@@ -296,7 +294,7 @@ class TestSingleBidderSearch:
         assert out.getvalue().endswith("r_u_star=304.364896987\n")
         d = left_triangle(0.00328553)
         assert maximize_single_bidder(d, linear())[0] == 304.3648969877006
-        assert d.sale_probability(304.364896987) >= d.top_atom_mass
+        assert d.sale_probability(304.364896987) >= d.points[1][0]  # the atom's mass
         assert d.sale_probability(304.364896988) == 0.0
 
 
@@ -329,18 +327,16 @@ class TestParsing:
             parse_utility(bad)
 
     def test_family_forms(self):
-        assert len(parse_family("family:default")) == 11
-        fam = parse_family("family:linear;capped:0.2")
+        assert len(parse_utilities("family:default")) == 11
+        fam = parse_utilities("family:linear;capped:0.2")
         assert [u.label for u in fam] == ["linear", "capped:0.2"]
-        with pytest.raises(SpecParseError):
-            parse_family("family:")
-        with pytest.raises(SpecParseError):
-            parse_family("linear")
+        for bad in ("family:", "family", "familyx:linear", "family:cubic"):
+            with pytest.raises(SpecParseError):
+                parse_utilities(bad)
 
     def test_utility_or_family(self):
-        assert parse_utility_or_family("linear").label == "linear"
-        fam = parse_utility_or_family("family:default")
-        assert isinstance(fam, UtilityFamily)
+        assert parse_utilities("linear") == (linear(),)
+        assert parse_utilities("family:default") == default_family()
 
     def test_spec_string_round_trip(self):
         # parameters serialize at 6 significant digits (power:0.333333), so
