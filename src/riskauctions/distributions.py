@@ -60,6 +60,9 @@ class Distribution:
     """
 
     kind: str = ""
+    # True when quantile() is nondecreasing on the floats of [0, 1), not just
+    # in exact arithmetic: Monte Carlo then ranks the uniforms, not the bids
+    monotone_quantile: bool = False
 
     # -- core queries ------------------------------------------------------
 
@@ -155,6 +158,7 @@ class Distribution:
 
 class Uniform(Distribution):
     kind = "uniform"
+    monotone_quantile = True  # a + p * (b - a): IEEE products and sums are monotone
 
     def __init__(self, a: float, b: float):
         if not (0 <= a < b) or not math.isfinite(a) or not math.isfinite(b):
@@ -196,6 +200,7 @@ class Uniform(Distribution):
 
 class Exponential(Distribution):
     kind = "exponential"
+    monotone_quantile = True  # -log1p(-p) / rate, as far as NumPy's log1p is monotone
 
     def __init__(self, rate: float):
         if not (rate > 0) or not math.isfinite(rate):
@@ -244,6 +249,9 @@ class RevenueCurveDistribution(Distribution):
     at price v inverts to q = a/(v - b), the hazard is 1/(v - b), and the
     slope b is the classical marginal-revenue value of every price in the
     segment.  A segment through the origin has constant price, i.e. an atom.
+
+    Where two segments meet, the rounded prices of the two can cross, so
+    quantile() may step down by a few ulps (``monotone_quantile`` is False).
     """
 
     def __init__(self, points, kind: str = "revenue_curve", label: str | None = None,

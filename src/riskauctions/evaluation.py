@@ -18,7 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .distributions import Distribution
-from .mechanisms import Mechanism, PostedPriceMechanism, VcgMechanism, batch_revenue
+from .mechanisms import (Mechanism, PostedPriceMechanism, VcgMechanism, _least_bid,
+                         _revenue)
 from .numerics import binom_window, gauss_kronrod, order_stat_pdf, quad_target
 from .report import LemmaReport, report_from_margin
 from .utilities import UtilityFunction, linear, virtual_utility_at_quantile
@@ -37,7 +38,9 @@ __all__ = [
 ]
 
 MC_CHUNK = 65_536
-MC_BUDGET = 2 ** 22  # bids per chunk: 32 MiB of float64
+# uniforms per chunk: fixes a chunk's rows, and so its generator stream
+MC_BUDGET = 2 ** 22
+MC_TILE = 2 ** 17  # uniforms drawn and ranked at a time: 1 MiB, in cache
 MIN_MC_SAMPLES = 1_000
 
 
@@ -164,13 +167,40 @@ def expected_order_stat_price(d: Distribution, t: int, n: int) -> float:
     return _integrate(integrand, 0.0, 1.0, pts)[0]
 
 
+def _least_uniform(d: Distribution, level: float) -> float:
+    """The least float t in [0, 1) with d.quantile(t) >= level, or 1.0 if no
+    such float exists.  For a nondecreasing quantile a uniform draw u gives a
+    bid at or above level exactly when u >= t.  The search runs over the bit
+    patterns of [0, 1), which order as the floats do, and probes 255 of them
+    at a time through the quantile kernel that prices the bids: eight calls
+    cover the 2^62 patterns."""
+    lo, hi = -1, int(np.float64(1.0).view(np.int64))  # quantile(lo) < level <= quantile(hi)
+    while hi - lo > 1:
+        step = max((hi - lo) // 256, 1)
+        probe = np.arange(lo + step, hi, step, dtype=np.int64)
+        reached = d.quantile(probe.view(np.float64)) >= level
+        i = int(np.argmax(reached)) if reached.any() else len(probe)
+        lo = int(probe[i - 1]) if i > 0 else lo
+        hi = int(probe[i]) if i < len(probe) else hi
+    return float(np.int64(hi).view(np.float64))
+
+
 def eval_mc(m: Mechanism, d: Distribution, n: int, u: UtilityFunction,
             samples: int = 1_000_000, seed: int = 0) -> EvalResult:
     """Monte Carlo estimate of E[u(revenue)] over `samples` profiles of n
     i.i.d. bids, with its 95% CI halfwidth, for n <= MC_BUDGET.  Chunk j
-    holds at most MC_CHUNK rows and MC_BUDGET bids and draws from
-    SeedSequence(entropy=seed, spawn_key=(j,)), so the result is a pure
-    function of (seed, samples, n).
+    holds min(MC_CHUNK, MC_BUDGET // n) rows, the last one fewer, and draws
+    its uniforms from SeedSequence(entropy=seed, spawn_key=(j,)), so the
+    result is a pure function of (seed, samples, n).
+
+    A chunk is drawn and priced one tile of about MC_TILE uniforms at a
+    time; successive draws from one generator continue its stream, so the
+    tiles hold the chunk's uniforms.  Where ``d.monotone_quantile`` holds,
+    the bid quantile(x) ranks as its uniform x does: `mechanisms._revenue`
+    ranks the uniforms, turns only the (k+1)-st highest of each row into a
+    bid, and counts the uniforms at or above the cut `_least_uniform` of the
+    price or reserve, which gives the bits that the bids themselves give.
+    Other kinds turn each tile into bids first.
     """
     if samples < MIN_MC_SAMPLES:
         raise ValueError(f"need at least {MIN_MC_SAMPLES} samples")
@@ -179,14 +209,26 @@ def eval_mc(m: Mechanism, d: Distribution, n: int, u: UtilityFunction,
     if n > MC_BUDGET:  # a single profile would exceed the chunk budget
         raise ValueError(f"Monte Carlo takes at most {MC_BUDGET} bidders")
     rows = min(MC_CHUNK, MC_BUDGET // n)
+    tile_rows = min(max(MC_TILE // n, 2048), rows)
+    if d.monotone_quantile:
+        cut, bid = _least_uniform(d, _least_bid(m)), d.quantile
+    else:
+        cut, bid = None, None
+    buf = np.empty((min(tile_rows, samples), n))
+    work: dict = {}
     s = s2 = 0.0
     for idx, start in enumerate(range(0, samples, rows)):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
-        bids = d.draw(rng, (min(rows, samples - start), n))
-        v = u(batch_revenue(m, bids))
-        del bids  # one chunk of bids at a time, freed after u's result is allocated
+        size = min(rows, samples - start)
+        revs = []
+        for lo in range(0, size, tile_rows):
+            tile = buf[:min(tile_rows, size - lo)]
+            rng.random(out=tile)
+            revs.append(_revenue(m, tile if bid else d.quantile(tile), cut, bid, work))
+        v = u(revs[0] if len(revs) == 1 else np.concatenate(revs))
+        del revs
         s += v.sum()
-        s2 += (v * v).sum()
+        s2 += np.multiply(v, v, out=v).sum()
     mean = s / samples
     var = max((s2 - samples * mean * mean) / (samples - 1), 0.0)
     return EvalResult(float(mean), "monte_carlo", float(1.96 * np.sqrt(var / samples)),

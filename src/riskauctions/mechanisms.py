@@ -73,24 +73,46 @@ class VcgMechanism:
 Mechanism = PostedPriceMechanism | VcgMechanism
 
 
-def _top_bids(b: np.ndarray, j: int) -> list[np.ndarray]:
-    """The j <= n highest bids of each row, in descending order, one vector
-    per rank.  Tall chunks (the Monte Carlo case) take a running max/min
-    insertion over the columns, so every NumPy call spans all rows; short
-    ones, where those n*j calls would cost more than the bids, take one
-    np.partition.  Both give the exact order statistics."""
+def _scratch(work: dict | None, key: str, shape: tuple[int, int]) -> np.ndarray:
+    """An uninitialized float array of ``shape``: a fresh one without
+    ``work``, else a view of the buffer kept there under ``key``, which is
+    reallocated only when a larger one is asked for."""
+    if work is None:
+        return np.empty(shape)
+    buf = work.get(key)
+    if buf is None or buf.shape[0] < shape[0] or buf.shape[1] < shape[1]:
+        buf = work[key] = np.empty(shape)
+    return buf[:shape[0], :shape[1]]
+
+
+def _top_bids(b: np.ndarray, j: int, work: dict | None = None) -> list[np.ndarray]:
+    """The j <= n highest entries of each row, in descending order, one
+    vector per rank.  Tall tiles (the Monte Carlo case) take a running
+    max/min insertion over the columns, so every NumPy call spans all rows;
+    short ones, where those n*j calls would cost more than the entries, take
+    one np.partition at n - j and sort the j entries above it (partitioning
+    at all j ranks costs O(n) per rank).  Both give the exact order
+    statistics.  With ``work`` the transposed columns and the rank vectors
+    reuse its buffers."""
     rows, n = b.shape
     if rows < max(1024, n):
-        p = np.partition(b, range(n - j, n), axis=1)
-        return [p[:, n - 1 - i] for i in range(j)]
-    cols = b.T.copy()
-    top = [np.zeros(rows) for _ in range(j)]
+        p = np.partition(b, n - j, axis=1)[:, n - j:]
+        p.sort(axis=1)
+        return [p[:, j - 1 - i] for i in range(j)]
+    cols = _scratch(work, "cols", (n, rows))
+    np.copyto(cols, b.T)
+    top = _scratch(work, "top", (j + 1, rows))
+    top[:j] = 0.0
+    top = list(top)
+    spare = top.pop()
     for c in range(n):
         x = cols[c]
-        for i in range(min(c, j - 1) + 1):
-            hi = np.maximum(top[i], x)
+        last = min(c, j - 1)
+        for i in range(last):
+            np.maximum(top[i], x, out=spare)
             np.minimum(top[i], x, out=x)
-            top[i] = hi
+            top[i], spare = spare, top[i]
+        np.maximum(top[last], x, out=top[last])  # what falls below it is dropped
     return top
 
 
@@ -124,17 +146,44 @@ def batch_outcomes(m: Mechanism, bids) -> tuple[np.ndarray, np.ndarray]:
     return win, np.where(win, price[:, None], 0.0)
 
 
+def _least_bid(m: Mechanism) -> float:
+    """The least bid that can win a unit: the posted price or the reserve."""
+    return m.price if isinstance(m, PostedPriceMechanism) else m.reserve
+
+
+def _revenue(m: Mechanism, b: np.ndarray, cut: float | None = None, bid=None,
+             work: dict | None = None) -> np.ndarray:
+    """Revenue of each row of ``b``: min(k, #bids at or above the price or
+    reserve) times the unit price, which is the posted price, the reserve
+    when k >= n, else max(reserve, (k+1)-st highest bid).
+
+    ``b`` holds bids, and ``cut`` and ``bid`` are None; or entries that the
+    nondecreasing array function ``bid`` maps to bids, with ``cut`` the least
+    entry whose bid reaches the price or reserve.  Ranking commutes with a
+    nondecreasing map, so only the (k+1)-st highest entry of each row is
+    turned into a bid, and the min(k, ...) count is the number of the k
+    highest entries at or above the cut.  ``work`` is passed to
+    `_top_bids`."""
+    if cut is None:
+        cut = _least_bid(m)
+    if isinstance(m, PostedPriceMechanism) or m.k >= b.shape[1]:
+        sold = np.count_nonzero(b >= cut, axis=1)
+        np.minimum(sold, m.k, out=sold)
+        return sold * _least_bid(m)  # the posted price, or the reserve
+    top = _top_bids(b, m.k + 1, work)
+    sold = np.zeros(b.shape[0], dtype=np.intp)
+    for row in top[:m.k]:
+        sold += row >= cut
+    kth = top[m.k] if bid is None else bid(top[m.k])
+    return sold * np.maximum(m.reserve, kth)
+
+
 def batch_revenue(m: Mechanism, bids) -> np.ndarray:
     """Revenue of each row of profiles: min(k, #bids at or above the price or
-    reserve) times the unit price.  The Monte Carlo kernel: no per-bid win
-    or payment matrix is built, and the product is rounded once, so for
-    k >= 5 it may differ from summing `batch_outcomes` payments in the last
-    bits."""
-    b = _as_matrix(bids)
-    if isinstance(m, PostedPriceMechanism):
-        return np.minimum(np.count_nonzero(b >= m.price, axis=1), m.k) * m.price
-    _, price = _vcg_order_stats(m, b)
-    return np.minimum(np.count_nonzero(b >= m.reserve, axis=1), m.k) * price
+    reserve) times the unit price.  No per-bid win or payment matrix is
+    built, and the product is rounded once, so for k >= 5 it may differ from
+    summing `batch_outcomes` payments in the last bits."""
+    return _revenue(m, _as_matrix(bids))
 
 
 # -- hedged posted prices ------------------------------------------------------

@@ -370,6 +370,49 @@ class TestSampling:
         assert x.max() <= 100.0 and x.min() >= 0.0
 
 
+def float_window(p, width=256):
+    """The floats of [0, 1) within ``width`` steps of p, in increasing order."""
+    bits = np.array([p]).view(np.int64)[0] + np.arange(-width, width + 1)
+    xs = bits.view(np.float64)
+    return xs[(xs >= 0.0) & (xs < 1.0)]
+
+
+class TestMonotoneQuantile:
+    """Monte Carlo ranks uniforms in place of bids only where
+    `monotone_quantile` holds, so it is checked on runs of consecutive floats,
+    not assumed."""
+
+    # 0 and the top of [0, 1), binade edges of p and of 1 - p, and the
+    # middle of each binade down to 2^-60
+    POINTS = [0.0, math.nextafter(1.0, 0.0), 0.5, 0.25, 0.75, 1.0 - 2.0 ** -10, 1e-300] + [
+        1.5 * 2.0 ** -e for e in range(1, 61)]
+
+    @pytest.mark.parametrize("d", [uniform(0.0, 1.0), uniform(0.3, 7.0), uniform(2.5, 2.5 + 1e-9),
+                                   exponential(1.0), exponential(2.0), exponential(1e-3),
+                                   exponential(37.0)], ids=lambda d: d.label)
+    def test_closed_forms_are_nondecreasing_in_floats(self, d):
+        assert d.monotone_quantile
+        rng = np.random.default_rng(3)
+        for p in self.POINTS + rng.random(200).tolist():
+            v = d.quantile(float_window(p))
+            assert np.all(np.diff(v) >= 0.0), p
+
+    @given(st.floats(0.0, 1.0, exclude_max=True), st.floats(1e-3, 1e3))
+    def test_exponential_is_nondecreasing_in_floats(self, p, rate):
+        v = exponential(rate).quantile(float_window(p, 64))
+        assert np.all(np.diff(v) >= 0.0)
+
+    def test_revenue_curves_are_not(self):
+        # where the two segments of this curve meet, the price rounds one ulp
+        # up as q falls past the breakpoint: a bid one ulp lower for a
+        # higher uniform, both on the 2^-53 grid that rng.random() draws from
+        d = gen_regular(11, 2)
+        assert not d.monotone_quantile
+        lo, hi = 0.6643429071282383, 0.6643429071282384
+        assert hi == math.nextafter(lo, 1.0)
+        assert d.quantile(hi) == math.nextafter(d.quantile(lo), 0.0)
+
+
 class TestRevenueCurveConstruction:
     def test_rejects_bad_points(self):
         with pytest.raises(SpecParseError):

@@ -17,7 +17,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import betainc
@@ -27,6 +27,7 @@ from riskauctions import (
     EvalResult,
     PostedPriceMechanism,
     VcgMechanism,
+    batch_revenue,
     capped,
     check_virtual_utility_identity,
     default_family,
@@ -362,6 +363,126 @@ def test_edges_agree_with_mpmath(d, n, k, u, r):
     assert abs(got.mean_utility - want) <= got.abserr + 1e-13 * abs(want)
 
 
+def bid_space_eval_mc(m, d, n, u, samples, seed):
+    """(mean, CI halfwidth) of eval_mc as a loop over bid matrices: each
+    chunk's bids from `draw`, priced by `batch_revenue`, then u and the sums
+    chunk by chunk."""
+    rows = min(MC_CHUNK, MC_BUDGET // n)
+    s = s2 = 0.0
+    for idx, start in enumerate(range(0, samples, rows)):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
+        v = u(batch_revenue(m, d.draw(rng, (min(rows, samples - start), n))))
+        s += v.sum()
+        s2 += (v * v).sum()
+    mean = s / samples
+    var = max((s2 - samples * mean * mean) / (samples - 1), 0.0)
+    return float(mean), float(1.96 * np.sqrt(var / samples))
+
+
+def random_distribution(kind, rng):
+    if kind == "uniform":
+        a = float(rng.choice([0.0, rng.uniform(0.0, 2.0)]))
+        return uniform(a, a + float(rng.uniform(0.1, 3.0)))
+    if kind == "exponential":
+        return exponential(float(10.0 ** rng.uniform(-2.0, 1.0)))
+    return gen_regular(int(rng.integers(2 ** 31)), int(rng.integers(2, 65)))
+
+
+def random_level(d, where, rng, seed, count):
+    """A price or reserve below the support (its bottom if that is 0), inside
+    it, equal to one of the first ``count`` bids that eval_mc draws with
+    ``seed`` (its first chunk), or above every bid it can draw."""
+    top = d.quantile(math.nextafter(1.0, 0.0))  # the largest bid
+    if where == "below":
+        return d.support[0] * float(rng.random())
+    if where == "inside":
+        return float(d.quantile(rng.uniform(0.05, 0.95)))
+    if where == "above":
+        return math.nextafter(top, math.inf) * float(rng.choice([1.0, 1.5]))
+    stream = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+    return float(d.quantile(stream.random(int(rng.integers(count)) + 1)[-1]))
+
+
+def random_mechanism(kind, level, n, rng):
+    if kind == "posted":
+        return PostedPriceMechanism(level, int(rng.integers(1, n + 2)))
+    if kind == "vcg" and n > 1:  # k < n: up to 40, or n - 1
+        return VcgMechanism(int(rng.choice([rng.integers(1, min(n, 41)), n - 1])), level)
+    return VcgMechanism(int(rng.integers(n, n + 3)), level)
+
+
+def random_utility(rng):
+    return [linear(), power(0.5), capped(float(rng.uniform(0.1, 5.0)))][int(rng.integers(3))]
+
+
+def traced_peak_mib(m, d, n, samples):
+    eval_mc(m, d, n, linear(), MIN_MC_SAMPLES, seed=1)  # first-call allocations
+    tracemalloc.start()
+    try:
+        eval_mc(m, d, n, capped(5.0), samples, seed=1)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+class TestLeastUniform:
+    """The cut: the least float t in [0, 1) whose bid reaches a level, found
+    with the quantile kernel that prices the tiles."""
+
+    @staticmethod
+    def assert_exact(d, cut):
+        t = evaluation._least_uniform(d, cut)
+        assert 0.0 <= t <= 1.0
+        below = math.nextafter(t, 0.0)
+        if t < 1.0:
+            assert d.quantile(t) >= cut
+        if t > 0.0:
+            assert d.quantile(below) < cut
+        # a uniform counts as a sale exactly when its bid does
+        for x in (below, t, math.nextafter(t, 1.0)):
+            if 0.0 <= x < 1.0:
+                assert (x >= t) == (d.quantile(x) >= cut)
+        return t
+
+    DISTS = [uniform(0.0, 1.0), uniform(0.3, 7.0), exponential(1.0), exponential(0.01),
+             exponential(9.0)]
+
+    @given(st.sampled_from(DISTS), st.floats(0.0, 1.0, exclude_max=True),
+           st.sampled_from(["at", "ulp below", "ulp above", "scaled"]))
+    def test_brackets_drawn_cuts(self, d, x0, how):
+        v = d.quantile(x0)
+        cut = {"at": v, "ulp below": math.nextafter(v, 0.0),
+               "ulp above": math.nextafter(v, math.inf), "scaled": 1.7 * v}[how]
+        t = self.assert_exact(d, cut)
+        if how == "at":
+            assert t <= x0
+
+    @pytest.mark.parametrize("d", DISTS, ids=lambda d: d.label)
+    def test_edges(self, d):
+        # cut 0 and the lowest value: every uniform is a sale
+        assert self.assert_exact(d, 0.0) == 0.0
+        assert self.assert_exact(d, d.support[0]) == 0.0
+        # the largest bid, then one ulp above it: no uniform reaches it, and
+        # quantile(1), which raises on an unbounded support, is never asked for
+        top = d.quantile(math.nextafter(1.0, 0.0))
+        assert 0.0 < self.assert_exact(d, top) < 1.0
+        assert self.assert_exact(d, math.nextafter(top, math.inf)) == 1.0
+        if d.support[1] < math.inf:
+            assert self.assert_exact(d, d.support[1] + 1.0) == 1.0
+
+    def test_probes_are_arrays_through_quantile(self):
+        probes = []
+
+        class Probed(type(U01)):
+            def quantile(self, p):
+                probes.append(np.shape(p))
+                return super().quantile(p)
+
+        self.assert_exact(Probed(0.0, 1.0), 0.3)
+        searched = probes[:-5]  # assert_exact's own checks are the last five
+        assert 0 < len(searched) <= 8 and all(len(s) == 1 for s in searched)
+
+
 class TestMonteCarlo:
     def test_deterministic_for_fixed_seed(self):
         m = VcgMechanism(2, 0.3)
@@ -388,23 +509,85 @@ class TestMonteCarlo:
         assert r.ci_halfwidth > 0
 
     @pytest.mark.parametrize("n", [1, 64, 65, 20_000])
-    def test_chunks_stay_within_budget(self, n):
-        rows = []
+    def test_chunks_stay_within_budget(self, n, monkeypatch):
+        # each chunk draws its uniforms from a generator of its own, so the
+        # rows a generator fills are the chunk's rows
+        streams = []
 
-        class ZeroBids:
-            """Read-only zero chunks: a broadcast view, nothing allocated."""
-            def draw(self, rng, shape):
-                rows.append(shape[0])
-                return np.broadcast_to(0.0, shape)
+        class ZeroUniforms:
+            """A generator that records the rows it fills, with zeros."""
+            rows = 0
 
+            def random(self, size=None, dtype=np.float64, out=None):
+                self.rows += (out.shape if out is not None else size)[0]
+                if out is None:
+                    return np.zeros(size)
+                out[...] = 0.0
+                return out
+
+        def default_rng(seed):
+            streams.append(ZeroUniforms())
+            return streams[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
         chunk = MC_CHUNK if n <= 64 else MC_BUDGET // n
         samples = max(2 * chunk + 1, MIN_MC_SAMPLES)  # three or more chunks, the last partial
-        r = eval_mc(PostedPriceMechanism(0.5, 1), ZeroBids(), n, linear(), samples, seed=0)
+        r = eval_mc(PostedPriceMechanism(0.5, 1), U01, n, linear(), samples, seed=0)
+        rows = [g.rows for g in streams]
         assert sum(rows) == samples
         assert max(rows) * n <= MC_BUDGET
         # the chunks, and so the generator streams, of every n <= 64 are unchanged
         assert rows[0] == chunk
         assert r.mean_utility == r.ci_halfwidth == 0.0
+
+    # tracemalloc peaks in MiB of vcg:4,0 on exponential:2 under the former
+    # kernel, which drew each chunk's bids as one matrix
+    @pytest.mark.parametrize("n,bid_matrix_peak", [(1, 2.57), (2, 3.50), (64, 96.50), (65, 96.49),
+                                                   (2048, 96.02), (20_000, 95.68)])
+    def test_peak_memory_stays_below_the_bid_matrix(self, n, bid_matrix_peak):
+        chunk = min(MC_CHUNK, MC_BUDGET // n)
+        samples = max(2 * chunk + 1, MIN_MC_SAMPLES)
+        assert traced_peak_mib(VcgMechanism(4, 0.0), exponential(2.0), n, samples) <= bid_matrix_peak
+
+    def test_peak_memory_is_a_few_tiles(self):
+        # 48.5 MiB under the bid-matrix kernel
+        assert traced_peak_mib(VcgMechanism(4, 0.0), exponential(2.0), 32, 262_144) < 8.0
+
+    @settings(max_examples=60)
+    @given(st.sampled_from(["uniform", "exponential", "curve"]),
+           st.sampled_from(["posted", "vcg", "vcg k >= n"]),
+           st.sampled_from(["below", "inside", "at a drawn bid", "above"]),
+           st.sampled_from([1, 2, 64, 65, 3_000]) | st.integers(1, 40),
+           st.integers(0, 2 ** 32 - 1), st.data())
+    def test_matches_the_bid_space_loop(self, kind, mech, level_kind, n, seed, data):
+        rng = np.random.default_rng(seed)
+        d = random_distribution(kind, rng)
+        # up to about 400,000 uniforms; n = 3,000 takes np.partition
+        samples = data.draw(st.integers(MIN_MC_SAMPLES, max(MIN_MC_SAMPLES, 400_000 // n)),
+                            label="samples")
+        mc_seed = int(rng.integers(2 ** 32))
+        first_chunk = min(samples, MC_CHUNK, MC_BUDGET // n)
+        level = random_level(d, level_kind, rng, mc_seed, first_chunk * n)
+        m = random_mechanism(mech, level, n, rng)
+        u = random_utility(rng)
+        r = eval_mc(m, d, n, u, samples, mc_seed)
+        assert (r.mean_utility, r.ci_halfwidth) == bid_space_eval_mc(m, d, n, u, samples, mc_seed)
+
+    @pytest.mark.parametrize("n,samples", [
+        (2, 140_000),  # chunks of 65,536, 65,536 and 8,928 rows, each one tile
+        (65, 70_000),  # chunks of 64,527 and 5,473 rows in tiles of 2,048: both end partial
+        (3_000, 1_500),  # chunks of 1,398 and 102 rows: np.partition
+    ])
+    @pytest.mark.parametrize("kind", ["uniform", "exponential", "curve"])
+    def test_partial_chunks_and_tiles_match_the_bid_space_loop(self, n, samples, kind):
+        rng = np.random.default_rng(n)
+        d = random_distribution(kind, rng)
+        level = random_level(d, "at a drawn bid", rng, 5, min(MC_CHUNK, MC_BUDGET // n) * n)
+        for mech in ("posted", "vcg", "vcg k >= n"):
+            m = random_mechanism(mech, level, n, rng)
+            r = eval_mc(m, d, n, capped(2.0), samples, seed=5)
+            assert (r.mean_utility, r.ci_halfwidth) == bid_space_eval_mc(
+                m, d, n, capped(2.0), samples, 5)
 
     def test_profile_over_the_budget_is_rejected_before_drawing(self):
         class NoDraws:

@@ -58,6 +58,20 @@ def argsort_outcomes(m, b):
     return win, np.where(win, unit_price[:, None], 0.0)
 
 
+def sorted_revenue(m, b):
+    """batch_revenue by its definition: min(k, #bids at or above the price or
+    reserve) times the unit price, the (k+1)-st highest bid read off a full
+    np.sort of each row."""
+    level = m.price if isinstance(m, PostedPriceMechanism) else m.reserve
+    sold = np.minimum(np.count_nonzero(b >= level, axis=1), m.k)
+    if isinstance(m, PostedPriceMechanism):
+        return sold * m.price
+    n = b.shape[1]
+    if m.k >= n:
+        return sold * np.full(len(b), m.reserve)
+    return sold * np.maximum(m.reserve, np.sort(b, axis=1)[:, n - 1 - m.k])
+
+
 def run(m, bids):
     """(winners, payments, revenue) of one bid profile, as a one-row
     batch_outcomes call."""
@@ -201,6 +215,31 @@ class TestOutcomeInvariants:
             np.testing.assert_array_equal(win[j], [i in winners for i in range(n)])
             np.testing.assert_array_equal(pay[j], payments)
             assert revenue == float(pay_sum[j])
+
+
+    @settings(max_examples=200)
+    @given(st.integers(1, 40), st.integers(0, 2 ** 32 - 1), st.booleans(),
+           st.sampled_from(["ties", "atom", "uniform"]),
+           st.sampled_from(["zero", "k-th bid", "random"]), st.data())
+    def test_batch_revenue_keeps_its_bits(self, n, seed, posted, bid_kind, level_kind, data):
+        k = data.draw(st.integers(1, n + 2), label="k")
+        # 2,048 rows take the column pass, 16 rows np.partition
+        rows = data.draw(st.sampled_from([16, 2048]), label="rows")
+        rng = np.random.default_rng(seed)
+        if bid_kind == "ties":
+            vals = rng.integers(0, 4, (rows, n)).astype(float)
+        elif bid_kind == "atom":
+            vals = left_triangle(0.2).draw(rng, (rows, n))
+        else:
+            vals = rng.random((rows, n)) * 1.5
+        # at the k-th highest bid of a row, which the ties repeat
+        kth = np.sort(vals[rng.integers(rows)])[::-1][min(k, n) - 1]
+        level = {"zero": 0.0, "k-th bid": float(kth),
+                 "random": float(rng.random() * 1.2 * vals.max())}[level_kind]
+        m = PostedPriceMechanism(level, k) if posted else VcgMechanism(k, level)
+        got, want = batch_revenue(m, vals), sorted_revenue(m, vals)
+        assert got.dtype == want.dtype == np.float64
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestTruthfulness:
