@@ -39,6 +39,10 @@ __all__ = [
 
 # Relative tolerance of the concavity test on revenue-curve slopes.
 CONCAVITY_TOL = 1e-9
+# The most a breakpoint price may rise, relative: a price r/q from typed
+# decimals is within 3u of r/q exact (q, r and the divide each round once, u =
+# 2^-53), so two prices equal when typed differ by at most 6u.
+PRICE_RISE = 6 * 2.0 ** -53
 
 
 class SpecParseError(ValueError):
@@ -60,9 +64,6 @@ class Distribution:
     """
 
     kind: str = ""
-    # True when quantile() is nondecreasing on the floats of [0, 1), not just
-    # in exact arithmetic: Monte Carlo then ranks the uniforms, not the bids
-    monotone_quantile: bool = False
 
     # -- core queries ------------------------------------------------------
 
@@ -158,7 +159,6 @@ class Distribution:
 
 class Uniform(Distribution):
     kind = "uniform"
-    monotone_quantile = True  # a + p * (b - a): IEEE products and sums are monotone
 
     def __init__(self, a: float, b: float):
         if not (0 <= a < b) or not math.isfinite(a) or not math.isfinite(b):
@@ -200,7 +200,6 @@ class Uniform(Distribution):
 
 class Exponential(Distribution):
     kind = "exponential"
-    monotone_quantile = True  # -log1p(-p) / rate, as far as NumPy's log1p is monotone
 
     def __init__(self, rate: float):
         if not (rate > 0) or not math.isfinite(rate):
@@ -250,12 +249,13 @@ class RevenueCurveDistribution(Distribution):
     slope b is the classical marginal-revenue value of every price in the
     segment.  A segment through the origin has constant price, i.e. an atom.
 
-    Where two segments meet, the rounded prices of the two can cross, so
-    quantile() may step down by a few ulps (``monotone_quantile`` is False).
+    price() is nonincreasing on the floats, so quantile() is nondecreasing:
+    the breakpoint prices are made nonincreasing once, and each segment's
+    rounded a/q + b, with a >= 0, is clamped between the prices at its two
+    ends, where the rounded prices of two segments would otherwise cross.
     """
 
-    def __init__(self, points, kind: str = "revenue_curve", label: str | None = None,
-                 concave: bool | None = None):
+    def __init__(self, points, kind: str = "revenue_curve", label: str | None = None):
         pts = [(float(q), float(r)) for q, r in points]
         if pts and pts[0][0] > 0:
             pts.insert(0, (0.0, 0.0))
@@ -277,17 +277,16 @@ class RevenueCurveDistribution(Distribution):
         self._qs = qs
         self._rs = rs
         self._slopes = np.diff(rs) / np.diff(qs)
-        self._intercepts = rs[:-1] - self._slopes * qs[:-1]
+        # An intercept that rounds below 0, on a stretch of nearly constant
+        # price, is taken as 0: a/q + b is then nonincreasing in q on every
+        # segment, and the stretch counts as constant-price.
+        self._intercepts = np.maximum(rs[:-1] - self._slopes * qs[:-1], 0.0)
         # Breakpoint prices; entry 0 is the limit price at q -> 0+ (the atom).
         bp = rs[1:] / qs[1:]
-        self._prices = np.concatenate(([bp[0]], bp))
-        if np.any(np.diff(self._prices) > 1e-12 * np.maximum(1.0, np.abs(self._prices[:-1]))):
+        prices = np.concatenate(([bp[0]], bp))
+        if np.any(np.diff(prices) > PRICE_RISE * prices[:-1]):
             raise SpecParseError("not a valid distribution: price must be nonincreasing in q")
-        if concave:
-            mid = rs[1:-1]
-            chord = rs[:-2] + (rs[2:] - rs[:-2]) * (qs[1:-1] - qs[:-2]) / (qs[2:] - qs[:-2])
-            if np.any(mid < chord - 1e-12 * np.maximum(1.0, np.abs(chord))):
-                raise SpecParseError("curve flagged concave fails the chord test")
+        self._prices = np.minimum.accumulate(prices)
 
         self.kind = kind
         self._label = label
@@ -315,22 +314,25 @@ class RevenueCurveDistribution(Distribution):
         return tuple(self._qs_list[1:-1])
 
     @cached_property
-    def _price_segments(self) -> tuple[list, list, list]:
-        """Breakpoints, intercepts and slopes of price(q) = a/q + b, as lists.
+    def _price_segments(self) -> tuple[list, list, list, list, list]:
+        """Breakpoints, intercepts and slopes of price(q) = a/q + b, and the
+        least and greatest price of each segment (the prices at its right and
+        left breakpoints), as lists.
 
-        Where R(1) > 0, q = 1 has a segment of its own, the line of slope 0
-        through (1, R(1)), so that price(1) is R(1) = support[0] exactly: the
-        segment search runs on breakpoints whose last is the float below 1.  A
-        curve ending at R(1) = 0 keeps its last segment there, whose price
-        rounds to 0 or a few ulps above it (price() clamps the ulps below);
-        perfbench/reference.py copies that rounding."""
+        Where R(1) > 0, q = 1 has a segment of its own, whose price is clamped
+        to support[0], so that price(1) is support[0] exactly: the segment
+        search runs on breakpoints whose last is the float below 1.  A curve
+        ending at R(1) = 0 keeps its last segment there, whose price rounds to
+        0 or a few ulps above it (the clamp's lower end, 0, takes the ulps
+        below); perfbench/reference.py copies that rounding."""
         r1 = float(self._rs[-1])
         last_q = math.nextafter(1.0, 0.0) if r1 > 0.0 else 1.0
+        prices = self._prices.tolist()
         return (self._qs_list[:-1] + [last_q], self._intercepts.tolist() + [r1],
-                self._slopes_list + [0.0])
+                self._slopes_list + [0.0], prices[1:] + prices[-1:], prices[:-1] + prices[-1:])
 
     @cached_property
-    def _price_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _price_arrays(self) -> tuple[np.ndarray, ...]:
         return tuple(np.array(v) for v in self._price_segments)
 
     # price and marginal_revenue take a float without NumPy, as the
@@ -342,24 +344,24 @@ class RevenueCurveDistribution(Distribution):
         return elementwise(self._price, q)
 
     def _price(self, q):
-        qs, intercepts, slopes = self._price_arrays
+        qs, intercepts, slopes, lo, hi = self._price_arrays
         idx = np.maximum(np.searchsorted(qs, q, side="left") - 1, 0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            # on curves ending at R(1) = 0 the last segment can round to
-            # -2.2e-16 near q = 1
-            v = np.maximum(intercepts[idx] / q + slopes[idx], 0.0)
+            v = np.minimum(np.maximum(intercepts[idx] / q + slopes[idx], lo[idx]), hi[idx])
         return np.where(q <= self._qs[1], self._prices[0], v)
 
     def _price_of_float(self, q: float) -> float:
         # The array path above, one point at a time: the same bisection, one
-        # divide and one add, so the result is bit-identical to it.  The clamp
-        # copies np.maximum(v, 0.0), which keeps NaN and returns +0.0 for -0.0.
+        # divide, one add and the same clamp, so the result is bit-identical
+        # to it.  np.maximum(v, x) is v if v > x or v is NaN, else x, and
+        # np.minimum likewise; both are exact.
         if q <= self._qs_list[1]:
             return self._price0
-        qs, intercepts, slopes = self._price_segments
+        qs, intercepts, slopes, lo, hi = self._price_segments
         j = max(bisect_left(qs, q) - 1, 0)
         v = intercepts[j] / q + slopes[j]
-        return v if v > 0.0 or v != v else 0.0
+        v = v if v > lo[j] or v != v else lo[j]
+        return v if v < hi[j] or v != v else hi[j]
 
     def marginal_revenue(self, q):
         # The slope of the segment left of q; on (0, q1] that is the atom price.
@@ -483,10 +485,8 @@ def irregular_example(eps: float) -> RevenueCurveDistribution:
     )
 
 
-def revenue_curve(points, concave: bool | None = None,
-                  label: str | None = None) -> RevenueCurveDistribution:
-    return RevenueCurveDistribution(points, kind="revenue_curve", label=label,
-                                    concave=concave)
+def revenue_curve(points, label: str | None = None) -> RevenueCurveDistribution:
+    return RevenueCurveDistribution(points, kind="revenue_curve", label=label)
 
 
 def make_distribution(spec: str) -> Distribution:

@@ -195,12 +195,12 @@ def eval_mc(m: Mechanism, d: Distribution, n: int, u: UtilityFunction,
 
     A chunk is drawn and priced one tile of about MC_TILE uniforms at a
     time; successive draws from one generator continue its stream, so the
-    tiles hold the chunk's uniforms.  Where ``d.monotone_quantile`` holds,
-    the bid quantile(x) ranks as its uniform x does: `mechanisms._revenue`
-    ranks the uniforms, turns only the (k+1)-st highest of each row into a
-    bid, and counts the uniforms at or above the cut `_least_uniform` of the
-    price or reserve, which gives the bits that the bids themselves give.
-    Other kinds turn each tile into bids first.
+    tiles hold the chunk's uniforms.  Every kind's quantile is nondecreasing
+    on the floats, so the bid quantile(x) ranks as its uniform x does:
+    `mechanisms._revenue` ranks the uniforms, turns only the (k+1)-st
+    highest of each row into a bid, and counts the uniforms at or above the
+    cut `_least_uniform` of the price or reserve, which gives the bits that
+    the bids themselves give.
     """
     if samples < MIN_MC_SAMPLES:
         raise ValueError(f"need at least {MIN_MC_SAMPLES} samples")
@@ -210,10 +210,7 @@ def eval_mc(m: Mechanism, d: Distribution, n: int, u: UtilityFunction,
         raise ValueError(f"Monte Carlo takes at most {MC_BUDGET} bidders")
     rows = min(MC_CHUNK, MC_BUDGET // n)
     tile_rows = min(max(MC_TILE // n, 2048), rows)
-    if d.monotone_quantile:
-        cut, bid = _least_uniform(d, _least_bid(m)), d.quantile
-    else:
-        cut, bid = None, None
+    cut = _least_uniform(d, _least_bid(m))
     buf = np.empty((min(tile_rows, samples), n))
     work: dict = {}
     s = s2 = 0.0
@@ -224,7 +221,7 @@ def eval_mc(m: Mechanism, d: Distribution, n: int, u: UtilityFunction,
         for lo in range(0, size, tile_rows):
             tile = buf[:min(tile_rows, size - lo)]
             rng.random(out=tile)
-            revs.append(_revenue(m, tile if bid else d.quantile(tile), cut, bid, work))
+            revs.append(_revenue(m, tile, cut, d.quantile, work))
         v = u(revs[0] if len(revs) == 1 else np.concatenate(revs))
         del revs
         s += v.sum()

@@ -149,12 +149,13 @@ def check_capped_binomial_grid(n_max: int = 60, q_step: float = 0.01) -> LemmaRe
     q counts once per admissible k (1 <= k <= min(n, 2qn)); the worst
     instance is the first strict minimum in (n, q) order."""
     steps = round(1.0 / q_step)
-    grid = np.arange(1, steps + 1) / steps
+    j = np.arange(1, steps + 1)
+    grid = j / steps
     worst_margin = np.inf
     worst = ""
     instances = 0
     for n in range(1, n_max + 1):
-        k_max = np.minimum(n, np.floor(2.0 * (grid * n) + 1e-9)).astype(int)
+        k_max = np.minimum(n, 2 * j * n // steps)  # floor(2qn) for q = j/steps, exactly
         admissible = k_max >= 1
         if not admissible.any():
             continue

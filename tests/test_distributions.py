@@ -370,17 +370,29 @@ class TestSampling:
         assert x.max() <= 100.0 and x.min() >= 0.0
 
 
+def float_run(p, width):
+    """The floats within ``width`` steps of p >= 0, in increasing order (NaN
+    for the steps below 0)."""
+    return (np.array([p]).view(np.int64)[0] + np.arange(-width, width + 1)).view(np.float64)
+
+
 def float_window(p, width=256):
     """The floats of [0, 1) within ``width`` steps of p, in increasing order."""
-    bits = np.array([p]).view(np.int64)[0] + np.arange(-width, width + 1)
-    xs = bits.view(np.float64)
+    xs = float_run(p, width)
     return xs[(xs >= 0.0) & (xs < 1.0)]
 
 
+def junction_windows(d, width=40):
+    """The floats of (0, 1] within ``width`` steps of each breakpoint of d
+    and of q = 1, one increasing run per point."""
+    runs = [float_run(b, width) for b in d.breakpoints() + (1.0,)]
+    return [xs[(xs > 0.0) & (xs <= 1.0)] for xs in runs]
+
+
 class TestMonotoneQuantile:
-    """Monte Carlo ranks uniforms in place of bids only where
-    `monotone_quantile` holds, so it is checked on runs of consecutive floats,
-    not assumed."""
+    """Monte Carlo ranks uniforms in place of bids, which needs every kind's
+    quantile nondecreasing on the floats; it is checked on runs of
+    consecutive floats, not assumed."""
 
     # 0 and the top of [0, 1), binade edges of p and of 1 - p, and the
     # middle of each binade down to 2^-60
@@ -389,9 +401,9 @@ class TestMonotoneQuantile:
 
     @pytest.mark.parametrize("d", [uniform(0.0, 1.0), uniform(0.3, 7.0), uniform(2.5, 2.5 + 1e-9),
                                    exponential(1.0), exponential(2.0), exponential(1e-3),
-                                   exponential(37.0)], ids=lambda d: d.label)
-    def test_closed_forms_are_nondecreasing_in_floats(self, d):
-        assert d.monotone_quantile
+                                   exponential(37.0), left_triangle(0.01), irregular_example(0.05),
+                                   gen_regular(11, 2), gen_regular(4, 64)], ids=lambda d: d.label)
+    def test_nondecreasing_in_floats(self, d):
         rng = np.random.default_rng(3)
         for p in self.POINTS + rng.random(200).tolist():
             v = d.quantile(float_window(p))
@@ -402,15 +414,36 @@ class TestMonotoneQuantile:
         v = exponential(rate).quantile(float_window(p, 64))
         assert np.all(np.diff(v) >= 0.0)
 
-    def test_revenue_curves_are_not(self):
-        # where the two segments of this curve meet, the price rounds one ulp
-        # up as q falls past the breakpoint: a bid one ulp lower for a
-        # higher uniform, both on the 2^-53 grid that rng.random() draws from
+    @pytest.mark.parametrize("breakpoints", [2, 8, 64])
+    def test_curve_prices_are_nonincreasing_across_junctions(self, breakpoints):
+        # the rounded prices of two segments used to cross where they meet:
+        # 571 step-ups of up to 27 ulps in these 900 curves, and price(1)
+        # above price(1 - 2^-53) on 6 of them
+        for seed in range(300):
+            d = gen_regular(seed, breakpoints)
+            for qs in junction_windows(d):
+                assert np.all(np.diff(d.price(qs)) <= 0.0), (seed, qs[0])
+
+    @pytest.mark.parametrize("spec", ["revenue-curve:0:0;0.04:0.124;0.4:1.24;1:0.62",
+                                      "revenue-curve:0:0;0.09:0.369;0.43:1.763;1:0.8815",
+                                      "revenue-curve:0:0;0.14:0.686;0.4:1.96;1:0.98"])
+    def test_curve_prices_are_nonincreasing_inside_segments(self, spec):
+        # typed with one price from q1 to q2, this segment's intercept rounds
+        # below 0 while its end prices differ by an ulp: a/q + b rose with q,
+        # and the survival at the top price, a/(v - b), was -inf
+        d = make_distribution(spec)
+        q1, q2 = d.breakpoints()[:2]
+        assert np.all(np.diff(d.price(np.linspace(q1, q2, 2001))) <= 0.0)
+        assert d.sale_probability(d.support[1]) == q2
+
+    def test_former_step_down_is_gone(self):
+        # where the two segments of this curve meet, the price rounded one ulp
+        # up as q fell past the breakpoint: the uniform one float above lo got
+        # a bid one ulp lower; both are on the 2^-53 grid of rng.random()
         d = gen_regular(11, 2)
-        assert not d.monotone_quantile
         lo, hi = 0.6643429071282383, 0.6643429071282384
         assert hi == math.nextafter(lo, 1.0)
-        assert d.quantile(hi) == math.nextafter(d.quantile(lo), 0.0)
+        assert d.quantile(lo) <= d.quantile(hi) == 1.0262870976275371
 
 
 class TestRevenueCurveConstruction:
@@ -422,11 +455,37 @@ class TestRevenueCurveConstruction:
         with pytest.raises(SpecParseError):
             revenue_curve([(0.0, 0.5)])
 
-    def test_concave_flag_enforced(self):
-        pts = [(0.0, 0.0), (0.2, 1.0), (0.4, 0.2), (1.0, 0.0)]
-        with pytest.raises(SpecParseError):
-            revenue_curve(pts, concave=True)
-        assert not revenue_curve(pts).is_regular()
+    def test_irregular_curve_is_not_regular(self):
+        assert not revenue_curve([(0.0, 0.0), (0.2, 1.0), (0.4, 0.2), (1.0, 0.0)]).is_regular()
+
+    def test_typed_equal_prices_parse_as_one_price(self):
+        # 0.3/0.1 rounds to 2.9999999999999996 and 0.9/0.3 to 3.0: a rise of
+        # one ulp between prices that are equal as typed
+        d = make_distribution("revenue-curve:0:0;0.1:0.3;0.3:0.9;1:1")
+        qs = np.concatenate([np.linspace(1e-6, 0.3, 1001)] + junction_windows(d)[:2])
+        qs = qs[qs <= 0.3]
+        assert np.all(d.price(qs) == 2.9999999999999996)
+        assert d.support == (1.0, 2.9999999999999996)
+
+    def test_price_rise_is_allowed_up_to_six_rounding_units(self):
+        # three roundings per typed price r/q, u = 2^-53 each, so 6u between two
+        with pytest.raises(SpecParseError, match="nonincreasing"):
+            revenue_curve([(0.0, 0.0), (0.5, 0.5), (1.0, 1.0 + 1e-13)])
+        with pytest.raises(SpecParseError, match="nonincreasing"):
+            revenue_curve([(0.0, 0.0), (0.5, 0.5), (1.0, 1.0 + 8 * 2.0 ** -52)])
+        d = revenue_curve([(0.0, 0.0), (0.5, 0.5), (1.0, 1.0 + 2.0 ** -52)])
+        # the rise is taken out: one price on all of (0, 1]
+        assert d.support == (1.0, 1.0)
+        assert d.price(1.0) == d.price(np.array([1.0]))[0] == 1.0
+
+    def test_generated_breakpoint_prices_are_unchanged(self):
+        # every generated curve's float prices are already nonincreasing
+        for breakpoints in (2, 8, 64):
+            for seed in range(3000):
+                d = gen_regular(seed, breakpoints)
+                bp = d._rs[1:] / d._qs[1:]
+                raw = np.concatenate(([bp[0]], bp))
+                assert np.array_equal(d._prices.view(np.int64), raw.view(np.int64)), seed
 
     def test_irregular_example_eps_cap(self):
         with pytest.raises(SpecParseError):

@@ -39,6 +39,7 @@ from riskauctions import (
     expected_order_stat_price,
     exponential,
     gen_regular,
+    irregular_example,
     left_triangle,
     linear,
     make_distribution,
@@ -385,6 +386,8 @@ def random_distribution(kind, rng):
         return uniform(a, a + float(rng.uniform(0.1, 3.0)))
     if kind == "exponential":
         return exponential(float(10.0 ** rng.uniform(-2.0, 1.0)))
+    if kind == "curve ending at 0":
+        return [left_triangle, irregular_example][int(rng.integers(2))](rng.uniform(0.01, 0.3))
     return gen_regular(int(rng.integers(2 ** 31)), int(rng.integers(2, 65)))
 
 
@@ -445,7 +448,7 @@ class TestLeastUniform:
         return t
 
     DISTS = [uniform(0.0, 1.0), uniform(0.3, 7.0), exponential(1.0), exponential(0.01),
-             exponential(9.0)]
+             exponential(9.0), gen_regular(11, 2), left_triangle(0.01), irregular_example(0.05)]
 
     @given(st.sampled_from(DISTS), st.floats(0.0, 1.0, exclude_max=True),
            st.sampled_from(["at", "ulp below", "ulp above", "scaled"]))
@@ -469,6 +472,16 @@ class TestLeastUniform:
         assert self.assert_exact(d, math.nextafter(top, math.inf)) == 1.0
         if d.support[1] < math.inf:
             assert self.assert_exact(d, d.support[1] + 1.0) == 1.0
+
+    def test_cuts_at_a_junction(self):
+        # the uniforms whose bids lie at and around the junction of the two
+        # segments of this curve, where the bids once stepped down an ulp
+        d = gen_regular(11, 2)
+        u0 = 0.6643429071282383
+        bits = np.array([u0]).view(np.int64)[0] + np.arange(-40, 41)
+        for x in bits.view(np.float64).tolist():
+            assert self.assert_exact(d, d.quantile(x)) <= x
+        self.assert_exact(d, d.price(d.breakpoints()[0]))
 
     def test_probes_are_arrays_through_quantile(self):
         probes = []
@@ -554,7 +567,7 @@ class TestMonteCarlo:
         assert traced_peak_mib(VcgMechanism(4, 0.0), exponential(2.0), 32, 262_144) < 8.0
 
     @settings(max_examples=60)
-    @given(st.sampled_from(["uniform", "exponential", "curve"]),
+    @given(st.sampled_from(["uniform", "exponential", "curve", "curve ending at 0"]),
            st.sampled_from(["posted", "vcg", "vcg k >= n"]),
            st.sampled_from(["below", "inside", "at a drawn bid", "above"]),
            st.sampled_from([1, 2, 64, 65, 3_000]) | st.integers(1, 40),
