@@ -305,10 +305,11 @@ def _reproduce_rows() -> list[list[str]]:
                            (u01, 10, 3, "uniform:0,1 n=10 k=3"),
                            (exponential(1.0), 8, 2, "exponential:1 n=8 k=2")):
         add_report("hedge-limited-floor", label, check_hedge_limited(d, n, k))
+    reserves = [(u, optimal_reserve(u01, u)) for u in (linear(), power(0.5))]
     for n in (2, 3, 5):
         worst = min(eval_vcg_exact(u01, n, 1, u).mean_utility
-                    / eval_vcg_exact(u01, n, 1, u, optimal_reserve(u01, u)).mean_utility
-                    for u in (linear(), power(0.5)))
+                    / eval_vcg_exact(u01, n, 1, u, r).mean_utility
+                    for u, r in reserves)
         add("vickrey-vs-optimal", f"uniform:0,1 n={n}", 1.0 - 1.0 / n, worst,
             worst >= 1.0 - 1.0 / n - 1e-9)
     add_report("vcg-chain-slack", "uniform:0,1 n=6 k=2", check_vcg_chain(u01, 6, 2))

@@ -15,7 +15,7 @@ threads; sampling takes an explicit seed.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from functools import cached_property
 
 import numpy as np
@@ -257,34 +257,51 @@ class RevenueCurveDistribution(Distribution):
 
     def __init__(self, points, kind: str = "revenue_curve", label: str | None = None):
         pts = [(float(q), float(r)) for q, r in points]
-        if pts and pts[0][0] > 0:
-            pts.insert(0, (0.0, 0.0))
-        qs = np.array([p[0] for p in pts], dtype=float)
-        rs = np.array([p[1] for p in pts], dtype=float)
+        self._set_curve(np.array([p[0] for p in pts], dtype=float),
+                        np.array([p[1] for p in pts], dtype=float), kind, label)
+
+    @classmethod
+    def from_arrays(cls, qs, rs, kind: str = "revenue_curve",
+                    label: str | None = None) -> RevenueCurveDistribution:
+        """The curve through the points (qs[i], rs[i]), given as two 1-d
+        arrays; the same curve as the constructor makes from those pairs."""
+        qs = np.array(qs, dtype=float)
+        rs = np.array(rs, dtype=float)
+        if qs.ndim != 1 or qs.shape != rs.shape:
+            raise SpecParseError("qs and rs must be 1-d arrays of one length")
+        self = cls.__new__(cls)
+        self._set_curve(qs, rs, kind, label)
+        return self
+
+    def _set_curve(self, qs: np.ndarray, rs: np.ndarray, kind: str, label: str | None):
+        if len(qs) and qs[0] > 0:
+            qs = np.concatenate(([0.0], qs))
+            rs = np.concatenate(([0.0], rs))
         if len(qs) < 2:
             raise SpecParseError("a revenue curve needs at least two points")
         if qs[0] != 0.0 or rs[0] != 0.0:
             raise SpecParseError("a revenue curve starts at (0, 0)")
         if qs[-1] != 1.0:
             raise SpecParseError("a revenue curve ends at q = 1")
-        if np.any(np.diff(qs) <= 0):
+        dq = qs[1:] - qs[:-1]
+        if (dq <= 0).any():
             raise SpecParseError("q coordinates must be strictly increasing")
-        if np.any(rs < 0) or not np.all(np.isfinite(rs)):
+        if (rs < 0).any() or not np.isfinite(rs).all():
             raise SpecParseError("revenue values must be finite and nonnegative")
         if rs.max() <= 0:
             raise SpecParseError("the revenue curve must be positive somewhere")
 
         self._qs = qs
         self._rs = rs
-        self._slopes = np.diff(rs) / np.diff(qs)
+        self._slopes = (rs[1:] - rs[:-1]) / dq
         # An intercept that rounds below 0, on a stretch of nearly constant
         # price, is taken as 0: a/q + b is then nonincreasing in q on every
         # segment, and the stretch counts as constant-price.
         self._intercepts = np.maximum(rs[:-1] - self._slopes * qs[:-1], 0.0)
         # Breakpoint prices; entry 0 is the limit price at q -> 0+ (the atom).
         bp = rs[1:] / qs[1:]
-        prices = np.concatenate(([bp[0]], bp))
-        if np.any(np.diff(prices) > PRICE_RISE * prices[:-1]):
+        prices = np.concatenate((bp[:1], bp))
+        if (prices[1:] - prices[:-1] > PRICE_RISE * prices[:-1]).any():
             raise SpecParseError("not a valid distribution: price must be nonincreasing in q")
         self._prices = np.minimum.accumulate(prices)
 
@@ -400,6 +417,35 @@ class RevenueCurveDistribution(Distribution):
             out[mid] = q
         return out.reshape(np.shape(v))
 
+    @cached_property
+    def _sale_segments(self) -> tuple[list, list]:
+        """The negated breakpoint prices, ascending, and the intercepts, as
+        lists for `_q_at_float_price`."""
+        return (-self._prices).tolist(), self._intercepts.tolist()
+
+    def _q_at_float_price(self, v: float) -> float:
+        # _q_at_price(v, strict=False) one point at a time: the same search,
+        # and the same one subtraction and one divide, so the result is
+        # bit-identical to it.  bisect_right, like searchsorted, puts NaN
+        # after every price, so NaN sells with probability 1 on both paths.
+        neg_prices, intercepts = self._sale_segments
+        j = bisect_right(neg_prices, -v) - 1
+        if j < 0:
+            return 0.0
+        if j >= len(intercepts):
+            return 1.0
+        a = intercepts[j]
+        if a == 0.0:
+            return self._qs_list[j + 1]
+        gap = v - self._slopes_list[j]
+        return a / gap if gap else math.inf  # NumPy's a / 0 for a > 0
+
+    def sale_probability(self, p):
+        # a float without NumPy, as the half-bound sweep asks once per curve
+        if isinstance(p, float):
+            return self._q_at_float_price(float(p))
+        return elementwise(self._sale_probability, p)
+
     def _cdf(self, v):
         return 1.0 - self._q_at_price(v, strict=True)
 
@@ -426,8 +472,9 @@ class RevenueCurveDistribution(Distribution):
     # -- structure ------------------------------------------------------------
 
     def is_regular(self):
-        tol = CONCAVITY_TOL * max(1.0, float(np.abs(self._slopes).max()))
-        return bool(np.all(np.diff(self._slopes) <= tol))
+        s = self._slopes
+        tol = CONCAVITY_TOL * max(1.0, float(np.abs(s).max()))
+        return bool((s[1:] - s[:-1] <= tol).all())
 
     def is_mhr(self):
         # On a segment R = a + b*q with a > 0 the hazard is q/a, which rises
@@ -438,7 +485,7 @@ class RevenueCurveDistribution(Distribution):
     def _find_monopoly(self):
         # The maximum of a piecewise-linear curve sits on a breakpoint, so
         # this is exact; argmax picks the smallest q on a flat top.
-        i = int(np.argmax(self._rs))
+        i = int(self._rs.argmax())
         q = float(self._qs[i])
         return float(self._rs[i] / q), q
 

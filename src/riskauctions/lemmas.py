@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import sub
 
 import numpy as np
 
@@ -71,20 +73,25 @@ def gen_regular(seed: int, breakpoints: int | None = None) -> RevenueCurveDistri
         raise ValueError("breakpoints must lie in [2, 64]")
     lengths = rng.uniform(0.2, 1.0, m)
     lengths /= lengths.sum()
-    slopes = rng.uniform(0.5, 3.0) - np.concatenate(
-        [[0.0], np.cumsum(rng.uniform(0.05, 1.0, m - 1))])
-    neg = slopes < 0
-    gain = float(np.sum(slopes[~neg] * lengths[~neg]))
-    loss = float(-np.sum(slopes[neg] * lengths[neg]))
+    top = rng.uniform(0.5, 3.0)
+    slopes = np.zeros(m)
+    rng.uniform(0.05, 1.0, m - 1).cumsum(out=slopes[1:])
+    np.subtract(top, slopes, out=slopes)
+    # the slopes fall, in floats too, so the negative ones are a suffix
+    pos = m - np.count_nonzero(slopes < 0)
+    parts = slopes * lengths
+    loss = float(-parts[pos:].sum())
     if loss > 0.0:
-        slopes[neg] *= rng.uniform(0.05, 0.95) * gain / loss
-    qs = np.concatenate([[0.0], np.cumsum(lengths)])
+        slopes[pos:] *= rng.uniform(0.05, 0.95) * float(parts[:pos].sum()) / loss
+        np.multiply(slopes, lengths, out=parts)
+    qs = np.zeros(m + 1)
+    lengths.cumsum(out=qs[1:])
     qs[-1] = 1.0
-    rs = np.concatenate([[0.0], np.cumsum(slopes * lengths)])
+    rs = np.zeros(m + 1)
+    parts.cumsum(out=rs[1:])
     rs /= rs.max()
-    return RevenueCurveDistribution(
-        list(zip(qs, rs)), kind="revenue_curve",
-        label=f"gen-regular:seed={seed},breakpoints={m}")
+    return RevenueCurveDistribution.from_arrays(
+        qs, rs, label=f"gen-regular:seed={seed},breakpoints={m}")
 
 
 # -- sale-probability floors at the hedged price ----------------------------------
@@ -180,22 +187,34 @@ def check_allocation_bound(n_max: int = 60) -> LemmaReport:
     and S_k = sum_y min(k, y) C(n, y) j^y (20 - j)^(n-y) the probability is
     S_k/(nT), so the edges are (2S_k - kT)/(2nT) and (2kT - 2S_k)/(2nT) away.
     The margin is the nearer, rounded once; the worst instance the first
-    strict minimum in (n, q_r, k) order."""
+    strict minimum in (n, q_r, k) order.
+
+    Row n of the terms follows from row n - 1 by Pascal's rule, t_y = (20 -
+    j) t_y + j t_{y-1}, and as min(k, y) counts the m <= k with y >= m, kT -
+    S_k = sum_{m < k} H_m, H the prefix sums of the row.  The rows hold 2 t_y,
+    so their prefix sums of prefix sums are the upper edge's numerators
+    2(kT - S_k), and kT less them the lower edge's.  All instances of one n
+    share the denominator 2nT and are compared by numerator; each n's first
+    least is then compared with the worst so far."""
     worst = None  # (numerator, denominator, instance)
     instances = 0
+    rows = {j: [2] for j in range(10, 21)}  # 2 t_y for n = 0
     for n in range(1, n_max + 1):
         total = 20 ** n
-        for j in range(10, 21):
-            terms = [math.comb(n, y) * j ** y * (20 - j) ** (n - y) for y in range(n + 1)]
-            head, weighted = terms[0], 0  # sums of t_y and y t_y over y <= k
-            for k in range(1, n + 1):
-                head += terms[k]
-                weighted += k * terms[k]
-                s_k = weighted + k * (total - head)
-                num, den = min(2 * s_k - k * total, 2 * k * total - 2 * s_k), 2 * n * total
-                if worst is None or num * worst[1] < worst[0] * den:
-                    worst = (num, den, f"n={n},k={k},q_r={j / 20:g}: a={s_k / (n * total):.9g}")
-            instances += n
+        kts = list(accumulate(repeat(total, n)))  # kT for k = 1..n
+        least = None  # (numerator, j, k, S_k) of this n's first least
+        for j, row in rows.items():
+            row = rows[j] = [(20 - j) * t + j * s for t, s in zip(row + [0], [0] + row)]
+            upper = list(accumulate(accumulate(row[:n])))
+            num = min(min(map(sub, kts, upper)), min(upper))
+            if least is None or num < least[0]:
+                k = [min(kt - b, b) for kt, b in zip(kts, upper)].index(num) + 1
+                least = (num, j, k, k * total - upper[k - 1] // 2)
+        instances += len(rows) * n
+        num, j, k, s_k = least
+        den = 2 * n * total
+        if worst is None or num * worst[1] < worst[0] * den:
+            worst = (num, den, f"n={n},k={k},q_r={j / 20:g}: a={s_k / (n * total):.9g}")
     margin = worst[0] / worst[1]
     return LemmaReport(name=f"allocation-bound[grid n<={n_max}]",
                        passed=worst[0] >= 0, claimed_bound=0.0, observed=margin,

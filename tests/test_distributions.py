@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from riskauctions import (
     NotDifferentiableError,
+    RevenueCurveDistribution,
     SpecParseError,
     exponential,
     gen_regular,
@@ -272,6 +273,34 @@ class TestScalarPrice:
                     assert got == d.price(q1)
 
 
+    @pytest.mark.parametrize("breakpoints", [2, 8, 64])
+    def test_float_sale_probability_is_bit_identical_across_junctions(self, breakpoints):
+        # the prices within 40 floats of every breakpoint price, q = 1's and
+        # the atom's included
+        for seed in range(300):
+            d = gen_regular(seed, breakpoints)
+            for vs in price_windows(d):
+                got = np.array([d.sale_probability(float(v)) for v in vs])
+                want = d.sale_probability(vs)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (seed, vs[0])
+
+    @pytest.mark.parametrize("d", [
+        # the typed stretch of price 3.1 on (0, 0.4], whose intercept rounds below 0
+        make_distribution("revenue-curve:0:0;0.04:0.124;0.4:1.24;1:0.62"),
+        left_triangle(0.01), irregular_example(0.05), gen_regular(0, 2)], ids=lambda d: d.label)
+    def test_float_sale_probability_at_special_values(self, d):
+        lo, hi = d.support
+        specials = [0.0, -0.0, -1.0, math.inf, -math.inf, math.nan, lo, hi, 5e-324, 1e300]
+        for vs in [specials] + price_windows(d):
+            for v in vs:
+                for x in (float(v), np.float64(v)):
+                    got = d.sale_probability(x)
+                    assert type(got) is float
+                    want = float(d.sale_probability(np.array([x]))[0])
+                    assert same_bits(got, want), (d.label, v)
+        # NaN sorts after every price, as in np.searchsorted
+        assert d.sale_probability(math.nan) == d.sale_probability(lo) == 1.0
+
     def test_price_at_one_is_the_lowest_value(self):
         # q = 1 has a segment of its own through (1, R(1)); on the last
         # segment's line it was off R(1) by up to 7.9e-15 relative on 4,302
@@ -389,6 +418,13 @@ def junction_windows(d, width=40):
     return [xs[(xs > 0.0) & (xs <= 1.0)] for xs in runs]
 
 
+def price_windows(d, width=40):
+    """The floats within ``width`` steps of each breakpoint price of d, the
+    top of the support included, one increasing run per price (NaN for
+    the steps below 0)."""
+    return [float_run(p, width) for p in d._prices.tolist()]
+
+
 class TestMonotoneQuantile:
     """Monte Carlo ranks uniforms in place of bids, which needs every kind's
     quantile nondecreasing on the floats; it is checked on runs of
@@ -454,6 +490,30 @@ class TestRevenueCurveConstruction:
             revenue_curve([(0.0, 0.0), (0.4, 0.5), (0.4, 0.6), (1.0, 0.0)])
         with pytest.raises(SpecParseError):
             revenue_curve([(0.0, 0.5)])
+
+    @pytest.mark.parametrize("points", [
+        [(0.0, 0.0), (0.3, 0.6), (1.0, 0.8)],
+        [(0.25, 1.0), (1.0, 0.0)],  # the origin is put in front, as by the constructor
+        [(0.0, 0.0), (0.1, 0.3), (0.3, 0.9), (1.0, 1.0)]])
+    def test_from_arrays_is_the_constructor(self, points):
+        qs, rs = (np.array(v) for v in zip(*points))
+        a, b = RevenueCurveDistribution.from_arrays(qs, rs), revenue_curve(points)
+        for name in ("_qs", "_rs", "_slopes", "_intercepts", "_prices"):
+            assert np.array_equal(getattr(a, name).view(np.int64),
+                                  getattr(b, name).view(np.int64)), name
+        assert (a.kind, a.label, a.breakpoints()) == (b.kind, b.label, b.breakpoints())
+        qs[1] = 0.9  # the curve keeps copies
+        assert a.points == b.points
+
+    def test_from_arrays_rejects_what_the_constructor_rejects(self):
+        with pytest.raises(SpecParseError, match="one length"):
+            RevenueCurveDistribution.from_arrays([0.0, 0.5, 1.0], [0.0, 1.0])
+        with pytest.raises(SpecParseError, match="one length"):
+            RevenueCurveDistribution.from_arrays(np.zeros((2, 2)), np.zeros((2, 2)))
+        with pytest.raises(SpecParseError, match="strictly increasing"):
+            RevenueCurveDistribution.from_arrays([0.0, 0.4, 0.4, 1.0], [0.0, 0.5, 0.6, 0.0])
+        with pytest.raises(SpecParseError, match="nonnegative"):
+            RevenueCurveDistribution.from_arrays([0.0, 0.5, 1.0], [0.0, -0.1, 0.0])
 
     def test_irregular_curve_is_not_regular(self):
         assert not revenue_curve([(0.0, 0.0), (0.2, 1.0), (0.4, 0.2), (1.0, 0.0)]).is_regular()

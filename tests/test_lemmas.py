@@ -83,6 +83,20 @@ class TestHalfBound:
         assert rep.instances_checked == 50
         assert rep.observed >= 0.5
 
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_sweep_matches_array_path_loop(self, seed):
+        # each curve's sale probability through the array path, and the
+        # first strict minimum
+        observed, worst = np.inf, ""
+        for i in range(200):
+            d = gen_regular(seed + i)
+            p_star, q_star = d.monopoly_price()
+            s = float(d.sale_probability(np.array([p_star * q_star]))[0])
+            if s < observed:
+                observed, worst = s, d.label
+        assert check_half_bound_sweep(200, seed) == report_from_margin(
+            "half-bound[gen-regular x200]", 0.5, observed, 1e-9, 200, worst)
+
 
 class TestMhrBound:
     def test_exponential_sits_at_equality(self):
@@ -154,7 +168,7 @@ class TestGridChecksMatchPerInstanceLoops:
         assert check_capped_binomial_grid(n_max, q_step) == \
             loop_capped_binomial_grid(n_max, q_step)
 
-    @pytest.mark.parametrize("n_max", [60, 17, 1])
+    @pytest.mark.parametrize("n_max", [60, 30, 17, 5, 2, 1])
     def test_allocation_bound(self, n_max):
         assert check_allocation_bound(n_max) == rational_allocation_bound(n_max)
 
@@ -492,7 +506,34 @@ class TestFrontier:
         assert res.best_min_ratio <= ceiling + 1.0 / 400 + 1e-9
 
 
+def masked_gen_regular(seed, breakpoints=None):
+    """Reference: gen_regular's points, its negative slopes picked by a
+    boolean mask and its prefix sums by concatenation."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 65)) if breakpoints is None else breakpoints
+    lengths = rng.uniform(0.2, 1.0, m)
+    lengths /= lengths.sum()
+    slopes = rng.uniform(0.5, 3.0) - np.concatenate(
+        [[0.0], np.cumsum(rng.uniform(0.05, 1.0, m - 1))])
+    neg = slopes < 0
+    gain = float(np.sum(slopes[~neg] * lengths[~neg]))
+    loss = float(-np.sum(slopes[neg] * lengths[neg]))
+    if loss > 0.0:
+        slopes[neg] *= rng.uniform(0.05, 0.95) * gain / loss
+    qs = np.concatenate([[0.0], np.cumsum(lengths)])
+    qs[-1] = 1.0
+    rs = np.concatenate([[0.0], np.cumsum(slopes * lengths)])
+    rs /= rs.max()
+    return tuple(zip(qs.tolist(), rs.tolist()))
+
+
 class TestGenRegular:
+    @pytest.mark.parametrize("breakpoints", [None, 2, 64])
+    def test_matches_masked_construction(self, breakpoints):
+        for seed in range(300):
+            assert gen_regular(seed, breakpoints).points == \
+                masked_gen_regular(seed, breakpoints), seed
+
     def test_deterministic(self):
         a = gen_regular(9)
         b = gen_regular(9)

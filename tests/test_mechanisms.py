@@ -29,6 +29,7 @@ from riskauctions import (
     power,
     uniform,
 )
+from riskauctions.mechanisms import _revenue
 
 
 def binom_pmf_fractions(n, p):
@@ -240,6 +241,27 @@ class TestOutcomeInvariants:
         got, want = batch_revenue(m, vals), sorted_revenue(m, vals)
         assert got.dtype == want.dtype == np.float64
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(st.integers(1, 64), st.integers(1, 600), st.integers(1, 70)),
+                    min_size=1, max_size=4),
+           st.booleans(), st.integers(0, 2 ** 32 - 1))
+    def test_sale_counts_match_count_nonzero(self, tiles, posted, seed):
+        # posted prices and k >= n count the entries at or above the cut of
+        # each row; one scratch buffer serves tiles of every shape in turn, as
+        # in eval_mc, and a fifth of the entries sit exactly at the cut
+        rng = np.random.default_rng(seed)
+        work: dict = {}
+        for n, rows, k in tiles:
+            cut = float(rng.random())
+            tile = rng.random((rows, n))
+            tile[rng.random((rows, n)) < 0.2] = cut
+            if not posted:
+                k = max(k, n)
+            m = PostedPriceMechanism(0.75, k) if posted else VcgMechanism(k, 0.75)
+            got = _revenue(m, tile, cut, None, work)
+            want = np.minimum(np.count_nonzero(tile >= cut, axis=1), k) * 0.75
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestTruthfulness:
