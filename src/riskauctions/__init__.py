@@ -11,15 +11,14 @@ from .distributions import (Distribution, NotDifferentiableError,
                             revenue_curve, uniform)
 from .evaluation import (EvalResult, check_virtual_utility_identity, eval_mc,
                          eval_posted_exact, eval_second_price_exact, eval_vcg_exact,
-                         evaluate, expected_order_stat_price, myerson_revenue,
-                         virtual_utility_identity_stats)
+                         evaluate, myerson_revenue, virtual_utility_identity_stats)
 from .lemmas import (MHR_BOUND, FrontierResult, check_allocation_bound,
                      check_capped_binomial, check_capped_binomial_grid,
                      check_half_bound, check_half_bound_sweep,
                      check_hedge_limited, check_hedge_unlimited, check_mhr_bound,
                      check_tail, check_vcg_chain, check_vcg_discount,
-                     default_suite, frontier_search, gen_regular,
-                     posted_price_maximin, run_selections)
+                     frontier_search, gen_regular, posted_price_maximin,
+                     run_selections)
 from .mechanisms import (PostedPriceMechanism, VcgMechanism, allocation_probability,
                          batch_outcomes, batch_revenue, hedge_limited_price,
                          hedge_unlimited_price, make_mechanism, parse_mechanism)
@@ -51,7 +50,6 @@ __all__ = [
     "check_capped_binomial", "check_capped_binomial_grid", "check_half_bound",
     "check_half_bound_sweep", "check_hedge_limited", "check_hedge_unlimited",
     "check_mhr_bound", "check_tail", "check_vcg_chain", "check_vcg_discount",
-    "default_suite", "expected_order_stat_price", "frontier_search",
-    "gen_regular", "posted_price_maximin", "run_selections",
+    "frontier_search", "gen_regular", "posted_price_maximin", "run_selections",
     "CSV_COLUMNS", "LemmaReport", "report_from_margin",
 ]

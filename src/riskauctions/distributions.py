@@ -284,7 +284,7 @@ class RevenueCurveDistribution(Distribution):
         if qs[-1] != 1.0:
             raise SpecParseError("a revenue curve ends at q = 1")
         dq = qs[1:] - qs[:-1]
-        if (dq <= 0).any():
+        if not (dq > 0).all():  # a NaN q fails this too
             raise SpecParseError("q coordinates must be strictly increasing")
         if (rs < 0).any() or not np.isfinite(rs).all():
             raise SpecParseError("revenue values must be finite and nonnegative")

@@ -29,7 +29,6 @@ __all__ = [
     "eval_posted_exact",
     "eval_second_price_exact",
     "eval_vcg_exact",
-    "expected_order_stat_price",
     "eval_mc",
     "evaluate",
     "myerson_revenue",
@@ -149,22 +148,6 @@ def eval_vcg_exact(d: Distribution, n: int, k: int, u: UtilityFunction,
         mean += val
         err += quad_err
     return EvalResult(mean, "exact", abserr=err)
-
-
-def expected_order_stat_price(d: Distribution, t: int, n: int) -> float:
-    """E of price(Q) where Q is the t-th lowest of n uniform quantiles, i.e.
-    the expected t-th highest of n i.i.d. bids."""
-    if t <= 1:
-        raise ValueError("need t > 1 (the top order statistic may lack a mean)")
-    if t > n:
-        raise ValueError("need t <= n")
-    pdf = order_stat_pdf(t, n)
-
-    def integrand(q):
-        return _weighted(pdf(q), d.price(q))
-
-    pts = _split_points(d, linear(), 0.0) + _peak_points(t, n)
-    return _integrate(integrand, 0.0, 1.0, pts)[0]
 
 
 def _least_uniform(d: Distribution, level: float) -> float:

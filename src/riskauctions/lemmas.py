@@ -11,25 +11,29 @@ half-bound sweep.
 The utility guarantees cover every seller at once: over nondecreasing concave
 u with u(0) = 0, E[u(X)] / u(B) is least at u = capped(B) (proof in the
 README), so each is one exact evaluation at capped(B).
+
+`FLOORS` has a row per selection of `lemmas`: its check, the property a
+given distribution needs for it (regular, MHR or none) and its instances as
+specs, parsed when the row runs.  `all` with a distribution skips the rows
+whose property it lacks.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from operator import sub
+from operator import methodcaller, sub
 
 import numpy as np
 
-from .distributions import (Distribution, RevenueCurveDistribution, exponential,
-                            left_triangle, uniform)
+from .distributions import Distribution, RevenueCurveDistribution, make_distribution
 from .evaluation import (check_virtual_utility_identity, eval_posted_exact,
-                         eval_vcg_exact, expected_order_stat_price, myerson_revenue)
+                         eval_vcg_exact, myerson_revenue)
 from .mechanisms import VcgMechanism, hedge_limited_price, hedge_unlimited_price
 from .numerics import PMF_ERR, PMF_ERR_LAMBDA, binom_pmf_rows, order_stat_cdf, quad_target
 from .report import LemmaReport, report_from_margin
 from .utilities import (capped, check_virtual_utility_monotone, linear,
-                        optimal_reserve, power)
+                        optimal_reserve, parse_utility, power)
 
 __all__ = [
     "MHR_BOUND",
@@ -40,7 +44,6 @@ __all__ = [
     "check_capped_binomial",
     "check_capped_binomial_grid",
     "check_allocation_bound",
-    "expected_order_stat_price",
     "check_tail",
     "check_vcg_discount",
     "check_hedge_unlimited",
@@ -49,9 +52,10 @@ __all__ = [
     "FrontierResult",
     "frontier_search",
     "posted_price_maximin",
+    "FLOORS",
     "SELECTIONS",
+    "unmet_floors",
     "run_selections",
-    "default_suite",
 ]
 
 MHR_BOUND = float(np.exp(-np.exp(-1.0)))  # sale-probability floor for m.h.r. inputs
@@ -226,11 +230,13 @@ def check_allocation_bound(n_max: int = 60) -> LemmaReport:
 
 
 def check_tail(d: Distribution, t: int, n: int) -> LemmaReport:
-    """The t-th highest bid exceeds its own mean with probability >= 1/4,
-    for regular distributions and 1 < t <= n."""
+    """The t-th highest bid exceeds its own mean, what (t-1)-unit VCG earns
+    per unit, with probability >= 1/4, for regular d and 1 < t <= n."""
     if not d.is_regular():
         raise ValueError("the tail bound applies to regular distributions")
-    ey = expected_order_stat_price(d, t, n)
+    if not 1 < t <= n:
+        raise ValueError("need 1 < t <= n (the top order statistic may lack a mean)")
+    ey = eval_vcg_exact(d, n, t - 1, linear()).mean_utility / (t - 1)
     z = d.sale_probability(ey)
     observed = order_stat_cdf(t, n, z)
     return report_from_margin(f"tail[{d.label}|t={t},n={n}]", 0.25, observed,
@@ -320,7 +326,7 @@ def check_vcg_chain(d: Distribution, n: int, k: int,
             opt = eval_vcg_exact(d, n, 1, u, optimal_reserve(d, u)).mean_utility
             items.append((vick / opt - (1.0 - 1.0 / n), 1e-9,
                           f"vickrey-vs-optimal[{u.label}]"))
-    rev_vcg = k * expected_order_stat_price(d, k + 1, n)
+    rev_vcg = eval_vcg_exact(d, n, k, linear()).mean_utility
     u = capped(rev_vcg)
     lhs = eval_vcg_exact(d, n, k, u)
     ratio = lhs.mean_utility / rev_vcg
@@ -391,115 +397,98 @@ def posted_price_maximin(d: Distribution) -> float:
                         for q in d.breakpoints() + (1.0,) if q > q_b])
 
 
-# -- the curated suite behind `lemmas` ----------------------------------------------
+# -- the table of floors behind `lemmas` --------------------------------------------
+
+# the properties a floor may need of a distribution, by the names `lemmas` prints
+PROPERTIES = {"regular": methodcaller("is_regular"), "MHR": methodcaller("is_mhr")}
 
 
-def _builtin_regulars() -> tuple[Distribution, ...]:
-    return uniform(0.0, 1.0), exponential(1.0), left_triangle(0.01)
+def _check_identity_at_monopoly(d: Distribution, u, n: int) -> LemmaReport:
+    """The virtual-utility identity for one unit sold by VCG at the monopoly price."""
+    return check_virtual_utility_identity(d, VcgMechanism(1, d.monopoly_price()[0]), u, n)
 
 
-def _sel_monotone(d, seed):
-    dists = (d,) if d is not None else _builtin_regulars()
-    fam = (linear(), power(0.5), capped(0.01))
-    return [check_virtual_utility_monotone(x, u) for x in dists for u in fam]
+@dataclass(frozen=True)
+class Floor:
+    """A selection of `lemmas`: its check's name in this module, looked up
+    when the row runs; the property a distribution needs for it ("" for none);
+    the argument tuples a given distribution is run with, or None if the row
+    takes no distribution; the argument tuples of its built-in instances, each
+    led by a distribution spec, any later string a utility spec; and a check
+    that runs after the built-in instances with the seed, if any."""
+    name: str
+    check: str
+    needs: str
+    dist_args: tuple | None
+    instances: tuple
+    seeded: str = ""
+
+    def __call__(self, d: Distribution | None, seed: int) -> list[LemmaReport]:
+        check = globals()[self.check]
+        if self.dist_args is None:
+            cases = self.instances
+        elif d is not None:  # a check refuses an input without its property
+            cases = [(d, *args) for args in self.dist_args]
+        else:  # one distribution per spec, shared by its instances
+            dists = {s: make_distribution(s) for s in {c[0] for c in self.instances}}
+            cases = [(dists[spec], *args) for spec, *args in self.instances]
+        reports = [check(*[parse_utility(a) if isinstance(a, str) else a for a in case])
+                   for case in cases]
+        if self.seeded and d is None:
+            reports.append(globals()[self.seeded](seed=seed))
+        return reports
 
 
-def _sel_half_bound(d, seed):
-    if d is not None:
-        return [check_half_bound(d)]
-    reps = [check_half_bound(x) for x in _builtin_regulars()]
-    reps.append(check_half_bound_sweep(200, seed))
-    return reps
+_REGULARS = ("uniform:0,1", "exponential:1", "left-triangle:0.01")
+_FAMILY = ("linear", "power:0.5", "capped:0.01")
+
+FLOORS = (
+    Floor("virtual-utility-monotone", "check_virtual_utility_monotone", "",
+          tuple((u,) for u in _FAMILY), tuple((x, u) for x in _REGULARS for u in _FAMILY)),
+    Floor("half-bound", "check_half_bound", "regular", ((),),
+          tuple((x,) for x in _REGULARS), seeded="check_half_bound_sweep"),
+    Floor("mhr-bound", "check_mhr_bound", "MHR", ((),),
+          (("uniform:0,1",), ("exponential:1",), ("exponential:2",))),
+    Floor("capped-binomial", "check_capped_binomial_grid", "", None, ((),)),
+    Floor("allocation-bound", "check_allocation_bound", "", None, ((),)),
+    Floor("tail", "check_tail", "regular", ((2, 2), (2, 5), (5, 10)),
+          (("uniform:0,1", 2, 2), ("uniform:0,1", 3, 5), ("uniform:0,1", 5, 10),
+           ("exponential:1", 3, 6), ("left-triangle:0.0001", 2, 2))),
+    Floor("vcg-discount", "check_vcg_discount", "regular", ((3, 1),),
+          (("uniform:0,1", 3, 1), ("uniform:0,1", 2, 2), ("exponential:1", 5, 2))),
+    Floor("hedge-unlimited", "check_hedge_unlimited", "regular", ((5,),),
+          (("uniform:0,1", 5), ("exponential:1", 5), ("left-triangle:0.001", 1))),
+    Floor("hedge-limited", "check_hedge_limited", "regular", ((5, 2),),
+          (("uniform:0,1", 2, 1), ("uniform:0,1", 10, 3), ("exponential:1", 8, 2))),
+    Floor("vcg-chain", "check_vcg_chain", "regular", ((4, 1),),
+          (("uniform:0,1", 2, 1), ("uniform:0,1", 6, 2))),
+    Floor("virtual-utility-identity", "_check_identity_at_monopoly", "",
+          (("linear", 2), ("power:0.5", 2)),
+          (("uniform:0,1", "linear", 2), ("uniform:0,1", "power:0.5", 2))),
+)
+
+# `run_selections` calls each row through this dict, which a tracer may patch
+SELECTIONS = {floor.name: floor for floor in FLOORS}
 
 
-def _sel_mhr_bound(d, seed):
-    dists = (d,) if d is not None else (uniform(0.0, 1.0), exponential(1.0),
-                                        exponential(2.0))
-    return [check_mhr_bound(x) for x in dists]
-
-
-def _sel_capped_binomial(d, seed):
-    return [check_capped_binomial_grid()]
-
-
-def _sel_allocation(d, seed):
-    return [check_allocation_bound()]
-
-
-def _sel_tail(d, seed):
-    if d is not None:
-        return [check_tail(d, t, n) for t, n in ((2, 2), (2, 5), (5, 10))]
-    cases = [(uniform(0.0, 1.0), 2, 2), (uniform(0.0, 1.0), 3, 5),
-             (uniform(0.0, 1.0), 5, 10), (exponential(1.0), 3, 6),
-             (left_triangle(1e-4), 2, 2)]
-    return [check_tail(x, t, n) for x, t, n in cases]
-
-
-def _sel_discount(d, seed):
-    if d is not None:
-        return [check_vcg_discount(d, 3, 1)]
-    return [check_vcg_discount(uniform(0.0, 1.0), 3, 1),
-            check_vcg_discount(uniform(0.0, 1.0), 2, 2),
-            check_vcg_discount(exponential(1.0), 5, 2)]
-
-
-def _sel_hedge_unlimited(d, seed):
-    if d is not None:
-        return [check_hedge_unlimited(d, 5)]
-    return [check_hedge_unlimited(uniform(0.0, 1.0), 5),
-            check_hedge_unlimited(exponential(1.0), 5),
-            check_hedge_unlimited(left_triangle(0.001), 1)]
-
-
-def _sel_hedge_limited(d, seed):
-    if d is not None:
-        return [check_hedge_limited(d, 5, 2)]
-    return [check_hedge_limited(uniform(0.0, 1.0), 2, 1),
-            check_hedge_limited(uniform(0.0, 1.0), 10, 3),
-            check_hedge_limited(exponential(1.0), 8, 2)]
-
-
-def _sel_chain(d, seed):
-    if d is not None:
-        return [check_vcg_chain(d, 4, 1)]
-    return [check_vcg_chain(uniform(0.0, 1.0), 2, 1),
-            check_vcg_chain(uniform(0.0, 1.0), 6, 2)]
-
-
-def _sel_identity(d, seed):
-    x = d if d is not None else uniform(0.0, 1.0)
-    m = VcgMechanism(1, x.monopoly_price()[0])
-    return [check_virtual_utility_identity(x, m, u, 2) for u in (linear(), power(0.5))]
-
-
-SELECTIONS = {
-    "virtual-utility-monotone": _sel_monotone,
-    "half-bound": _sel_half_bound,
-    "mhr-bound": _sel_mhr_bound,
-    "capped-binomial": _sel_capped_binomial,
-    "allocation-bound": _sel_allocation,
-    "tail": _sel_tail,
-    "vcg-discount": _sel_discount,
-    "hedge-unlimited": _sel_hedge_unlimited,
-    "hedge-limited": _sel_hedge_limited,
-    "vcg-chain": _sel_chain,
-    "virtual-utility-identity": _sel_identity,
-}
+def unmet_floors(d: Distribution | None) -> dict[str, str]:
+    """The floors that need a property ``d`` lacks, each with that property."""
+    lacks = {need: d is not None and not has(d) for need, has in PROPERTIES.items()}
+    return {f.name: f.needs for f in FLOORS if lacks.get(f.needs)}
 
 
 def run_selections(names, d: Distribution | None = None,
                    seed: int = 42) -> list[LemmaReport]:
-    """Run named checks (or the whole suite for ``all``) in a fixed order."""
+    """Run the named floors in turn, or for ``all`` (the default) every floor
+    but those in `unmet_floors(d)`, in table order.  An unknown name raises
+    KeyError; the check of a named floor whose property ``d`` lacks raises
+    ValueError."""
     wanted = list(names) or ["all"]
-    if "all" in wanted:
-        wanted = list(SELECTIONS)
-    reports: list[LemmaReport] = []
     for name in wanted:
-        if name not in SELECTIONS:
-            raise KeyError(f"unknown check selection: {name!r}")
-        reports.extend(SELECTIONS[name](d, seed))
-    return reports
-
-
-def default_suite(seed: int = 42) -> list[LemmaReport]:
-    return run_selections(["all"], None, seed)
+        if name != "all" and name not in SELECTIONS:
+            raise KeyError(f"unknown check {name!r}; choose from: "
+                           f"{', '.join(sorted(SELECTIONS))}, all")
+    if "all" in wanted:
+        skipped = unmet_floors(d)
+        wanted = [name for name in SELECTIONS if name not in skipped]
+    return [r for name in wanted for r in SELECTIONS[name](d, seed)]

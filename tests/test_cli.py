@@ -2,11 +2,13 @@
 import contextlib
 import csv
 import io
+import json
 import math
 import struct
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from riskauctions import Distribution, cli, make_distribution, parse_mechanism
 from riskauctions.cli import MAX_GRID, build_parser, main
+from riskauctions.lemmas import SELECTIONS
 
 
 def run(argv):
@@ -345,6 +348,48 @@ class TestLemmas:
         assert "unknown check 'nope'" in err
         assert "half-bound" in err
 
+    @staticmethod
+    def _by_name(names, spec):
+        """The CSV that running each named selection alone on spec prints, the
+        rows in turn under one header, and the worst exit code."""
+        header, rows, worst = None, [], 0
+        for name in names:
+            code, out, err = run(["lemmas", name, "--dist", spec])
+            assert code in (0, 1) and err == "", (name, err)
+            header, *part = out.split("\r\n")[:-1]
+            rows += part
+            worst = max(worst, code)
+        return "".join(line + "\r\n" for line in [header] + rows), worst
+
+    @pytest.mark.parametrize("spec,skipped,code", [
+        ("exponential:3", [], 0),
+        ("left-triangle:0.01", ["mhr-bound"], 0),
+        ("irregular-example:0.05", ["half-bound", "mhr-bound", "tail", "vcg-discount",
+                                    "hedge-unlimited", "hedge-limited", "vcg-chain"], 1),
+    ])
+    def test_all_with_dist_runs_the_floors_that_apply(self, spec, skipped, code):
+        got = run(["lemmas", "all", "--dist", spec])
+        want, worst = self._by_name([n for n in SELECTIONS if n not in skipped], spec)
+        assert got[:2] == (code, want) and worst == code
+        needs = {n: "MHR" if n == "mhr-bound" else "regular" for n in skipped}
+        line = ", ".join(f"{n} (needs {p})" for n, p in needs.items())
+        assert got[2] == (f"skipped on {spec}: {line}\n" if skipped else "")
+
+    def test_named_floor_without_its_property_exits_2(self):
+        code, out, err = run(["lemmas", "mhr-bound", "--dist", "left-triangle:0.01"])
+        assert (code, out) == (2, "")
+        assert err == "error: the stronger bound needs a nondecreasing hazard\n"
+
+    def test_row_names_match_the_benchmark_pins(self):
+        # the benchmark's output check names these rows; this only reads its file
+        pins = json.loads((Path(__file__).parents[1] / "perfbench"
+                           / "verify_rows.json").read_text())
+        _, out, _ = run(["lemmas", "all"])
+        assert [r[0] for r in list(csv.reader(io.StringIO(out)))[1:]] == pins["lemmas all"]
+        _, out, _ = run(["reproduce"])
+        assert ([f"{r[0]}|{r[1]}" for r in list(csv.reader(io.StringIO(out)))[1:]]
+                == pins["reproduce"])
+
     def test_all_runs_clean(self):
         code, out, _ = run(["lemmas", "all", "--samples", "20000",
                             "--seed", "1"])
@@ -531,7 +576,8 @@ def _specs(x, k):
         st.builds("exponential:{}".format, x),
         st.builds("left-triangle:{}".format, x),
         st.builds("irregular-example:{}".format, x),
-        st.builds("revenue-curve:{}:{};1:{}".format, x, k, x))
+        st.builds("revenue-curve:{}:{};1:{}".format, x, k, x),
+        st.builds("revenue-curve:0:0;{}:0.5;1:{}".format, x, x))
     utility = st.one_of(
         st.sampled_from(["linear", "family:default", "family:linear;capped:0.2"]),
         st.builds("power:{}".format, x), st.builds("capped:{}".format, x))
@@ -576,7 +622,8 @@ def command_lines(draw):
                 "--utility", draw(utility)]
     else:
         argv = [cmd, draw(st.sampled_from(["half-bound", "mhr-bound", "tail",
-                                           "virtual-utility-monotone"])), "--dist", spec]
+                                           "virtual-utility-monotone", "all"])),
+                "--dist", spec]
     samples = draw(SAMPLES)
     if samples is not None:
         argv += ["--samples", str(samples)]

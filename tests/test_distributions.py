@@ -515,6 +515,15 @@ class TestRevenueCurveConstruction:
         with pytest.raises(SpecParseError, match="nonnegative"):
             RevenueCurveDistribution.from_arrays([0.0, 0.5, 1.0], [0.0, -0.1, 0.0])
 
+    @pytest.mark.parametrize("q", ["nan", "inf", "-inf"])
+    def test_rejects_a_non_finite_interior_q(self, q):
+        # a NaN difference is neither > 0 nor <= 0, so only a test that every
+        # difference is > 0 catches it
+        with pytest.raises(SpecParseError, match="strictly increasing"):
+            make_distribution(f"revenue-curve:0:0;{q}:0.5;1:1")
+        with pytest.raises(SpecParseError, match="strictly increasing"):
+            RevenueCurveDistribution.from_arrays([0.0, float(q), 1.0], [0.0, 0.5, 1.0])
+
     def test_irregular_curve_is_not_regular(self):
         assert not revenue_curve([(0.0, 0.0), (0.2, 1.0), (0.4, 0.2), (1.0, 0.0)]).is_regular()
 

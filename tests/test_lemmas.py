@@ -29,7 +29,6 @@ from riskauctions import (
     default_family,
     eval_posted_exact,
     eval_vcg_exact,
-    expected_order_stat_price,
     exponential,
     frontier_search,
     gen_regular,
@@ -46,7 +45,8 @@ from riskauctions import (
     run_selections,
     uniform,
 )
-from riskauctions.lemmas import SELECTIONS
+from riskauctions import lemmas
+from riskauctions.lemmas import FLOORS, SELECTIONS, unmet_floors
 from riskauctions.numerics import binom_pmf, quad_target
 from riskauctions.report import LemmaReport
 from test_acceptance import rational_allocations
@@ -250,19 +250,27 @@ class TestTail:
             check_tail(irregular_example(0.01), 2, 2)
 
 
-class TestExpectedOrderStatPrice:
+class TestOrderStatisticMean:
+    """The mean t-th highest of n bids, as the tail and chain checks take it:
+    what (t-1)-unit VCG earns, per unit."""
+
     def test_uniform_closed_forms(self):
         # Q_{2,2} ~ Beta(2,1) so E[1-Q] = 1/3; Q_{3,3} ~ Beta(3,1) so 1/4
-        assert expected_order_stat_price(U01, 2, 2) == pytest.approx(1 / 3, abs=1e-9)
-        assert expected_order_stat_price(U01, 3, 3) == pytest.approx(0.25, abs=1e-9)
+        assert eval_vcg_exact(U01, 2, 1, linear()).mean_utility == \
+            pytest.approx(1 / 3, abs=1e-9)
+        assert eval_vcg_exact(U01, 3, 2, linear()).mean_utility / 2 == \
+            pytest.approx(0.25, abs=1e-9)
 
     def test_exponential_min_of_two(self):
-        assert expected_order_stat_price(exponential(1.0), 2, 2) == \
+        assert eval_vcg_exact(exponential(1.0), 2, 1, linear()).mean_utility == \
             pytest.approx(0.5, abs=1e-8)
 
     def test_requires_t_above_one(self):
-        with pytest.raises(ValueError):
-            expected_order_stat_price(U01, 1, 3)
+        # VCG selling every unit earns 0, so the tail check guards t itself
+        assert eval_vcg_exact(U01, 3, 3, linear()).mean_utility == 0.0
+        for t, n in ((1, 3), (4, 3)):
+            with pytest.raises(ValueError, match="1 < t <= n"):
+                check_tail(U01, t, n)
 
 
 class TestVcgDiscount:
@@ -353,7 +361,7 @@ class TestVcgChain:
         # the certificate term E[min(2 * 3rd highest of 6, B)] / B - 1/4,
         # B = 8/7, stays above the bidder augmentation the chain reports
         rep = check_vcg_chain(U01, 6, 2)
-        rev = 2 * expected_order_stat_price(U01, 3, 6)
+        rev = eval_vcg_exact(U01, 6, 2, linear()).mean_utility
         want = eval_vcg_exact(U01, 6, 2, capped(rev)).mean_utility / rev - 0.25
         assert want == pytest.approx(0.874104934411 - 0.25, abs=1e-12)
         assert want > rep.margin
@@ -569,8 +577,70 @@ class TestSelections:
         }
 
     def test_unknown_selection_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="choose from: allocation-bound, .*, all"):
             run_selections(["nope"], None, 1)
+
+    def test_table_properties(self):
+        needs = {floor.name: floor.needs for floor in FLOORS}
+        assert list(SELECTIONS) == list(needs)
+        assert {name for name, need in needs.items() if need == "regular"} == {
+            "half-bound", "tail", "vcg-discount", "hedge-unlimited", "hedge-limited",
+            "vcg-chain"}
+        assert {name for name, need in needs.items() if need == "MHR"} == {"mhr-bound"}
+        assert {floor.name for floor in FLOORS if floor.dist_args is None} == {
+            "capped-binomial", "allocation-bound"}
+        assert unmet_floors(None) == {}
+        assert unmet_floors(exponential(3.0)) == {}
+        assert unmet_floors(left_triangle(0.01)) == {"mhr-bound": "MHR"}
+
+    def test_table_properties_match_the_checks(self):
+        # a check refuses on its own an input that lacks its floor's property,
+        # and a floor that needs none runs on an irregular input
+        irregular = irregular_example(0.05)
+        for floor in FLOORS:
+            if floor.needs:
+                d = irregular if floor.needs == "regular" else left_triangle(0.01)
+                with pytest.raises(ValueError):
+                    getattr(lemmas, floor.check)(d, *floor.dist_args[0])
+            elif floor.dist_args is not None:
+                assert floor(irregular, 1)
+
+    def test_table_holds_specs_not_objects(self):
+        # the table builds no distribution or utility when the module loads
+        for floor in FLOORS:
+            for case in floor.instances + (floor.dist_args or ()):
+                assert all(isinstance(a, (str, int)) for a in case), floor.name
+
+    def test_rows_look_up_their_checks_when_run(self, monkeypatch):
+        # a tracer that patches module attributes must see every call
+        calls = []
+        original = lemmas.check_virtual_utility_monotone
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(lemmas, "check_virtual_utility_monotone", counted)
+        assert len(run_selections(["virtual-utility-monotone"], None, 1)) == len(calls) == 9
+
+    def test_selections_are_called_through_the_dict(self, monkeypatch):
+        monkeypatch.setitem(SELECTIONS, "tail", lambda d, seed: ["tail", seed])
+        assert run_selections(["tail"], None, 5) == ["tail", 5]
+
+    def test_all_skips_the_floors_a_distribution_lacks_the_property_for(self):
+        d = left_triangle(0.01)
+        got = run_selections(["all"], d, 1)
+        want = [r for name in SELECTIONS if name != "mhr-bound"
+                for r in run_selections([name], d, 1)]
+        assert got == want
+        with pytest.raises(ValueError, match="nondecreasing hazard"):
+            run_selections(["mhr-bound"], d, 1)
+
+    def test_only_the_sweep_depends_on_the_seed(self):
+        a, b = run_selections(["all"], None, 1), run_selections(["all"], None, 500)
+        differ = [x.name for x, y in zip(a, b) if x != y]
+        assert differ == ["half-bound[gen-regular x200]"]
+        assert run_selections(["half-bound"], U01, 1) == run_selections(["half-bound"], U01, 2)
 
     def test_full_suite_passes_at_small_samples(self):
         reports = run_selections(["all"], None, seed=1)
