@@ -16,35 +16,22 @@ import contextlib
 import csv
 import decimal
 import functools
-import math
 import sys
 
 import numpy as np
 
-from .distributions import SpecParseError, exponential, irregular_example, \
-    left_triangle, make_distribution, uniform
-from .evaluation import (eval_vcg_exact, evaluate, myerson_revenue,
-                         virtual_utility_identity_stats)
-from .lemmas import (MHR_BOUND, SELECTIONS, check_allocation_bound,
-                     check_capped_binomial_grid, check_hedge_limited,
-                     check_hedge_unlimited, check_tail, check_vcg_chain,
-                     frontier_search, posted_price_maximin, run_selections,
-                     unmet_floors)
-from .mechanisms import VcgMechanism, hedge_limited_price, hedge_unlimited_price, \
-    parse_mechanism
+from .distributions import SpecParseError, make_distribution
+from .evaluation import evaluate, myerson_revenue
+from .lemmas import SELECTIONS, frontier_search, run_reproduce, run_selections, unmet_floors
+from .mechanisms import hedge_limited_price, hedge_unlimited_price, parse_mechanism
 from .report import CSV_COLUMNS
-from .utilities import (linear, maximize_single_bidder, optimal_reserve,
-                        parse_utilities, power)
+from .utilities import maximize_single_bidder, parse_utilities
 
 MIN_SAMPLES = 1_000
 MAX_GRID = 1_000_000
 
 
 def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int,)):
-        return str(x)
     return f"{float(x):.12g}"
 
 
@@ -281,54 +268,10 @@ def cmd_lemmas(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _reproduce_rows() -> list[list[str]]:
-    rows = []
-
-    def add(name, instance, claimed, computed, passed):
-        rows.append([name, instance, _fmt(claimed), _fmt(computed), _fmt(passed)])
-
-    def add_report(name, instance, r, passed=True):
-        add(name, instance, r.claimed_bound, r.observed, r.passed and passed)
-
-    u01 = uniform(0.0, 1.0)
-    add_report("hedge-unlimited-floor", "uniform:0,1 n=5", check_hedge_unlimited(u01, 5))
-    add_report("hedge-unlimited-floor", "exponential:1 n=5",
-               check_hedge_unlimited(exponential(1.0), 5))
-    # q(B) is one sale probability at a rounded price: a few ulps off, as MHR_BOUND
-    m = posted_price_maximin(left_triangle(0.001))
-    add("frontier-maximin", "left-triangle:0.001", 0.5, m, m >= 0.5 - 4 * math.ulp(0.5))
-    m = posted_price_maximin(exponential(1.0))
-    add("frontier-maximin", "exponential:1", MHR_BOUND, m,
-        abs(m - MHR_BOUND) <= 4 * math.ulp(MHR_BOUND))
-    m = posted_price_maximin(irregular_example(0.01))
-    add("frontier-ceiling", "irregular-example:0.01", 0.05, m, m <= 0.05)
-    for d, n, k, label in ((u01, 2, 1, "uniform:0,1 n=2 k=1"),
-                           (u01, 10, 3, "uniform:0,1 n=10 k=3"),
-                           (exponential(1.0), 8, 2, "exponential:1 n=8 k=2")):
-        add_report("hedge-limited-floor", label, check_hedge_limited(d, n, k))
-    reserves = [(u, optimal_reserve(u01, u)) for u in (linear(), power(0.5))]
-    for n in (2, 3, 5):
-        worst = min(eval_vcg_exact(u01, n, 1, u).mean_utility
-                    / eval_vcg_exact(u01, n, 1, u, r).mean_utility
-                    for u, r in reserves)
-        add("vickrey-vs-optimal", f"uniform:0,1 n={n}", 1.0 - 1.0 / n, worst,
-            worst >= 1.0 - 1.0 / n - 1e-9)
-    add_report("vcg-chain-slack", "uniform:0,1 n=6 k=2", check_vcg_chain(u01, 6, 2))
-    add_report("allocation-bracket", "n<=60, q_r in {0.5..1.0}", check_allocation_bound())
-    add_report("capped-binomial-floor", "n<=60, q step 0.01", check_capped_binomial_grid())
-    add_report("tail-quarter", "uniform:0,1 t=2 n=2", check_tail(u01, 2, 2))
-    r = check_tail(left_triangle(1e-4), 2, 2)
-    add_report("tail-quarter-tight", "left-triangle:0.0001 t=2 n=2", r, r.observed <= 0.26)
-    st = virtual_utility_identity_stats(u01, VcgMechanism(1, 0.5), linear(), 1)
-    ok = max(abs(st["lhs"] - 0.25), abs(st["rhs"] - 0.25)) <= st["tolerance"]
-    add("virtual-utility-quarter", "uniform:0,1 vcg:1,0.5 linear n=1", 0.25,
-        st["lhs"], ok)
-    return rows
-
-
 def cmd_reproduce(args) -> int:
     _resolve(args, {"seed": 42, "format": "csv"})
-    rows = _reproduce_rows()
+    rows = [[name, instance, _fmt(r.claimed_bound), _fmt(r.observed), str(r.passed).lower()]
+            for name, instance, r in run_reproduce()]
     _write_csv(["name", "instance", "claimed", "computed", "passed"], rows, args.out)
     return 0 if all(row[4] == "true" for row in rows) else 1
 

@@ -23,18 +23,9 @@ import numpy as np
 from .numerics import elementwise
 
 __all__ = [
-    "SpecParseError",
-    "NotDifferentiableError",
-    "Distribution",
-    "Uniform",
-    "Exponential",
-    "RevenueCurveDistribution",
-    "uniform",
-    "exponential",
-    "left_triangle",
-    "irregular_example",
-    "revenue_curve",
-    "make_distribution",
+    "SpecParseError", "NotDifferentiableError", "Distribution", "Uniform", "Exponential",
+    "RevenueCurveDistribution", "uniform", "exponential", "left_triangle",
+    "irregular_example", "revenue_curve", "make_distribution",
 ]
 
 # Relative tolerance of the concavity test on revenue-curve slopes.
@@ -43,6 +34,11 @@ CONCAVITY_TOL = 1e-9
 # decimals is within 3u of r/q exact (q, r and the divide each round once, u =
 # 2^-53), so two prices equal when typed differ by at most 6u.
 PRICE_RISE = 6 * 2.0 ** -53
+
+
+def _num(x: float) -> str:
+    """``x`` at 6 significant digits if they read back as ``x``, else in full."""
+    return f"{x:g}" if float(f"{x:g}") == x else repr(float(x))
 
 
 class SpecParseError(ValueError):
@@ -172,7 +168,7 @@ class Uniform(Distribution):
 
     @property
     def spec_string(self):
-        return f"uniform:{self.a:g},{self.b:g}"
+        return f"uniform:{_num(self.a)},{_num(self.b)}"
 
     def _cdf(self, v):
         return np.clip((v - self.a) / (self.b - self.a), 0.0, 1.0)
@@ -212,7 +208,7 @@ class Exponential(Distribution):
 
     @property
     def spec_string(self):
-        return f"exponential:{self.rate:g}"
+        return f"exponential:{_num(self.rate)}"
 
     def _cdf(self, v):
         return -np.expm1(-self.rate * v)
@@ -320,9 +316,9 @@ class RevenueCurveDistribution(Distribution):
     def support(self):
         return (float(self._prices[-1]), float(self._prices[0]))
 
-    @property
+    @cached_property
     def spec_string(self):
-        body = ";".join(f"{q:g}:{r:g}" for q, r in zip(self._qs, self._rs))
+        body = ";".join(f"{_num(q)}:{_num(r)}" for q, r in self.points)
         return f"revenue-curve:{body}"
 
     # -- quantile-space primitives ------------------------------------------
@@ -515,7 +511,7 @@ def left_triangle(eps: float) -> RevenueCurveDistribution:
     return RevenueCurveDistribution(
         [(0.0, 0.0), (eps, 1.0), (1.0, 0.0)],
         kind="left_triangle",
-        label=f"left-triangle:{eps:g}",
+        label=f"left-triangle:{_num(eps)}",
     )
 
 
@@ -528,7 +524,7 @@ def irregular_example(eps: float) -> RevenueCurveDistribution:
     return RevenueCurveDistribution(
         [(0.0, 0.0), (eps, 1.0), (2 * eps, eps), (1 - eps, eps), (1.0, 0.0)],
         kind="irregular_example",
-        label=f"irregular-example:{eps:g}",
+        label=f"irregular-example:{_num(eps)}",
     )
 
 

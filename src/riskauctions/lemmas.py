@@ -15,12 +15,13 @@ README), so each is one exact evaluation at capped(B).
 `FLOORS` has a row per selection of `lemmas`: its check, the property a
 given distribution needs for it (regular, MHR or none) and its instances as
 specs, parsed when the row runs.  `all` with a distribution skips the rows
-whose property it lacks.
+whose property it lacks; `REPRODUCE`, the rows of `reproduce`, run the same way.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate, repeat
 from operator import methodcaller, sub
 
@@ -28,34 +29,21 @@ import numpy as np
 
 from .distributions import Distribution, RevenueCurveDistribution, make_distribution
 from .evaluation import (check_virtual_utility_identity, eval_posted_exact,
-                         eval_vcg_exact, myerson_revenue)
+                         eval_vcg_exact, myerson_revenue, virtual_utility_identity_stats)
 from .mechanisms import VcgMechanism, hedge_limited_price, hedge_unlimited_price
 from .numerics import PMF_ERR, PMF_ERR_LAMBDA, binom_pmf_rows, order_stat_cdf, quad_target
 from .report import LemmaReport, report_from_margin
 from .utilities import (capped, check_virtual_utility_monotone, linear,
-                        optimal_reserve, parse_utility, power)
+                        optimal_reserve, parse_utilities, parse_utility)
 
 __all__ = [
-    "MHR_BOUND",
-    "gen_regular",
-    "check_half_bound",
-    "check_half_bound_sweep",
-    "check_mhr_bound",
-    "check_capped_binomial",
-    "check_capped_binomial_grid",
-    "check_allocation_bound",
-    "check_tail",
-    "check_vcg_discount",
-    "check_hedge_unlimited",
-    "check_hedge_limited",
-    "check_vcg_chain",
-    "FrontierResult",
-    "frontier_search",
-    "posted_price_maximin",
-    "FLOORS",
-    "SELECTIONS",
-    "unmet_floors",
-    "run_selections",
+    "MHR_BOUND", "gen_regular", "check_half_bound", "check_half_bound_sweep",
+    "check_mhr_bound", "check_capped_binomial", "check_capped_binomial_grid",
+    "check_allocation_bound", "check_tail", "check_tail_tight", "check_vcg_discount",
+    "check_hedge_unlimited", "check_hedge_limited", "vickrey_ratios",
+    "check_vickrey_vs_optimal", "check_vcg_chain", "FrontierResult", "frontier_search",
+    "posted_price_maximin", "check_maximin", "check_identity_one_bidder", "FLOORS",
+    "SELECTIONS", "unmet_floors", "run_selections", "REPRODUCE", "run_reproduce",
 ]
 
 MHR_BOUND = float(np.exp(-np.exp(-1.0)))  # sale-probability floor for m.h.r. inputs
@@ -178,11 +166,8 @@ def check_capped_binomial_grid(n_max: int = 60, q_step: float = 0.01) -> LemmaRe
         if margin[i] < worst_margin:
             worst_margin = margin[i]
             worst = f"n={n},q={qs[i]:g}: E={e[i]:.9g} vs {0.25 * qn[i]:.9g}"
-    return LemmaReport(name=f"capped-binomial[grid n<={n_max}]",
-                       passed=bool(worst_margin >= -1e-12), claimed_bound=0.0,
-                       observed=float(worst_margin), margin=float(worst_margin),
-                       tolerance=1e-12, instances_checked=instances,
-                       worst_instance=worst)
+    return report_from_margin(f"capped-binomial[grid n<={n_max}]", 0.0,
+                              float(worst_margin), 1e-12, instances, worst)
 
 
 def check_allocation_bound(n_max: int = 60) -> LemmaReport:
@@ -241,6 +226,12 @@ def check_tail(d: Distribution, t: int, n: int) -> LemmaReport:
     observed = order_stat_cdf(t, n, z)
     return report_from_margin(f"tail[{d.label}|t={t},n={n}]", 0.25, observed,
                               1e-6, 1, f"E[Y]={ey:.9g}, q={z:.9g}")
+
+
+def check_tail_tight(d: Distribution, t: int, n: int) -> LemmaReport:
+    """`check_tail`, failing too above 0.26: near a worst case, nearly 1/4."""
+    r = check_tail(d, t, n)
+    return replace(r, passed=bool(r.passed and r.observed <= 0.26))
 
 
 # -- revenue and utility guarantees of the hedged mechanisms -----------------------
@@ -306,26 +297,39 @@ def check_hedge_limited(d: Distribution, n: int, k: int) -> LemmaReport:
                               tolerance, 1, u.label)
 
 
-def check_vcg_chain(d: Distribution, n: int, k: int,
-                    fam=(linear(), power(0.5))) -> LemmaReport:
+@functools.lru_cache(maxsize=1)  # the rows of one instance search once per utility
+def _vickrey_reserves(d: Distribution) -> tuple:
+    return tuple((u, optimal_reserve(d, u)) for u in parse_utilities("family:linear;power:0.5"))
+
+
+def vickrey_ratios(d: Distribution, n: int) -> list[tuple[float, str]]:
+    """Vickrey's utility over the utility-optimal auction's, one unit to n bidders."""
+    return [(eval_vcg_exact(d, n, 1, u).mean_utility
+             / eval_vcg_exact(d, n, 1, u, r).mean_utility, f"vickrey-vs-optimal[{u.label}]")
+            for u, r in _vickrey_reserves(d)]
+
+
+def check_vickrey_vs_optimal(d: Distribution, n: int) -> LemmaReport:
+    """The least of `vickrey_ratios` is at least 1 - 1/n, within 1e-9."""
+    claimed = 1.0 - 1.0 / n
+    worst, label = min(vickrey_ratios(d, n), key=lambda item: item[0])
+    return LemmaReport(f"vickrey-vs-optimal[{d.label}|n={n}]", bool(worst >= claimed - 1e-9),
+                       claimed, worst, worst - claimed, 1e-9, 2, label)
+
+
+def check_vcg_chain(d: Distribution, n: int, k: int) -> LemmaReport:
     """The chain behind the reserve-free VCG guarantees, as normalized slacks:
 
-    for k = 1, its utility is at least (1 - 1/n) times the utility-optimal
-    auction's for each (smooth) utility in ``fam``, as that benchmark depends
-    on u; for k < n, at least a quarter of u(B) for every concave u, B = k
-    E[(k+1)-th highest bid]; and B covers the benchmark with k fewer bidders.
-    Every term is exact; the report aggregates the worst slack.  The second
-    term's tolerance is abserr plus the targets it and B met; the rest, 1e-9.
+    for k = 1, `vickrey_ratios` are at least 1 - 1/n; for k < n, the utility
+    is at least a quarter of u(B) for every concave u, B = k E[(k+1)-th
+    highest bid]; and B covers the benchmark with k fewer bidders.  Every term
+    is exact; the report aggregates the worst slack.  The second term's
+    tolerance is abserr plus the targets it and B met; the rest, 1e-9.
     """
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
-    items: list[tuple[float, float, str]] = []
-    if k == 1:
-        for u in fam:
-            vick = eval_vcg_exact(d, n, 1, u).mean_utility
-            opt = eval_vcg_exact(d, n, 1, u, optimal_reserve(d, u)).mean_utility
-            items.append((vick / opt - (1.0 - 1.0 / n), 1e-9,
-                          f"vickrey-vs-optimal[{u.label}]"))
+    items = [(ratio - (1.0 - 1.0 / n), 1e-9, label)
+             for ratio, label in (vickrey_ratios(d, n) if k == 1 else ())]
     rev_vcg = eval_vcg_exact(d, n, k, linear()).mean_utility
     u = capped(rev_vcg)
     lhs = eval_vcg_exact(d, n, k, u)
@@ -397,6 +401,13 @@ def posted_price_maximin(d: Distribution) -> float:
                         for q in d.breakpoints() + (1.0,) if q > q_b])
 
 
+def check_maximin(d: Distribution, claimed: float, low: float, high: float) -> LemmaReport:
+    """`posted_price_maximin` in [low, high]; the margin is how far inside."""
+    m = posted_price_maximin(d)
+    return LemmaReport(f"maximin[{d.label}]", bool(low <= m <= high), claimed, m,
+                       min(m - low, high - m), 0.0, 1, d.label)
+
+
 # -- the table of floors behind `lemmas` --------------------------------------------
 
 # the properties a floor may need of a distribution, by the names `lemmas` prints
@@ -408,14 +419,37 @@ def _check_identity_at_monopoly(d: Distribution, u, n: int) -> LemmaReport:
     return check_virtual_utility_identity(d, VcgMechanism(1, d.monopoly_price()[0]), u, n)
 
 
+def check_identity_one_bidder(d: Distribution, u) -> LemmaReport:
+    """One bidder and the reserve at the monopoly price p*, so revenue is p*
+    with probability q*: both sides of the identity within its tolerance of u(p*) q*."""
+    p_star, q_star = d.monopoly_price()
+    st = virtual_utility_identity_stats(d, VcgMechanism(1, p_star), u, 1)
+    claimed, tol = float(u(p_star)) * q_star, st["tolerance"]
+    off = max(abs(st["lhs"] - claimed), abs(st["rhs"] - claimed))
+    return LemmaReport(f"identity-one-bidder[{d.label}|{u.label}]", bool(off <= tol),
+                       claimed, st["lhs"], -off, tol, 1, f"rhs={st['rhs']:.9g}")
+
+
+def _run_cases(cases) -> list[LemmaReport]:
+    """Call each case's check, named first, on the rest: a leading string is a
+    distribution spec, one object per spec, and any later string a utility spec."""
+    dist = functools.cache(make_distribution)
+    reports = []
+    for check, *args in cases:
+        if args and isinstance(args[0], str):
+            args[0] = dist(args[0])
+        reports.append(globals()[check](
+            *[parse_utility(a) if isinstance(a, str) else a for a in args]))
+    return reports
+
+
 @dataclass(frozen=True)
 class Floor:
-    """A selection of `lemmas`: its check's name in this module, looked up
-    when the row runs; the property a distribution needs for it ("" for none);
-    the argument tuples a given distribution is run with, or None if the row
-    takes no distribution; the argument tuples of its built-in instances, each
-    led by a distribution spec, any later string a utility spec; and a check
-    that runs after the built-in instances with the seed, if any."""
+    """A selection of `lemmas`: its check's name in this module; the property
+    a distribution needs for it ("" for none); the argument tuples a given
+    distribution is run with, or None if the row takes no distribution; the
+    argument tuples of its built-in instances, cases of `_run_cases`; and a
+    check that runs after the built-in instances with the seed, if any."""
     name: str
     check: str
     needs: str
@@ -424,16 +458,11 @@ class Floor:
     seeded: str = ""
 
     def __call__(self, d: Distribution | None, seed: int) -> list[LemmaReport]:
-        check = globals()[self.check]
-        if self.dist_args is None:
+        if self.dist_args is None or d is None:
             cases = self.instances
-        elif d is not None:  # a check refuses an input without its property
+        else:  # a check refuses an input without its property
             cases = [(d, *args) for args in self.dist_args]
-        else:  # one distribution per spec, shared by its instances
-            dists = {s: make_distribution(s) for s in {c[0] for c in self.instances}}
-            cases = [(dists[spec], *args) for spec, *args in self.instances]
-        reports = [check(*[parse_utility(a) if isinstance(a, str) else a for a in case])
-                   for case in cases]
+        reports = _run_cases((self.check, *case) for case in cases)
         if self.seeded and d is None:
             reports.append(globals()[self.seeded](seed=seed))
         return reports
@@ -492,3 +521,35 @@ def run_selections(names, d: Distribution | None = None,
         skipped = unmet_floors(d)
         wanted = [name for name in SELECTIONS if name not in skipped]
     return [r for name in wanted for r in SELECTIONS[name](d, seed)]
+
+
+# the rows of `reproduce`: the name and instance each prints, then its case
+REPRODUCE = (
+    *(("hedge-unlimited-floor", f"{x} n=5", "check_hedge_unlimited", x, 5)
+      for x in ("uniform:0,1", "exponential:1")),
+    # q(B) is one sale probability at a rounded price: a few ulps off, as MHR_BOUND
+    ("frontier-maximin", "left-triangle:0.001", "check_maximin", "left-triangle:0.001",
+     0.5, 0.5 - 4 * math.ulp(0.5), math.inf),
+    ("frontier-maximin", "exponential:1", "check_maximin", "exponential:1",
+     MHR_BOUND, MHR_BOUND - 4 * math.ulp(MHR_BOUND), MHR_BOUND + 4 * math.ulp(MHR_BOUND)),
+    ("frontier-ceiling", "irregular-example:0.01", "check_maximin", "irregular-example:0.01",
+     0.05, -math.inf, 0.05),
+    *(("hedge-limited-floor", f"{x} n={n} k={k}", "check_hedge_limited", x, n, k)
+      for x, n, k in (("uniform:0,1", 2, 1), ("uniform:0,1", 10, 3), ("exponential:1", 8, 2))),
+    *(("vickrey-vs-optimal", f"uniform:0,1 n={n}", "check_vickrey_vs_optimal",
+       "uniform:0,1", n) for n in (2, 3, 5)),
+    ("vcg-chain-slack", "uniform:0,1 n=6 k=2", "check_vcg_chain", "uniform:0,1", 6, 2),
+    ("allocation-bracket", "n<=60, q_r in {0.5..1.0}", "check_allocation_bound"),
+    ("capped-binomial-floor", "n<=60, q step 0.01", "check_capped_binomial_grid"),
+    ("tail-quarter", "uniform:0,1 t=2 n=2", "check_tail", "uniform:0,1", 2, 2),
+    ("tail-quarter-tight", "left-triangle:0.0001 t=2 n=2", "check_tail_tight",
+     "left-triangle:0.0001", 2, 2),
+    ("virtual-utility-quarter", "uniform:0,1 vcg:1,0.5 linear n=1",
+     "check_identity_one_bidder", "uniform:0,1", "linear"),
+)
+
+
+def run_reproduce() -> list[tuple[str, str, LemmaReport]]:
+    """Each row of `REPRODUCE`: its name, its instance and its check's report."""
+    reports = _run_cases(row[2:] for row in REPRODUCE)
+    return [(name, instance, r) for (name, instance, *_), r in zip(REPRODUCE, reports)]

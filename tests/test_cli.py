@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from riskauctions import Distribution, cli, make_distribution, parse_mechanism
 from riskauctions.cli import MAX_GRID, build_parser, main
-from riskauctions.lemmas import SELECTIONS
+from riskauctions.lemmas import SELECTIONS, run_reproduce
 
 
 def run(argv):
@@ -501,6 +501,23 @@ class TestReproduce:
         assert {"hedge-unlimited-floor", "frontier-maximin",
                 "vickrey-vs-optimal", "tail-quarter-tight",
                 "allocation-bracket"} <= names
+
+    def test_rows_that_repeat_a_lemmas_row_print_its_observed(self):
+        # pair each reproduce row with the lemmas all row its check's report names
+        lemmas_rows = list(csv.reader(io.StringIO(run(["lemmas", "all"])[1])))[1:]
+        observed = {row[0]: row[3] for row in lemmas_rows}
+        reproduce_rows = list(csv.reader(io.StringIO(run(["reproduce"])[1])))[1:]
+        pairs = [(row[3], observed[r.name]) for row, (*_, r)
+                 in zip(reproduce_rows, run_reproduce()) if r.name in observed]
+        assert len(pairs) == 10  # nine repeats, and tail-quarter-tight's tail
+        assert all(computed == obs for computed, obs in pairs), pairs
+
+    def test_cli_holds_no_check(self):
+        # which checks exist, and on which instances, is for lemmas to say
+        names = set(vars(cli))
+        assert not {n for n in names if n.startswith("check_")}
+        assert not names & {"optimal_reserve", "eval_vcg_exact", "uniform", "exponential",
+                            "left_triangle", "irregular_example", "posted_price_maximin"}
 
     def test_identity_rows_do_not_depend_on_the_seed(self):
         # both sides of the identity are exact, so no row samples

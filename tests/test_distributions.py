@@ -593,8 +593,16 @@ class TestParsing:
         "d", [irregular_example(0.01), gen_regular(3)], ids=lambda d: d.label,
     )
     def test_spec_string_round_trip_curve(self, d):
-        # breakpoints serialize at 6 significant digits, so compare revenue
-        # curves (atom discontinuities make pointwise cdf comparison brittle)
-        again = make_distribution(d.spec_string)
-        qs = np.linspace(0.001, 1.0, 400)
-        np.testing.assert_allclose(again.revenue(qs), d.revenue(qs), rtol=0, atol=1e-5)
+        # a number prints in full where 6 significant digits would not read back
+        assert make_distribution(d.spec_string).points == d.points
+
+    def test_label_names_the_distribution_exactly(self):
+        a = make_distribution("revenue-curve:0:0;0.1234567:0.9;1:0.3")
+        b = make_distribution("revenue-curve:0:0;0.1234571:0.9;1:0.3")
+        assert (a.label, b.label) == ("revenue-curve:0:0;0.1234567:0.9;1:0.3",
+                                      "revenue-curve:0:0;0.1234571:0.9;1:0.3")
+        for spec in ("uniform:0.123456789,1", "exponential:0.1", "exponential:3.000000001",
+                     "left-triangle:0.0123456789", "irregular-example:0.1"):
+            assert make_distribution(spec).label == spec
+        third = left_triangle(1 / 3 - 0.01)
+        assert float(third.label.split(":")[1]) == 1 / 3 - 0.01

@@ -340,7 +340,7 @@ class TestHedgeLimited:
 
 class TestVcgChain:
     def test_uniform_single_unit(self):
-        rep = check_vcg_chain(U01, 2, 1, [linear(), power(0.5)])
+        rep = check_vcg_chain(U01, 2, 1)
         assert rep.passed
         assert rep.margin >= -1e-9
         # two vickrey-vs-optimal terms, utility of revenue, bidder augmentation
@@ -652,6 +652,109 @@ class TestSelections:
         reports = run_selections(["half-bound"], uniform(0.0, 2.0), 1)
         assert len(reports) == 1
         assert reports[0].passed
+
+
+class TestReproduceTable:
+    def test_rows_hold_specs_not_objects(self):
+        for name, instance, check, *args in lemmas.REPRODUCE:
+            assert callable(getattr(lemmas, check)), name
+            assert all(isinstance(a, (str, int, float)) for a in args), (name, instance)
+
+    def test_every_row_passes(self):
+        rows = lemmas.run_reproduce()
+        assert [(name, instance) for name, instance, _ in rows] == [
+            tuple(row[:2]) for row in lemmas.REPRODUCE]
+        assert [name for name, _, r in rows if not r.passed] == []
+
+    def test_one_reserve_search_per_utility(self, monkeypatch):
+        # the three vickrey-vs-optimal rows share their distribution's reserves
+        calls = []
+        original = lemmas.optimal_reserve
+
+        def counted(d, u):
+            calls.append(u.label)
+            return original(d, u)
+
+        monkeypatch.setattr(lemmas, "optimal_reserve", counted)
+        lemmas.run_reproduce()
+        assert calls == ["linear", "power:0.5"]
+
+    @pytest.mark.parametrize("row, passing, failing", [
+        # left-triangle: at least 1/2 less 4 ulp
+        (2, [0.5 - 4 * math.ulp(0.5), 0.75, math.inf],
+         [math.nextafter(0.5 - 4 * math.ulp(0.5), 0.0), math.nan]),
+        # exponential: within 4 ulp of exp(-1/e), either side
+        (3, [MHR_BOUND, MHR_BOUND - 4 * math.ulp(MHR_BOUND), MHR_BOUND + 4 * math.ulp(MHR_BOUND)],
+         [MHR_BOUND - 5 * math.ulp(MHR_BOUND), MHR_BOUND + 5 * math.ulp(MHR_BOUND), 0.75]),
+        # irregular: at most 0.05, exactly
+        (4, [0.05, 0.0199, 0.0], [math.nextafter(0.05, 1.0), 0.5]),
+    ])
+    def test_frontier_rules(self, monkeypatch, row, passing, failing):
+        _, _, check, spec, *args = lemmas.REPRODUCE[row]
+        d = make_distribution(spec)
+        for m in passing + failing:
+            monkeypatch.setattr(lemmas, "posted_price_maximin", lambda _, m=m: m)
+            r = getattr(lemmas, check)(d, *args)
+            assert r.passed is (m in passing), m
+            assert (r.margin >= 0) is r.passed
+            assert r.observed is m
+
+    def test_tail_tight_adds_a_ceiling(self):
+        assert lemmas.check_tail_tight(left_triangle(1e-4), 2, 2).passed
+        loose = check_tail(U01, 2, 2)
+        assert loose.passed and loose.observed > 0.26
+        assert lemmas.check_tail_tight(U01, 2, 2) == LemmaReport(
+            **{**vars(loose), "passed": False})
+
+    def test_vickrey_ratio_is_shared(self):
+        ratios = lemmas.vickrey_ratios(U01, 2)
+        assert [label for _, label in ratios] == [
+            "vickrey-vs-optimal[linear]", "vickrey-vs-optimal[power:0.5]"]
+        worst = min(ratio for ratio, _ in ratios)
+        r = lemmas.check_vickrey_vs_optimal(U01, 2)
+        assert (r.passed, r.claimed_bound, r.observed) == (True, 0.5, worst)
+        assert worst == pytest.approx(0.8, abs=1e-12)
+        chain = check_vcg_chain(U01, 2, 1)
+        assert (chain.worst_instance, chain.observed) == (ratios[0][1], ratios[0][0] - 0.5)
+
+    def test_identity_one_bidder(self):
+        r = lemmas.check_identity_one_bidder(U01, linear())
+        assert (r.passed, r.claimed_bound) == (True, 0.25)
+        assert r.observed == pytest.approx(0.25, abs=1e-12)
+        d = exponential(2.0)
+        r = lemmas.check_identity_one_bidder(d, power(0.5))
+        p_star, q_star = d.monopoly_price()
+        assert r.passed and r.claimed_bound == pytest.approx(p_star ** 0.5 * q_star)
+
+
+def _defaults(fn):
+    yield from fn.__defaults__ or ()
+    yield from (fn.__kwdefaults__ or {}).values()
+
+
+def test_no_default_is_a_built_utility_or_distribution():
+    # a default is built once, when its module loads, and shared by every call
+    import inspect
+    import riskauctions
+    from riskauctions import Distribution, UtilityFunction
+
+    def built(value):
+        if isinstance(value, (tuple, list)):
+            return any(built(v) for v in value)
+        return isinstance(value, (Distribution, UtilityFunction))
+
+    bad = []
+    for mod in (getattr(riskauctions, m) for m in (
+            "cli", "distributions", "evaluation", "lemmas", "mechanisms", "numerics",
+            "report", "utilities")):
+        for name, obj in vars(mod).items():
+            fns = [obj] if inspect.isfunction(obj) else (
+                [f for f in vars(obj).values() if inspect.isfunction(f)]
+                if inspect.isclass(obj) else [])
+            bad += [f"{mod.__name__}.{name}" for f in fns
+                    if getattr(f, "__module__", "") == mod.__name__
+                    and any(built(v) for v in _defaults(f))]
+    assert bad == []
 
 
 class TestReportPlumbing:
