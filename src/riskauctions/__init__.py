@@ -21,7 +21,7 @@ from .lemmas import (MHR_BOUND, FrontierResult, check_allocation_bound,
                      run_selections)
 from .mechanisms import (PostedPriceMechanism, VcgMechanism, allocation_probability,
                          batch_outcomes, batch_revenue, hedge_limited_price,
-                         hedge_unlimited_price, make_mechanism, parse_mechanism)
+                         hedge_unlimited_price, parse_mechanism)
 from .report import CSV_COLUMNS, LemmaReport, report_from_margin
 from .utilities import (UtilityFunction, capped, check_virtual_utility_monotone,
                         default_family, linear, maximize_single_bidder,
@@ -42,7 +42,7 @@ __all__ = [
     "check_virtual_utility_monotone",
     "PostedPriceMechanism", "VcgMechanism", "allocation_probability",
     "batch_outcomes", "batch_revenue", "hedge_limited_price", "hedge_unlimited_price",
-    "make_mechanism", "parse_mechanism",
+    "parse_mechanism",
     "EvalResult", "eval_mc", "eval_posted_exact",
     "eval_second_price_exact", "eval_vcg_exact", "evaluate", "myerson_revenue", "virtual_utility_identity_stats",
     "check_virtual_utility_identity",

@@ -25,7 +25,7 @@ from .evaluation import evaluate, myerson_revenue
 from .lemmas import SELECTIONS, frontier_search, run_reproduce, run_selections, unmet_floors
 from .mechanisms import hedge_limited_price, hedge_unlimited_price, parse_mechanism
 from .report import CSV_COLUMNS
-from .utilities import maximize_single_bidder, parse_utilities
+from .utilities import maximize_single_bidder, parse_utilities, parse_utility
 
 MIN_SAMPLES = 1_000
 MAX_GRID = 1_000_000
@@ -224,9 +224,9 @@ def cmd_price(args) -> int:
             k = args.k if args.k is not None else 1
             lines.append(f"hedge_limited={_fmt(hedge_limited_price(d, args.n, k))}")
     if args.utility is not None:
-        u = parse_utilities(args.utility)[0]
         if args.utility.strip().startswith("family"):
             raise SpecParseError("price takes a single utility, not a family")
+        u = parse_utility(args.utility)
         lines.append(f"r_u_star={_fmt_toward_zero(maximize_single_bidder(d, u)[0])}")
     _emit("".join(line + "\n" for line in lines), args.out)
     return 0

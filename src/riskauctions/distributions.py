@@ -10,7 +10,7 @@ curve places at the top of the support (a linear initial segment through the
 origin means a constant price on (0, q1], i.e. an atom of mass q1).
 
 All objects are immutable after construction and safe to share across
-threads; sampling takes an explicit seed.
+threads.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from .numerics import elementwise
 __all__ = [
     "SpecParseError", "NotDifferentiableError", "Distribution", "Uniform", "Exponential",
     "RevenueCurveDistribution", "uniform", "exponential", "left_triangle",
-    "irregular_example", "revenue_curve", "make_distribution",
+    "irregular_example", "revenue_curve", "make_distribution", "parse_spec",
 ]
 
 # Relative tolerance of the concavity test on revenue-curve slopes.
@@ -43,6 +43,24 @@ def _num(x: float) -> str:
 
 class SpecParseError(ValueError):
     """A textual spec or constructor input does not describe a valid object."""
+
+
+def parse_spec(spec: str, kinds: dict, what: str):
+    """``kinds[head](rest)`` for a ``what`` spec ``head:rest``.  No colon, an
+    unknown head, or a ValueError or TypeError from the converter raise
+    SpecParseError; one the converter raises keeps its message."""
+    spec = spec.strip()
+    head, sep, rest = spec.partition(":")
+    if not sep:
+        raise SpecParseError(f"malformed {what} spec: {spec!r}")
+    if head not in kinds:
+        raise SpecParseError(f"unknown {what} kind: {head!r}")
+    try:
+        return kinds[head](rest)
+    except SpecParseError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise SpecParseError(f"malformed {what} spec: {spec!r} ({exc})") from exc
 
 
 class NotDifferentiableError(ValueError):
@@ -141,13 +159,6 @@ class Distribution:
         """True when the hazard rate is nondecreasing where it is defined;
         the closed-form kinds have a nondecreasing hazard by construction."""
         return True
-
-    # -- sampling ----------------------------------------------------------
-
-    def draw(self, rng: np.random.Generator, shape) -> np.ndarray:
-        """Inverse-transform draws; rng.random() lands in [0, 1) so this is safe
-        even for unbounded supports."""
-        return self.quantile(rng.random(shape))
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.label}>"
@@ -532,34 +543,16 @@ def revenue_curve(points, label: str | None = None) -> RevenueCurveDistribution:
     return RevenueCurveDistribution(points, kind="revenue_curve", label=label)
 
 
-def make_distribution(spec: str) -> Distribution:
-    """Parse a textual distribution spec.
+_DISTRIBUTION_KINDS = {
+    "uniform": lambda rest: uniform(*map(float, rest.split(","))),
+    "exponential": lambda rest: exponential(float(rest)),
+    "left-triangle": left_triangle,
+    "irregular-example": irregular_example,
+    "revenue-curve": lambda rest: revenue_curve([p.split(":") for p in rest.split(";")]),
+}
 
-    Forms: ``uniform:a,b`` | ``exponential:rate`` | ``left-triangle:eps`` |
-    ``irregular-example:eps`` | ``revenue-curve:q1:R1;q2:R2;...``
-    """
-    spec = spec.strip()
-    head, sep, rest = spec.partition(":")
-    if not sep:
-        raise SpecParseError(f"malformed distribution spec: {spec!r}")
-    try:
-        if head == "uniform":
-            a, b = (float(x) for x in rest.split(","))
-            return uniform(a, b)
-        if head == "exponential":
-            return exponential(float(rest))
-        if head == "left-triangle":
-            return left_triangle(float(rest))
-        if head == "irregular-example":
-            return irregular_example(float(rest))
-        if head == "revenue-curve":
-            pts = []
-            for piece in rest.split(";"):
-                qs, rs = piece.split(":")
-                pts.append((float(qs), float(rs)))
-            return revenue_curve(pts)
-    except SpecParseError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise SpecParseError(f"malformed distribution spec: {spec!r} ({exc})") from exc
-    raise SpecParseError(f"unknown distribution kind: {head!r}")
+
+def make_distribution(spec: str) -> Distribution:
+    """A distribution from its spec: ``uniform:a,b`` | ``exponential:rate`` |
+    ``left-triangle:eps`` | ``irregular-example:eps`` | ``revenue-curve:q1:R1;q2:R2;...``"""
+    return parse_spec(spec, _DISTRIBUTION_KINDS, "distribution")

@@ -328,6 +328,8 @@ def check_vcg_chain(d: Distribution, n: int, k: int) -> LemmaReport:
     """
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
+    if not d.is_regular():
+        raise ValueError("the VCG chain applies to regular distributions")
     items = [(ratio - (1.0 - 1.0 / n), 1e-9, label)
              for ratio, label in (vickrey_ratios(d, n) if k == 1 else ())]
     rev_vcg = eval_vcg_exact(d, n, k, linear()).mean_utility

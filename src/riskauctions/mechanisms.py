@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .distributions import Distribution, SpecParseError
+from .distributions import Distribution, SpecParseError, parse_spec
 from .numerics import binom_window
+from .utilities import UtilityFunction, optimal_reserve, parse_utility
 
 __all__ = [
     "PostedPriceMechanism",
@@ -24,7 +26,6 @@ __all__ = [
     "hedge_unlimited_price",
     "allocation_probability",
     "hedge_limited_price",
-    "make_mechanism",
     "parse_mechanism",
 ]
 
@@ -247,71 +248,54 @@ def hedge_limited_price(d: Distribution, n: int, k: int) -> float:
 # -- construction ---------------------------------------------------------------
 
 
-def make_mechanism(kind: str, *, d: Distribution | None = None, n: int | None = None,
-                   k: int = 1, price: float | None = None, reserve: float | None = None,
-                   u=None) -> Mechanism:
-    """Build a mechanism; derived kinds (hedge/myerson/opt-single) resolve
-    their price or reserve from the distribution."""
-    if kind == "posted":
-        if price is None:
-            raise SpecParseError("posted mechanism needs a price")
-        return PostedPriceMechanism(float(price), int(k))
-    if kind == "vcg":
-        return VcgMechanism(int(k), float(reserve or 0.0))
-    if kind == "hedge":
-        if d is None or n is None:
-            raise SpecParseError("hedge mechanism needs a distribution and n")
-        n, k = int(n), int(k)
-        if n < 1:
-            raise SpecParseError("hedge mechanism needs n >= 1")
-        p = hedge_unlimited_price(d) if k >= n else hedge_limited_price(d, n, k)
-        return PostedPriceMechanism(p, k, name=f"hedge:{n},{k}")
-    if kind == "myerson":
-        if d is None:
-            raise SpecParseError("myerson mechanism needs a distribution")
-        return VcgMechanism(int(k), d.monopoly_price()[0], name=f"myerson:{k}")
-    if kind == "opt-single":
-        if d is None or u is None:
-            raise SpecParseError("opt-single mechanism needs a distribution and a utility")
-        if not u.is_smooth:
-            raise SpecParseError(f"opt-single mechanism needs a smooth utility, not {u.label}")
-        from .utilities import optimal_reserve
-        return VcgMechanism(1, optimal_reserve(d, u), name=f"opt-single:{u.label}")
-    raise SpecParseError(f"unknown mechanism kind: {kind!r}")
+def _pair(rest: str, first, second) -> tuple:
+    a, b = rest.split(",")
+    return first(a), second(b)
+
+
+def _needs(d: Distribution | None, kind: str) -> Distribution:
+    if d is None:
+        raise SpecParseError(f"{kind} mechanism needs a distribution")
+    return d
+
+
+def _fixed(m: Mechanism):
+    return lambda d: (m, None)
+
+
+def _hedge(n: int, k: int, d: Distribution | None):
+    d = _needs(d, "hedge")
+    if n < 1:
+        raise SpecParseError("hedge mechanism needs n >= 1")
+    p = hedge_unlimited_price(d) if k >= n else hedge_limited_price(d, n, k)
+    return PostedPriceMechanism(p, k, name=f"hedge:{n},{k}"), n
+
+
+def _myerson(k: int, d: Distribution | None):
+    return VcgMechanism(k, _needs(d, "myerson").monopoly_price()[0], name=f"myerson:{k}"), None
+
+
+def _opt_single(u: UtilityFunction, d: Distribution | None):
+    d = _needs(d, "opt-single")
+    if not u.is_smooth:
+        raise SpecParseError(f"opt-single mechanism needs a smooth utility, not {u.label}")
+    return VcgMechanism(1, optimal_reserve(d, u), name=f"opt-single:{u.label}"), None
+
+
+# A kind's converter turns the text after its colon into a function that
+# builds (mechanism, the bidder count the spec carries) from the distribution.
+_MECHANISM_KINDS = {
+    "posted": lambda rest: _fixed(PostedPriceMechanism(*_pair(rest, float, int))),
+    "vcg": lambda rest: _fixed(VcgMechanism(*_pair(rest, int, float))),
+    "hedge": lambda rest: partial(_hedge, *_pair(rest, int, int)),
+    "myerson": lambda rest: partial(_myerson, int(rest)),
+    "opt-single": lambda rest: partial(_opt_single, parse_utility(rest)),
+}
 
 
 def parse_mechanism(spec: str, d: Distribution | None = None):
-    """Parse ``posted:p,k | vcg:k,r | hedge:n,k | myerson:k | opt-single:<utility>``.
-
-    Returns (mechanism, implied_n) where implied_n is the bidder count a
-    hedge spec carries, else None.
-    """
-    spec = spec.strip()
-    head, sep, rest = spec.partition(":")
-    if not sep:
-        raise SpecParseError(f"malformed mechanism spec: {spec!r}")
-    # Only the conversions below can make a spec malformed; errors raised
-    # while resolving a derived price propagate with their own message.
-    n = None
-    try:
-        if head == "posted":
-            p, k = rest.split(",")
-            kwargs = {"price": float(p), "k": int(k)}
-        elif head == "vcg":
-            k, r = rest.split(",")
-            kwargs = {"k": int(k), "reserve": float(r)}
-        elif head == "hedge":
-            n, k = (int(x) for x in rest.split(","))
-            kwargs = {"d": d, "n": n, "k": k}
-        elif head == "myerson":
-            kwargs = {"d": d, "k": int(rest)}
-        elif head == "opt-single":
-            from .utilities import parse_utility
-            kwargs = {"d": d, "u": parse_utility(rest)}
-        else:
-            raise SpecParseError(f"unknown mechanism kind: {head!r}")
-    except SpecParseError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise SpecParseError(f"malformed mechanism spec: {spec!r} ({exc})") from exc
-    return make_mechanism(head, **kwargs), n
+    """Parse ``posted:p,k | vcg:k,r | hedge:n,k | myerson:k | opt-single:<utility>``
+    into (mechanism, the bidder count a hedge spec carries, else None).  The
+    derived kinds (hedge, myerson, opt-single) resolve their price or reserve
+    from ``d`` after `parse_spec`, so errors there keep their own message."""
+    return parse_spec(spec, _MECHANISM_KINDS, "mechanism")(d)

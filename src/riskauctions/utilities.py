@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .distributions import Distribution, SpecParseError
+from .distributions import Distribution, SpecParseError, parse_spec
 from .numerics import bisect_root, elementwise
 from .report import LemmaReport, report_from_margin
 
@@ -77,14 +77,10 @@ class UtilityFunction:
         return self.kink is None
 
     @property
-    def spec_string(self) -> str:
-        if self.kind == "linear":
-            return "linear"
-        return f"{self.kind}:{self.param:g}"
-
-    @property
     def label(self) -> str:
-        return self.spec_string
+        return "linear" if self.kind == "linear" else f"{self.kind}:{self.param:g}"
+
+    spec_string = label
 
 
 def linear() -> UtilityFunction:
@@ -111,36 +107,28 @@ def default_family() -> tuple[UtilityFunction, ...]:
     return (linear(), power(0.5), power(1.0 / 3.0)) + caps
 
 
+def _linear(rest: str) -> UtilityFunction:
+    if rest:
+        raise ValueError("linear takes no parameter")
+    return linear()
+
+
+_UTILITY_KINDS = {"linear": _linear, "power": power, "capped": capped}
+
+
 def parse_utility(spec: str) -> UtilityFunction:
+    """``linear`` | ``power:alpha`` | ``capped:eps``."""
     spec = spec.strip()
-    if spec == "linear":
-        return linear()
-    head, sep, rest = spec.partition(":")
-    if sep:
-        try:
-            if head == "power":
-                return power(float(rest))
-            if head == "capped":
-                return capped(float(rest))
-        except SpecParseError:
-            raise
-        except (ValueError, TypeError) as exc:
-            raise SpecParseError(f"malformed utility spec: {spec!r}") from exc
-    raise SpecParseError(f"unknown utility spec: {spec!r}")
+    return parse_spec(spec + ":" if spec == "linear" else spec, _UTILITY_KINDS, "utility")
 
 
 def parse_utilities(spec: str) -> tuple[UtilityFunction, ...]:
     """A utility spec as a 1-tuple, or a family: ``family:default`` (the 11
     of `default_family`) or ``family:u1;u2;...``."""
-    spec = spec.strip()
-    if not spec.startswith("family"):
+    if not spec.strip().startswith("family"):
         return (parse_utility(spec),)
-    head, sep, rest = spec.partition(":")
-    if head != "family" or not sep:
-        raise SpecParseError(f"malformed family spec: {spec!r}")
-    if rest == "default":
-        return default_family()
-    return tuple(parse_utility(s) for s in rest.split(";"))
+    return parse_spec(spec, {"family": lambda rest: default_family() if rest == "default"
+                             else tuple(map(parse_utility, rest.split(";")))}, "family")
 
 
 # -- induced quantities --------------------------------------------------------

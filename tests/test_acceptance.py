@@ -270,7 +270,7 @@ def test_expected_utility_equals_expected_winner_virtual_utility():
                 exact = virtual_utility_identity_stats(U01, mech, u, n)
                 sums, sqs = np.zeros(2), np.zeros(2)
                 for start in range(0, samples, 65_536):
-                    bids = U01.draw(rng, (min(65_536, samples - start), n))
+                    bids = U01.quantile(rng.random((min(65_536, samples - start), n)))
                     win, pay = batch_outcomes(mech, bids)
                     with np.errstate(divide="ignore", invalid="ignore"):
                         phi = u(bids) - u.derivative(bids) * U01.inverse_hazard(bids)
@@ -331,7 +331,7 @@ def test_exact_evaluations_are_bracketed_by_monte_carlo():
         left = samples
         while left:
             size = min(65_536, left)
-            rev = batch_revenue(mech, d.draw(rng, (size, n)))
+            rev = batch_revenue(mech, d.quantile(rng.random((size, n))))
             for i, u in enumerate(fam):
                 vals = np.asarray(u(rev), dtype=float)
                 sums[i] += vals.sum()

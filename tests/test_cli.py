@@ -157,6 +157,12 @@ class TestPrice:
         assert out == ("p_star=0.5\nq_star=0.5\nhedge_unlimited=0.25\n"
                        "hedge_limited=0.53125\nr_u_star=0.333333333333\n")
 
+    # a family is refused before any of its members is parsed
+    @pytest.mark.parametrize("family", ["family:default", "family:cubic", "familyx"])
+    def test_family_utility_rejected(self, family):
+        code, out, err = run(["price", "uniform:0,1", "--utility", family])
+        assert (code, out, err) == (2, "", "error: price takes a single utility, not a family\n")
+
     def test_utility_spec_rejected_as_distribution(self):
         code, _, err = run(["price", "linear"])
         assert code == 2
@@ -228,10 +234,10 @@ class TestEval:
     def test_window_over_the_budget_exits_2(self, monkeypatch):
         # 10^15 bidders need a binomial window of 4.6e8 terms: refused up
         # front, with nothing drawn and nothing of that size allocated
-        def no_draws(self, rng, shape):
-            raise AssertionError(f"drew {shape}")
+        def no_draws(self, q):
+            raise AssertionError(f"drew {np.shape(q)}")
 
-        monkeypatch.setattr(Distribution, "draw", no_draws)
+        monkeypatch.setattr(Distribution, "quantile", no_draws)
         tracemalloc.start()
         try:
             code, out, err = run(["eval", "--mech", "posted:0.5,3", "--dist", "uniform:0,1",

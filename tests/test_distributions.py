@@ -373,7 +373,7 @@ class TestInvariants:
 
 
 def sample(d, seed, n):
-    return d.draw(np.random.default_rng(seed), n)
+    return d.quantile(np.random.default_rng(seed).random(n))
 
 
 class TestSampling:
@@ -574,6 +574,7 @@ class TestParsing:
     @pytest.mark.parametrize("bad", [
         "uniform", "uniform:1", "uniform:2,1", "uniform:a,b",
         "exponential:-1", "left-triangle:0.9", "gauss:1", "revenue-curve:0;1",
+        "uniform:1,2,3", "revenue-curve:",
     ])
     def test_malformed_specs(self, bad):
         with pytest.raises(SpecParseError):

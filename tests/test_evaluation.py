@@ -365,13 +365,13 @@ def test_edges_agree_with_mpmath(d, n, k, u, r):
 
 def bid_space_eval_mc(m, d, n, u, samples, seed):
     """(mean, CI halfwidth) of eval_mc as a loop over bid matrices: each
-    chunk's bids from `draw`, priced by `batch_revenue`, then u and the sums
-    chunk by chunk."""
+    chunk's bids by inverse transform of its uniforms, priced by
+    `batch_revenue`, then u and the sums chunk by chunk."""
     rows = min(MC_CHUNK, MC_BUDGET // n)
     s = s2 = 0.0
     for idx, start in enumerate(range(0, samples, rows)):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
-        v = u(batch_revenue(m, d.draw(rng, (min(rows, samples - start), n))))
+        v = u(batch_revenue(m, d.quantile(rng.random((min(rows, samples - start), n)))))
         s += v.sum()
         s2 += (v * v).sum()
     mean = s / samples
@@ -603,8 +603,8 @@ class TestMonteCarlo:
 
     def test_profile_over_the_budget_is_rejected_before_drawing(self):
         class NoDraws:
-            def draw(self, rng, shape):
-                raise AssertionError(f"drew {shape}")
+            def quantile(self, u):
+                raise AssertionError(f"drew {np.shape(u)}")
 
         with pytest.raises(ValueError, match="at most"):
             eval_mc(PostedPriceMechanism(0.5, 1), NoDraws(), MC_BUDGET + 1, linear(),

@@ -600,10 +600,14 @@ class TestSelections:
         for floor in FLOORS:
             if floor.needs:
                 d = irregular if floor.needs == "regular" else left_triangle(0.01)
-                with pytest.raises(ValueError):
-                    getattr(lemmas, floor.check)(d, *floor.dist_args[0])
+                for args in floor.dist_args:
+                    with pytest.raises(ValueError):
+                        getattr(lemmas, floor.check)(d, *args)
             elif floor.dist_args is not None:
                 assert floor(irregular, 1)
+        # the chain's k >= 2 terms use no reserve, so only its own guard refuses
+        with pytest.raises(ValueError, match="VCG chain applies to regular"):
+            lemmas.check_vcg_chain(irregular, 6, 2)
 
     def test_table_holds_specs_not_objects(self):
         # the table builds no distribution or utility when the module loads

@@ -24,9 +24,7 @@ from riskauctions import (
     hedge_unlimited_price,
     irregular_example,
     left_triangle,
-    make_mechanism,
     parse_mechanism,
-    power,
     uniform,
 )
 from riskauctions.mechanisms import _revenue
@@ -195,7 +193,7 @@ class TestOutcomeInvariants:
         if bid_kind == "ties":
             vals = rng.integers(0, 4, shape).astype(float)
         elif bid_kind == "atom":
-            vals = left_triangle(0.2).draw(rng, shape)
+            vals = left_triangle(0.2).quantile(rng.random(shape))
         else:
             vals = rng.random(shape) * 1.5
         price = {"zero": 0.0, "bid": float(vals[rng.integers(rows), rng.integers(n)]),
@@ -230,7 +228,7 @@ class TestOutcomeInvariants:
         if bid_kind == "ties":
             vals = rng.integers(0, 4, (rows, n)).astype(float)
         elif bid_kind == "atom":
-            vals = left_triangle(0.2).draw(rng, (rows, n))
+            vals = left_triangle(0.2).quantile(rng.random((rows, n)))
         else:
             vals = rng.random((rows, n)) * 1.5
         # at the k-th highest bid of a row, which the ties repeat
@@ -379,22 +377,28 @@ class TestHedgePrices:
 
 
 class TestFactories:
-    def test_make_mechanism_kinds(self):
+    def test_derived_kinds(self):
         d = uniform(0.0, 1.0)
-        m = make_mechanism("myerson", d=d, k=1)
+        m, _ = parse_mechanism("myerson:1", d)
         assert isinstance(m, VcgMechanism)
         assert (m.k, m.reserve) == pytest.approx((1, 0.5), abs=1e-9)
-        m = make_mechanism("opt-single", d=d, u=power(0.5))
+        m, _ = parse_mechanism("opt-single:power:0.5", d)
         assert (m.k, m.reserve) == pytest.approx((1, 1 / 3), abs=1e-9)
-        m = make_mechanism("hedge", d=d, n=2, k=2)
+        m, _ = parse_mechanism("hedge:2,2", d)
         assert isinstance(m, PostedPriceMechanism)
         assert m.price == pytest.approx(0.25, abs=1e-12)
-        m = make_mechanism("hedge", d=d, n=2, k=1)
+        m, _ = parse_mechanism("hedge:2,1", d)
         assert m.price == pytest.approx(17 / 32, abs=1e-12)
 
-    def test_make_mechanism_error_propagation(self):
-        with pytest.raises(ValueError):
-            make_mechanism("hedge", d=irregular_example(0.01), n=2, k=2)
+    def test_derived_price_error_propagation(self):
+        with pytest.raises(ValueError, match="regular") as info:
+            parse_mechanism("hedge:2,2", irregular_example(0.01))
+        assert not isinstance(info.value, SpecParseError)
+
+    @pytest.mark.parametrize("spec", ["hedge:2,1", "myerson:1", "opt-single:linear"])
+    def test_derived_kinds_need_a_distribution(self, spec):
+        with pytest.raises(SpecParseError, match="needs a distribution"):
+            parse_mechanism(spec)
 
     def test_parse_forms(self):
         d = uniform(0.0, 1.0)
@@ -416,7 +420,7 @@ class TestFactories:
 
     @pytest.mark.parametrize("bad", [
         "posted:1", "posted:-1,2", "vcg:0,0", "frob:1", "opt-single:capped:0.1",
-        "posted:a,b", "hedge:2",
+        "posted:a,b", "hedge:2", "hedge:0,1", "myerson:x",
     ])
     def test_parse_rejections(self, bad):
         with pytest.raises(SpecParseError):

@@ -320,11 +320,16 @@ class TestParsing:
         assert parse_utility("capped:0.01").label == "capped:0.01"
         assert parse_utility("power:1")(0.4) == 0.4
 
-    @pytest.mark.parametrize("bad", ["power:0", "power:1.5", "capped:0",
-                                     "capped:-1", "cubic", "power:x", ""])
-    def test_malformed_utilities(self, bad):
-        with pytest.raises(SpecParseError):
+    @pytest.mark.parametrize("bad,prefix", [
+        ("power:0", "power utility needs"), ("power:1.5", "power utility needs"),
+        ("capped:0", "capped utility needs"), ("capped:-1", "capped utility needs"),
+        ("cubic", "malformed utility spec"), ("power:x", "malformed utility spec"),
+        ("", "malformed utility spec"), ("linear:1", "malformed utility spec"),
+        ("capped:", "malformed utility spec"), ("cubic:1", "unknown utility kind")])
+    def test_malformed_utilities(self, bad, prefix):
+        with pytest.raises(SpecParseError) as info:
             parse_utility(bad)
+        assert str(info.value).startswith(prefix)
 
     def test_family_forms(self):
         assert len(parse_utilities("family:default")) == 11
