@@ -78,6 +78,7 @@ class Distribution:
     """
 
     kind: str = ""
+    _label: str | None = None
 
     # -- core queries ------------------------------------------------------
 
@@ -132,7 +133,7 @@ class Distribution:
 
     @property
     def label(self) -> str:
-        return getattr(self, "_label", None) or self.spec_string
+        return self._label or self.spec_string
 
     # -- derived structure -------------------------------------------------
 
@@ -262,25 +263,15 @@ class RevenueCurveDistribution(Distribution):
     ends, where the rounded prices of two segments would otherwise cross.
     """
 
-    def __init__(self, points, kind: str = "revenue_curve", label: str | None = None):
-        pts = [(float(q), float(r)) for q, r in points]
-        self._set_curve(np.array([p[0] for p in pts], dtype=float),
-                        np.array([p[1] for p in pts], dtype=float), kind, label)
+    kind = "revenue_curve"
 
-    @classmethod
-    def from_arrays(cls, qs, rs, kind: str = "revenue_curve",
-                    label: str | None = None) -> RevenueCurveDistribution:
+    def __init__(self, qs, rs, label: str | None = None):
         """The curve through the points (qs[i], rs[i]), given as two 1-d
-        arrays; the same curve as the constructor makes from those pairs."""
+        sequences; (0, 0) is put in front if qs starts above 0."""
         qs = np.array(qs, dtype=float)
         rs = np.array(rs, dtype=float)
         if qs.ndim != 1 or qs.shape != rs.shape:
             raise SpecParseError("qs and rs must be 1-d arrays of one length")
-        self = cls.__new__(cls)
-        self._set_curve(qs, rs, kind, label)
-        return self
-
-    def _set_curve(self, qs: np.ndarray, rs: np.ndarray, kind: str, label: str | None):
         if len(qs) and qs[0] > 0:
             qs = np.concatenate(([0.0], qs))
             rs = np.concatenate(([0.0], rs))
@@ -312,7 +303,6 @@ class RevenueCurveDistribution(Distribution):
             raise SpecParseError("not a valid distribution: price must be nonincreasing in q")
         self._prices = np.minimum.accumulate(prices)
 
-        self.kind = kind
         self._label = label
         # Plain-float copies for the float paths.
         self._qs_list = qs.tolist()
@@ -403,26 +393,15 @@ class RevenueCurveDistribution(Distribution):
 
     def _q_at_price(self, v, strict: bool):
         """Largest q whose price exceeds (strict) or reaches (non-strict) v."""
-        v_arr = np.atleast_1d(v)
-        side = "left" if strict else "right"
-        j = np.searchsorted(-self._prices, -v_arr, side=side) - 1
-        m = len(self._prices) - 1
-        out = np.empty(np.shape(v_arr), dtype=float)
-        none = j < 0          # v above every price
-        allq = j >= m         # v at/below the bottom price
-        mid = ~(none | allq)
-        out[none] = 0.0
-        out[allq] = 1.0
-        if np.any(mid):
-            jm = j[mid]
-            a = self._intercepts[jm]
-            b = self._slopes[jm]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                q = a / (v_arr[mid] - b)
-            flat = a == 0.0  # constant-price segment: the whole stretch counts
-            q = np.where(flat, self._qs[jm + 1], q)
-            out[mid] = q
-        return out.reshape(np.shape(v))
+        j = np.searchsorted(-self._prices, -v, side="left" if strict else "right") - 1
+        out = np.where(j < 0, 0.0, 1.0)
+        mid = (j >= 0) & (j < len(self._intercepts))
+        jm = j[mid]
+        a = self._intercepts[jm]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # a constant-price segment (a = 0): the whole stretch counts
+            out[mid] = np.where(a == 0.0, self._qs[jm + 1], a / (v[mid] - self._slopes[jm]))
+        return out
 
     @cached_property
     def _sale_segments(self) -> tuple[list, list]:
@@ -519,11 +498,7 @@ def left_triangle(eps: float) -> RevenueCurveDistribution:
     """Triangle revenue curve peaking at (eps, 1): an atom of mass eps at value
     1/eps plus a heavy tail; the canonical worst case for a risk-neutral seller."""
     eps = _check_eps(eps)
-    return RevenueCurveDistribution(
-        [(0.0, 0.0), (eps, 1.0), (1.0, 0.0)],
-        kind="left_triangle",
-        label=f"left-triangle:{_num(eps)}",
-    )
+    return RevenueCurveDistribution([0.0, eps, 1.0], [0.0, 1.0, 0.0], f"left-triangle:{_num(eps)}")
 
 
 def irregular_example(eps: float) -> RevenueCurveDistribution:
@@ -532,15 +507,14 @@ def irregular_example(eps: float) -> RevenueCurveDistribution:
     eps = _check_eps(eps)
     if 2 * eps >= 1 - eps:
         raise SpecParseError("eps too large for the irregular example (needs eps < 1/3)")
-    return RevenueCurveDistribution(
-        [(0.0, 0.0), (eps, 1.0), (2 * eps, eps), (1 - eps, eps), (1.0, 0.0)],
-        kind="irregular_example",
-        label=f"irregular-example:{_num(eps)}",
-    )
+    return RevenueCurveDistribution([0.0, eps, 2 * eps, 1 - eps, 1.0], [0.0, 1.0, eps, eps, 0.0],
+                                    f"irregular-example:{_num(eps)}")
 
 
 def revenue_curve(points, label: str | None = None) -> RevenueCurveDistribution:
-    return RevenueCurveDistribution(points, kind="revenue_curve", label=label)
+    """The curve through the (q, R) pairs in ``points``."""
+    pts = [(float(q), float(r)) for q, r in points]
+    return RevenueCurveDistribution([q for q, _ in pts], [r for _, r in pts], label)
 
 
 _DISTRIBUTION_KINDS = {

@@ -82,8 +82,7 @@ def gen_regular(seed: int, breakpoints: int | None = None) -> RevenueCurveDistri
     rs = np.zeros(m + 1)
     parts.cumsum(out=rs[1:])
     rs /= rs.max()
-    return RevenueCurveDistribution.from_arrays(
-        qs, rs, label=f"gen-regular:seed={seed},breakpoints={m}")
+    return RevenueCurveDistribution(qs, rs, f"gen-regular:seed={seed},breakpoints={m}")
 
 
 # -- sale-probability floors at the hedged price ----------------------------------

@@ -265,20 +265,25 @@ def _fixed(m: Mechanism):
 
 def _hedge(n: int, k: int, d: Distribution | None):
     d = _needs(d, "hedge")
-    if n < 1:
-        raise SpecParseError("hedge mechanism needs n >= 1")
+    if n < 1 or k < 1:
+        raise SpecParseError("hedge mechanism needs n >= 1 and k >= 1")
     p = hedge_unlimited_price(d) if k >= n else hedge_limited_price(d, n, k)
     return PostedPriceMechanism(p, k, name=f"hedge:{n},{k}"), n
 
 
 def _myerson(k: int, d: Distribution | None):
-    return VcgMechanism(k, _needs(d, "myerson").monopoly_price()[0], name=f"myerson:{k}"), None
+    d = _needs(d, "myerson")
+    if k < 1:
+        raise SpecParseError("myerson mechanism needs k >= 1")
+    return VcgMechanism(k, d.monopoly_price()[0], name=f"myerson:{k}"), None
 
 
 def _opt_single(u: UtilityFunction, d: Distribution | None):
     d = _needs(d, "opt-single")
     if not u.is_smooth:
         raise SpecParseError(f"opt-single mechanism needs a smooth utility, not {u.label}")
+    if not d.is_regular():
+        raise SpecParseError("opt-single mechanism needs a regular distribution")
     return VcgMechanism(1, optimal_reserve(d, u), name=f"opt-single:{u.label}"), None
 
 

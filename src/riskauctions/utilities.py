@@ -179,8 +179,7 @@ def maximize_single_bidder(d: Distribution, u: UtilityFunction) -> tuple[float, 
     return p, g
 
 
-def check_virtual_utility_monotone(d: Distribution, u: UtilityFunction,
-                                   grid: int = MONOTONE_GRID) -> LemmaReport:
+def check_virtual_utility_monotone(d: Distribution, u: UtilityFunction) -> LemmaReport:
     """Is the risk-adjusted marginal value nondecreasing on the support?
 
     Guaranteed for concave revenue curves with smooth utilities; the check
@@ -197,7 +196,7 @@ def check_virtual_utility_monotone(d: Distribution, u: UtilityFunction,
     pieces = list(zip(qs[-2::-1], qs[:0:-1]))
     dense = [(lo, hi) for lo, hi in pieces if d.price(hi) != d.marginal_revenue(hi)]
     q_all = np.concatenate([
-        np.linspace(lo, hi, max(int(grid * (hi - lo)), 16) + 2)[-2:0:-1]
+        np.linspace(lo, hi, max(int(MONOTONE_GRID * (hi - lo)), 16) + 2)[-2:0:-1]
         for lo, hi in dense or pieces])
     # virtual_utility_at_quantile's expression, from terms whose sizes bound
     # its rounding; u(p), u'(p) and p are >= 0

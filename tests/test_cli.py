@@ -253,6 +253,8 @@ class TestEval:
     # specs that describe no mechanism
     @pytest.mark.parametrize("mech,reason", [
         ("hedge:0,1", "needs n >= 1"),
+        ("hedge:3,0", "hedge mechanism needs n >= 1 and k >= 1"),
+        ("myerson:0", "myerson mechanism needs k >= 1"),
         ("posted:inf,1", "finite price"),
         ("vcg:1,inf", "finite reserve"),
         ("posted:nan,1", "finite price"),
@@ -284,7 +286,8 @@ class TestEval:
     # a well-formed spec whose price cannot be resolved reports why
     @pytest.mark.parametrize("mech,dist,reason", [
         ("hedge:1000000000000000,5", "uniform:0,1", "more than the 4194304 terms allowed"),
-        ("opt-single:linear", "irregular-example:0.01", "needs a regular distribution"),
+        ("opt-single:linear", "irregular-example:0.01",
+         "opt-single mechanism needs a regular distribution"),
     ])
     def test_derived_price_errors_are_not_parse_errors(self, mech, dist, reason):
         code, out, err = run(["eval", "--mech", mech, "--dist", dist])

@@ -425,6 +425,29 @@ def price_windows(d, width=40):
     return [float_run(p, width) for p in d._prices.tolist()]
 
 
+class TestCurveSaleShapes:
+    """Curve ``cdf`` (strict search) and ``sale_probability`` (non-strict)
+    give the same bits whatever the shape of their input."""
+
+    @pytest.mark.parametrize("d", [left_triangle(0.01), irregular_example(0.05),
+                                   make_distribution("revenue-curve:0:0;0.1:0.3;0.3:0.9;1:1"),
+                                   make_distribution("revenue-curve:0:0;0.3:0.6;1:0.8"),
+                                   gen_regular(11, 2), gen_regular(4, 64)], ids=lambda d: d.label)
+    @pytest.mark.parametrize("name", ["cdf", "sale_probability"])
+    def test_shapes_keep_the_bits(self, d, name):
+        f = getattr(d, name)
+        grid = np.array(price_windows(d))  # one row per breakpoint price
+        flat = grid.ravel()
+        bits = f(flat).view(np.int64)
+        assert f(grid).shape == grid.shape
+        assert np.array_equal(f(grid).ravel().view(np.int64), bits)
+        zero_d = np.array([f(np.array(x)) for x in flat])
+        assert np.array_equal(zero_d.view(np.int64), bits)
+        ints = [int(x) for x in flat if math.isfinite(x)]
+        as_int = np.array([f(i) for i in ints])
+        assert np.array_equal(as_int.view(np.int64), f(np.array(ints, dtype=float)).view(np.int64))
+
+
 class TestMonotoneQuantile:
     """Monte Carlo ranks uniforms in place of bids, which needs every kind's
     quantile nondecreasing on the floats; it is checked on runs of
@@ -495,9 +518,9 @@ class TestRevenueCurveConstruction:
         [(0.0, 0.0), (0.3, 0.6), (1.0, 0.8)],
         [(0.25, 1.0), (1.0, 0.0)],  # the origin is put in front, as by the constructor
         [(0.0, 0.0), (0.1, 0.3), (0.3, 0.9), (1.0, 1.0)]])
-    def test_from_arrays_is_the_constructor(self, points):
+    def test_one_constructor_for_arrays_and_pairs(self, points):
         qs, rs = (np.array(v) for v in zip(*points))
-        a, b = RevenueCurveDistribution.from_arrays(qs, rs), revenue_curve(points)
+        a, b = RevenueCurveDistribution(qs, rs), revenue_curve(points)
         for name in ("_qs", "_rs", "_slopes", "_intercepts", "_prices"):
             assert np.array_equal(getattr(a, name).view(np.int64),
                                   getattr(b, name).view(np.int64)), name
@@ -505,15 +528,15 @@ class TestRevenueCurveConstruction:
         qs[1] = 0.9  # the curve keeps copies
         assert a.points == b.points
 
-    def test_from_arrays_rejects_what_the_constructor_rejects(self):
+    def test_constructor_rejections(self):
         with pytest.raises(SpecParseError, match="one length"):
-            RevenueCurveDistribution.from_arrays([0.0, 0.5, 1.0], [0.0, 1.0])
+            RevenueCurveDistribution([0.0, 0.5, 1.0], [0.0, 1.0])
         with pytest.raises(SpecParseError, match="one length"):
-            RevenueCurveDistribution.from_arrays(np.zeros((2, 2)), np.zeros((2, 2)))
+            RevenueCurveDistribution(np.zeros((2, 2)), np.zeros((2, 2)))
         with pytest.raises(SpecParseError, match="strictly increasing"):
-            RevenueCurveDistribution.from_arrays([0.0, 0.4, 0.4, 1.0], [0.0, 0.5, 0.6, 0.0])
+            RevenueCurveDistribution([0.0, 0.4, 0.4, 1.0], [0.0, 0.5, 0.6, 0.0])
         with pytest.raises(SpecParseError, match="nonnegative"):
-            RevenueCurveDistribution.from_arrays([0.0, 0.5, 1.0], [0.0, -0.1, 0.0])
+            RevenueCurveDistribution([0.0, 0.5, 1.0], [0.0, -0.1, 0.0])
 
     @pytest.mark.parametrize("q", ["nan", "inf", "-inf"])
     def test_rejects_a_non_finite_interior_q(self, q):
@@ -522,7 +545,12 @@ class TestRevenueCurveConstruction:
         with pytest.raises(SpecParseError, match="strictly increasing"):
             make_distribution(f"revenue-curve:0:0;{q}:0.5;1:1")
         with pytest.raises(SpecParseError, match="strictly increasing"):
-            RevenueCurveDistribution.from_arrays([0.0, float(q), 1.0], [0.0, 0.5, 1.0])
+            RevenueCurveDistribution([0.0, float(q), 1.0], [0.0, 0.5, 1.0])
+
+    def test_every_curve_is_one_kind(self):
+        curves = [left_triangle(0.01), irregular_example(0.05), gen_regular(3, 8),
+                  revenue_curve([(0.0, 0.0), (0.3, 0.6), (1.0, 0.8)])]
+        assert {d.kind for d in curves} == {"revenue_curve"}
 
     def test_irregular_curve_is_not_regular(self):
         assert not revenue_curve([(0.0, 0.0), (0.2, 1.0), (0.4, 0.2), (1.0, 0.0)]).is_regular()

@@ -400,6 +400,19 @@ class TestFactories:
         with pytest.raises(SpecParseError, match="needs a distribution"):
             parse_mechanism(spec)
 
+    # well-formed derived specs that name no mechanism: the error names the
+    # kind, not the function that would have priced it
+    @pytest.mark.parametrize("spec,d", [
+        ("hedge:3,0", uniform(0.0, 1.0)),
+        ("hedge:0,0", uniform(0.0, 1.0)),
+        ("myerson:0", uniform(0.0, 1.0)),
+        ("opt-single:linear", irregular_example(0.01)),
+    ])
+    def test_derived_kind_errors_name_the_kind(self, spec, d):
+        with pytest.raises(SpecParseError) as info:
+            parse_mechanism(spec, d)
+        assert str(info.value).startswith(f"{spec.split(':')[0]} mechanism needs ")
+
     def test_parse_forms(self):
         d = uniform(0.0, 1.0)
         m, implied = parse_mechanism("posted:0.5,2", d)
