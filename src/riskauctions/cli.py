@@ -21,13 +21,12 @@ import sys
 import numpy as np
 
 from .distributions import SpecParseError, make_distribution
-from .evaluation import evaluate, myerson_revenue
+from .evaluation import MIN_MC_SAMPLES, evaluate, myerson_revenue
 from .lemmas import SELECTIONS, frontier_search, run_reproduce, run_selections, unmet_floors
 from .mechanisms import hedge_limited_price, hedge_unlimited_price, parse_mechanism
 from .report import CSV_COLUMNS
 from .utilities import maximize_single_bidder, parse_utilities, parse_utility
 
-MIN_SAMPLES = 1_000
 MAX_GRID = 1_000_000
 
 
@@ -84,8 +83,8 @@ def _resolve(args: argparse.Namespace, defaults: dict, svg_ok: bool = False) -> 
                 raise SpecParseError(f"config key {key}: {exc}") from exc
         elif key in defaults:
             setattr(args, key, defaults[key])
-    if getattr(args, "samples", None) is not None and args.samples < MIN_SAMPLES:
-        raise SpecParseError(f"samples must be at least {MIN_SAMPLES}")
+    if getattr(args, "samples", None) is not None and args.samples < MIN_MC_SAMPLES:
+        raise SpecParseError(f"samples must be at least {MIN_MC_SAMPLES}")
     if args.format not in ("csv", "svg"):  # a config value skips argparse's choices
         raise SpecParseError(f"format must be csv or svg, not {args.format!r}")
     if args.format == "svg" and not svg_ok:

@@ -3,12 +3,12 @@
 Both mechanisms are evaluated exactly in quantile space, at any number of
 bidders: posted prices as a capped binomial sum, and k-unit VCG with a
 reserve as a binomial sum plus one order-statistic integral.  A binomial sum
-runs over the window of `numerics.binom_window`; the mass the window leaves
-out, at most 2^-60, times the largest weight joins the quadrature error in
-``abserr``.  Both sides of the virtual-utility identity are quantile-space
-integrals too.  `eval_mc`, chunked Monte Carlo whose draws are a pure
-function of (seed, samples, n), is kept as an independent cross-check; no
-evaluation here calls it.
+is `numerics.binom_expect`, whose error bound (the window's tail and the
+rounding of each pmf, of the sum and of a subnormal sale probability) joins
+the quadrature error in ``abserr``.  Both sides of the virtual-utility
+identity are quantile-space integrals too.  `eval_mc`, chunked Monte Carlo
+whose draws are a pure function of (seed, samples, n), is kept as an
+independent cross-check; no evaluation here calls it.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import numpy as np
 from .distributions import Distribution
 from .mechanisms import (Mechanism, PostedPriceMechanism, VcgMechanism, _least_bid,
                          _revenue)
-from .numerics import binom_window, gauss_kronrod, order_stat_pdf, quad_target
+from .numerics import binom_expect, gauss_kronrod, order_stat_pdf, quad_target
 from .report import LemmaReport, report_from_margin
 from .utilities import UtilityFunction, linear, virtual_utility_at_quantile
 
@@ -51,7 +51,7 @@ class EvalResult:
     samples: int = 0
     benchmark: float | None = None
     ratio: float | None = None
-    abserr: float = 0.0  # quadrature error estimate plus the binomial window's tail
+    abserr: float = 0.0  # quadrature error estimate plus the binomial sum's error bound
 
     def against(self, benchmark: float) -> "EvalResult":
         if benchmark <= 0:
@@ -102,10 +102,8 @@ def eval_posted_exact(d: Distribution, price: float, n: int, k: int,
     min(n, k))."""
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    q_p = d.sale_probability(price)
-    y, pmf, tail = binom_window(n, q_p)
-    mean = float(np.sum(u(price * np.minimum(y, k)) * pmf))
-    err = tail * u(price * min(n, k)) if tail else 0.0
+    mean, err = binom_expect(n, d.sale_probability(price), lambda y: u(price * np.minimum(y, k)),
+                             lambda: u(price * min(n, k)))
     return EvalResult(mean, "exact", abserr=err)
 
 
@@ -131,10 +129,9 @@ def eval_vcg_exact(d: Distribution, n: int, k: int, u: UtilityFunction,
     q_r = d.sale_probability(reserve)
     mean = err = 0.0
     if q_r < 1.0 or k >= n:  # else all n > k bidders clear the reserve
-        y, pmf, tail = binom_window(n, q_r)
-        j = y[:max(min(k, n) - int(y[0]) + 1, 0)]  # the counts j <= k
-        mean = float(np.sum(u(reserve * j) * pmf[:len(j)]))
-        err = tail * u(reserve * min(k, n)) if tail else 0.0
+        mean, err = binom_expect(  # the counts j <= k weigh u(j reserve)
+            n, q_r, lambda y: u(reserve * y[:max(min(k, n) - int(y[0]) + 1, 0)]),
+            lambda: u(reserve * min(k, n)))
     if k < n and q_r > 0.0:
         pdf = order_stat_pdf(k + 1, n)
 
@@ -235,10 +232,17 @@ def myerson_revenue(d: Distribution, n: int, k: int) -> tuple[float, float]:
 # -- the virtual utility identity ------------------------------------------------
 
 
-def _identity_sides(d: Distribution, n: int, u: UtilityFunction, reserve: float) -> dict:
-    """Both sides of the identity for single-unit VCG with a reserve, with
-    their quadrature error estimates and the tolerance within which they
-    must agree.  The left side is `eval_vcg_exact`.  The winner holds the
+def virtual_utility_identity_stats(d: Distribution, m: VcgMechanism,
+                                   u: UtilityFunction, n: int) -> dict:
+    """Exact E[u(Rev)] and E[sum of winners' virtual utilities] (``lhs``,
+    ``rhs``), their error estimates (``lhs_abserr``, ``rhs_abserr``) and the
+    ``tolerance`` within which they must agree.  Requires single-unit VCG and
+    a reserve no lower than the lowest value, below which the lowest type
+    keeps a surplus.  Atoms are fine: in quantile space the virtual utility
+    on a top atom at p0 is u(p0).
+
+    The left side is `eval_vcg_exact`, whose ``abserr`` adds the binomial
+    sum's error bound to the quadrature estimate.  The winner holds the
     lowest of n uniform quantiles, q, if q <= q_r, and the others lie above
     it with probability (1 - q)^(n-1), so the right side is
     n * int_0^q_r phi_u(q) (1 - q)^(n-1) dq, phi_u from
@@ -264,8 +268,13 @@ def _identity_sides(d: Distribution, n: int, u: UtilityFunction, reserve: float)
       price reaches 0): the true piece is at most n * |G(q_r) - G(q_last)|,
       and the held one n * |phi_u(q_last)| * (q_r - q_last).
     """
-    lhs = eval_vcg_exact(d, n, 1, u, reserve)
-    q_r = d.sale_probability(reserve)
+    if not isinstance(m, VcgMechanism) or m.k != 1:
+        raise ValueError("the identity applies to single-unit VCG mechanisms")
+    if m.reserve < d.support[0]:
+        raise ValueError("the identity needs a reserve at or above the lowest value "
+                         f"{d.support[0]:g}")
+    lhs = eval_vcg_exact(d, n, 1, u, m.reserve)
+    q_r = d.sale_probability(m.reserve)
     rhs = rhs_err = ends = 0.0
     if q_r > 5e-324:
         def phi(q: float) -> float:
@@ -305,22 +314,6 @@ def _identity_sides(d: Distribution, n: int, u: UtilityFunction, reserve: float)
                  + ends)
     return {"lhs": lhs.mean_utility, "lhs_abserr": lhs.abserr,
             "rhs": rhs, "rhs_abserr": rhs_err, "tolerance": tolerance}
-
-
-def virtual_utility_identity_stats(d: Distribution, m: VcgMechanism,
-                                   u: UtilityFunction, n: int) -> dict:
-    """Exact E[u(Rev)] and E[sum of winners' virtual utilities] (``lhs``,
-    ``rhs``), their quadrature error estimates (``lhs_abserr``,
-    ``rhs_abserr``) and the ``tolerance`` within which they must agree.
-    Requires single-unit VCG and a reserve no lower than the lowest value,
-    below which the lowest type keeps a surplus.  Atoms are fine: in
-    quantile space the virtual utility on a top atom at p0 is u(p0)."""
-    if not isinstance(m, VcgMechanism) or m.k != 1:
-        raise ValueError("the identity applies to single-unit VCG mechanisms")
-    if m.reserve < d.support[0]:
-        raise ValueError("the identity needs a reserve at or above the lowest value "
-                         f"{d.support[0]:g}")
-    return _identity_sides(d, n, u, m.reserve)
 
 
 def check_virtual_utility_identity(d: Distribution, m: VcgMechanism,

@@ -31,7 +31,7 @@ from .distributions import Distribution, RevenueCurveDistribution, make_distribu
 from .evaluation import (check_virtual_utility_identity, eval_posted_exact,
                          eval_vcg_exact, myerson_revenue, virtual_utility_identity_stats)
 from .mechanisms import VcgMechanism, hedge_limited_price, hedge_unlimited_price
-from .numerics import PMF_ERR, PMF_ERR_LAMBDA, binom_pmf_rows, order_stat_cdf, quad_target
+from .numerics import binom_pmf_rows, order_stat_cdf, quad_target
 from .report import LemmaReport, report_from_margin
 from .utilities import (capped, check_virtual_utility_monotone, linear,
                         optimal_reserve, parse_utilities, parse_utility)
@@ -251,23 +251,11 @@ def check_vcg_discount(d: Distribution, n: int, k: int) -> LemmaReport:
         1, f"hedged={hedged:.9g} monopoly={monopoly:.9g}")
 
 
-def _sum_roundoff(terms: int, ratio: float) -> float:
-    """Error bound of ``ratio`` = sum_y w_y pmf_y / B, a float sum of ``terms``
-    products with weights 0 <= w_y <= B, divided once.  Its rounding is at most
-    gamma_m ratio, gamma_m = m u / (1 - m u), u = 2^-53, m = terms + 3 (Higham,
-    Accuracy and Stability, eq. 3.5).  Each pmf is within (PMF_ERR pmf +
-    PMF_ERR_LAMBDA / e) u of the true one (`binom_window`), which adds
-    PMF_ERR u ratio + terms PMF_ERR_LAMBDA u / e."""
-    u = 2.0 ** -53
-    m = (terms + 3) * u
-    return (m / (1.0 - m) + PMF_ERR * u) * ratio + terms * PMF_ERR_LAMBDA * u / math.e
-
-
 def check_hedge_unlimited(d: Distribution, n: int) -> LemmaReport:
     """Unlimited supply: the hedged posted price earns at least half of u(B),
     B = n * price, for every concave u; exp(-1/e) for a nondecreasing hazard.
-    The tolerance is the error of the n + 1 term binomial sum and the mass
-    its window leaves out."""
+    The tolerance is the binomial sum's error bound, ``abserr`` of
+    `eval_posted_exact`, over B, plus one rounding of the divide."""
     price = hedge_unlimited_price(d)
     bench = n * price  # n times the maximal single-bidder revenue
     u = capped(bench)
@@ -275,14 +263,14 @@ def check_hedge_unlimited(d: Distribution, n: int) -> LemmaReport:
     ratio = res.mean_utility / bench
     claimed = MHR_BOUND if d.is_mhr() else 0.5
     return report_from_margin(f"hedge-unlimited[{d.label}|n={n}]", claimed, ratio,
-                              _sum_roundoff(n + 1, ratio) + res.abserr / bench, 1, u.label)
+                              res.abserr / bench + 2.0 ** -53 * ratio, 1, u.label)
 
 
 def check_hedge_limited(d: Distribution, n: int, k: int) -> LemmaReport:
     """Limited supply: the supply-aware hedged price earns 1/8 of u(B), B the
-    optimal revenue, for every concave u.  Tolerance: the sum's error, as in
-    `check_hedge_unlimited`, plus B's quadrature target, as E[min(X, B)] / B
-    moves by B's relative error."""
+    optimal revenue, for every concave u.  Tolerance: the sum's error bound
+    and the divide's rounding, as in `check_hedge_unlimited`, plus B's
+    quadrature target, as E[min(X, B)] / B moves by B's relative error."""
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
     price = hedge_limited_price(d, n, k)
@@ -290,8 +278,7 @@ def check_hedge_limited(d: Distribution, n: int, k: int) -> LemmaReport:
     u = capped(bench)
     res = eval_posted_exact(d, price, n, k, u)
     ratio = res.mean_utility / bench
-    tolerance = (_sum_roundoff(n + 1, ratio) + res.abserr / bench
-                 + quad_target(bench) / bench * ratio)
+    tolerance = res.abserr / bench + (2.0 ** -53 + quad_target(bench) / bench) * ratio
     return report_from_margin(f"hedge-limited[{d.label}|n={n},k={k}]", 0.125, ratio,
                               tolerance, 1, u.label)
 

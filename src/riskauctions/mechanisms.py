@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 
 from .distributions import Distribution, SpecParseError, parse_spec
-from .numerics import binom_window
+from .numerics import binom_expect
 from .utilities import UtilityFunction, optimal_reserve, parse_utility
 
 __all__ = [
@@ -218,20 +218,14 @@ def hedge_unlimited_price(d: Distribution) -> float:
 
 def allocation_probability(n: int, k: int, q_r: float) -> float:
     """E[min(k, X)] / n for X ~ Binomial(n, q_r): the chance a given bidder is
-    served when everyone above the price is served while k units last.  The
-    sum runs over `binom_window`, so it is within 2^-60 of the full one."""
+    served when everyone above the price is served while k units last, by `binom_expect`."""
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive integers")
     if not 0.0 <= q_r <= 1.0:
         raise ValueError("q_r must lie in [0, 1]")
     if k >= n:
         return q_r
-    if q_r == 0.0:
-        return 0.0
-    if q_r == 1.0:
-        return k / n
-    y, pmf, _ = binom_window(n, q_r)
-    return float(np.sum(np.minimum(y, k) * pmf) / n)
+    return binom_expect(n, q_r, lambda y: np.minimum(y, k), lambda: k)[0] / n
 
 
 def hedge_limited_price(d: Distribution, n: int, k: int) -> float:

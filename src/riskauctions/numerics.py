@@ -344,17 +344,40 @@ def binom_window(n: int, p: float) -> tuple[np.ndarray, np.ndarray, float]:
     last window is kept, as `eval --utility family:...` asks for the same one
     once per utility.
     """
-    p = float(p)
-    _check_args(n, 0.0 <= p <= 1.0)
-    a = binom_halfwidth(n) if n < 2 ** 60 else BINOM_BUDGET  # too wide either way
-    _check_terms(n, min(n + 1, 2 * a + 3))
-    return _window(n, p, a)
+    return _window(n, float(p))[:3]
+
+
+def binom_expect(n: int, p: float, weight, w_max) -> tuple[float, float]:
+    """(value, abserr): value = sum of weight(y) pmf(y) over the counts y of
+    `binom_window(n, p)`.  ``weight`` maps them to weights in [0, W], and may
+    return only the first few (the rest weigh 0); ``w_max()``, called only
+    when needed, is W.  abserr bounds |value - E[weight(Y)]|, Y ~ Bin(n, p),
+    by a term per known error: tail W; rel value for the pmfs, rel = (PMF_ERR
+    + PMF_ERR_LAMBDA lambda_max) 2^-53, as lambda <= 0.05 - log pmf (Stirling
+    terms below 0.042, root factor at most 1; lambda = -log pmf at y = 0, n);
+    2^-1074 W per pmf below 2^-1022 and 2^-1075 per product, rounded
+    absolutely if subnormal; gamma_(m+1) value for the sum of m terms, gamma_m
+    = m u / (1 - m u), u = 2^-53 (Higham, Accuracy and Stability, eq. 3.5);
+    and if p is subnormal, so up to 2^-1074 off, y_max 2^-1074 / p in rel, as
+    pmf(y) goes as p^y.  rel and the count of small pmfs stay with the window."""
+    y, pmf, tail, rel, small = _window(n, float(p))
+    w = weight(y)
+    value = float(np.sum(w * pmf[:len(w)]))
+    m = (len(w) + 1) * 2.0 ** -53
+    err = (rel + m / (1.0 - m)) * value + len(w) * 2.0 ** -1075
+    if tail or small:
+        err += (tail + small * 2.0 ** -1074) * w_max()
+    return value, err
 
 
 @functools.lru_cache(maxsize=1)
-def _window(n: int, p: float, a: int) -> tuple[np.ndarray, np.ndarray, float]:
+def _window(n: int, p: float):
+    """`binom_window`'s (y, pmf, tail), checked, and `binom_expect`'s rel and small."""
+    _check_args(n, 0.0 <= p <= 1.0)
+    a = binom_halfwidth(n) if n < 2 ** 60 else BINOM_BUDGET  # too wide either way
+    _check_terms(n, min(n + 1, 2 * a + 3))
     if p == 0.0 or p == 1.0:
-        y, pmf, tail = np.array([n * p]), np.ones(1), 0.0
+        y, pmf, tail, rel, small = np.array([n * p]), np.ones(1), 0.0, 0.0, 0
     else:
         lo = max(0, math.floor(n * p - a))  # one count to spare either side for
         hi = min(n, math.ceil(n * p + a))  # the rounding of n p
@@ -362,8 +385,12 @@ def _window(n: int, p: float, a: int) -> tuple[np.ndarray, np.ndarray, float]:
         _fill(out, n, lo, np.array([p]))
         y, pmf = np.arange(lo, hi + 1, dtype=float), out[0]
         tail = 0.0 if lo == 0 and hi == n else BINOM_TAIL
+        lam = 0.05 - math.log(pmf.min() or pmf[pmf > 0.0].min())  # the least positive pmf
+        sub = hi * 2.0 ** -1074 / p if p < 2.0 ** -1022 else 0.0  # a subnormal p's rounding
+        rel = (PMF_ERR + PMF_ERR_LAMBDA * lam) * 2.0 ** -53 + sub
+        small = int(np.count_nonzero(pmf < 2.0 ** -1022))
     y.flags.writeable = pmf.flags.writeable = False
-    return y, pmf, tail
+    return y, pmf, tail, rel, small
 
 
 def binom_pmf_rows(n: int, ps) -> np.ndarray:

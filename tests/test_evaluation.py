@@ -49,10 +49,23 @@ from riskauctions import (
 )
 from riskauctions.evaluation import MC_BUDGET, MC_CHUNK, MIN_MC_SAMPLES, _split_points
 from riskauctions import evaluation
-from riskauctions.numerics import (BINOM_TAIL, GK_MAX_PANELS, gauss_kronrod, order_stat_cdf,
-                                  quad_target)
+from riskauctions.numerics import (BINOM_TAIL, GK_MAX_PANELS, PMF_ERR, PMF_ERR_LAMBDA,
+                                  binom_window, gauss_kronrod, order_stat_cdf, quad_target)
 
 U01 = uniform(0.0, 1.0)
+
+
+def stated_abserr(n, p, terms, value, w_max):
+    """The error bound `binom_expect` states for a sum of ``terms`` weights
+    at most w_max over the Bin(n, p) window, for a normal p whose window
+    keeps every pmf above 2^-1022: the tail times w_max, the pmfs' relative
+    error and gamma_(terms+1) times the value, and 2^-1075 per product."""
+    ys, pmf, tail = binom_window(n, p)
+    assert p >= 2.0 ** -1022 and pmf.min() >= 2.0 ** -1022
+    lam = 0.05 - math.log(pmf.min())
+    gamma = (terms + 1) * 2.0 ** -53 / (1 - (terms + 1) * 2.0 ** -53)
+    return (tail * w_max + ((PMF_ERR + PMF_ERR_LAMBDA * lam) * 2.0 ** -53 + gamma) * value
+            + terms * 2.0 ** -1075)
 
 
 class TestPostedExact:
@@ -265,14 +278,17 @@ class TestVcgExactReferences:
         assert got == eval_posted_exact(d, r, n, n, u).mean_utility
 
     @given(vcg_instances())
+    # q_r = e^-581.7 = 1e-253: the pmf's rounding in log space, 2.9e-263
+    # here, is all of the error, and abserr states it
+    @example((exponential(1.0), 2, 1, linear(), 581.6803093573603))
     def test_single_unit_is_the_old_second_price(self, case):
         d, n, _, u, r = case
         got = eval_vcg_exact(d, n, 1, u, r)
         want, want_err = second_price(d, r, n, u)
         # two integrators, each within its own error estimate; the reserve
-        # term differs in rounding: binom_pmf takes it in log space (2.7e-14
-        # relative off n q (1-q)^(n-1) at n = 37)
-        assert abs(got.mean_utility - want) <= got.abserr + want_err + 1e-13 * abs(want)
+        # term differs in rounding, binom_pmf takes it in log space, which
+        # got.abserr bounds
+        assert abs(got.mean_utility - want) <= got.abserr + want_err
 
     @given(vcg_instances(dists=(left_triangle(1e-9), exponential(1e-3), exponential(1e3)),
                          utilities=FAMILY + (power(1e-3),)))
@@ -358,9 +374,41 @@ def test_edges_agree_with_mpmath(d, n, k, u, r):
     got = eval_vcg_exact(d, n, k, u, r)
     want = mpmath_vcg(d, n, k, u, r)
     # the accuracy asked for, and the error estimate bounds the true error
-    # up to the rounding of the binomial sum
     assert abs(got.mean_utility - want) <= 1e-8 * abs(want)
-    assert abs(got.mean_utility - want) <= got.abserr + 1e-13 * abs(want)
+    assert abs(got.mean_utility - want) <= got.abserr
+
+
+def one_unit_on_exponential(n, r, posted):
+    """E[revenue] of one unit to n bidders on exponential:1 at price or
+    reserve r, to 60 digits from the true q_r = e^-r rather than its float.
+    Posted, r sells when a bidder clears it; VCG adds the second-highest
+    value, -log q at the second-lowest quantile q, whose density is n (n-1)
+    q (1-q)^(n-2), when two clear it (the integral is taken in q = q_r t)."""
+    with mpmath.workdps(60):
+        r = mpmath.mpf(r)
+        q_r = mpmath.exp(-r)
+        if posted:  # term by term: 1 - (1 - q_r)^n would cancel
+            return r * mpmath.fsum(mpmath.binomial(n, j) * q_r ** j * (1 - q_r) ** (n - j)
+                                   for j in range(1, n + 1))
+        return n * q_r * (1 - q_r) ** (n - 1) * r + n * (n - 1) * q_r ** 2 * mpmath.quad(
+            lambda t: t * (1 - q_r * t) ** (n - 2) * (r - mpmath.log(t)), [0, 1])
+
+
+@pytest.mark.parametrize("r", [100.0, 650.0, 700.0, 740.0])
+@pytest.mark.parametrize("n", [2, 37])
+def test_reserve_term_within_abserr_far_in_the_tail(n, r):
+    # the pmf's relative error grows with -log q_r, 5.7e-15 at r = 100 to
+    # 1.04e-13 at r = 700; at r = 740, q_r = 4.2e-322 is subnormal and its
+    # own rounding puts the value 2.6e-3 off.  abserr must cover each; at
+    # n = 37 the window's tail, 2^-60 of the largest weight, dominates it.
+    d = exponential(1.0)
+    for got, posted in ((eval_posted_exact(d, r, n, 1, linear()), True),
+                        (eval_vcg_exact(d, n, 1, linear(), r), False)):
+        want = one_unit_on_exponential(n, r, posted)
+        with mpmath.workdps(60):
+            assert abs(mpmath.mpf(got.mean_utility) - want) <= got.abserr, posted
+        if n == 2:  # a whole window, with no tail term: abserr is 3.5% at most
+            assert got.abserr <= 0.05 * want
 
 
 def bid_space_eval_mc(m, d, n, u, samples, seed):
@@ -678,7 +726,7 @@ class TestManyBidders:
                         (uniform(0.5, 1.0), 0.5 + 0.5 * (n - 1) / (n + 1))):
             r = eval_vcg_exact(d, n, 1, linear())
             assert r.abserr <= quad_target(want)
-            assert abs(r.mean_utility - want) <= r.abserr + 1e-13 * want
+            assert abs(r.mean_utility - want) <= r.abserr
             assert r.mean_utility <= 1.0
 
     def test_refuses_2_to_53_bidders(self):
@@ -691,12 +739,16 @@ class TestManyBidders:
     @pytest.mark.parametrize("k_extra", [0, 3])
     def test_posted_price_with_supply_for_all(self, n, k_extra):
         # k >= n: each of n bidders pays 0.3 w.p. 0.7; the window leaves out
-        # mass, which abserr states at its largest weight, u(0.3 n)
+        # mass, which abserr states at its largest weight, u(0.3 n), and adds
+        # the rounding of the pmfs and of their sum
         r = evaluate(PostedPriceMechanism(0.3, n + k_extra), U01, n, linear())
         want = 0.3 * n * 0.7
+        terms = len(binom_window(n, 0.7)[0])
         assert r.method == "exact"
-        assert r.abserr == BINOM_TAIL * 0.3 * n
-        assert abs(r.mean_utility - want) <= r.abserr + 1e-12 * want
+        assert r.abserr == pytest.approx(stated_abserr(n, 0.7, terms, r.mean_utility, 0.3 * n),
+                                         rel=1e-12, abs=0.0)
+        assert r.abserr > BINOM_TAIL * 0.3 * n
+        assert abs(r.mean_utility - want) <= r.abserr
 
     def test_monte_carlo_agrees_at_20000_bidders(self):
         m, n = VcgMechanism(2, 0.3), 20_000
@@ -808,7 +860,10 @@ class TestIdentity:
                 assert abs(st_[side] - want) <= st_[side + "_abserr"] + 2.0 ** -53 * want
         assert st_["lhs_abserr"] > 0.0
         one = virtual_utility_identity_stats(U01, VcgMechanism(1, 0.5), linear(), 1)
-        assert one["lhs"] == 0.25 and one["lhs_abserr"] == 0.0  # binomial only
+        # binomial only: Bin(1, 1/2) sums both counts, each pmf 1/2
+        assert one["lhs"] == 0.25
+        assert one["lhs_abserr"] == pytest.approx(stated_abserr(1, 0.5, 2, 0.25, 0.5),
+                                                  rel=1e-12, abs=0.0)
 
     @given(IDENTITY_DISTS, st.sampled_from(FAMILY), st.integers(1, 40),
            st.floats(0.0, 1.0, exclude_min=True))

@@ -8,14 +8,14 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskauctions import numerics
 from riskauctions.numerics import (BINOM_BUDGET, BINOM_TAIL, GK21_NODES, GK21_WEIGHTS,
                                   PMF_ERR, PMF_ERR_LAMBDA, QUAD_EPSABS, QUAD_EPSREL,
                                   STIRLERR_EXACT, binom_halfwidth, binom_pmf,
-                                  binom_pmf_rows, binom_window, bisect_root,
+                                  binom_expect, binom_pmf_rows, binom_window, bisect_root,
                                   gauss_kronrod, order_stat_pdf)
 
 SPECIAL_PS = [0.0, 1.0, 1e-300, 1.0 - 2.0 ** -53]
@@ -117,6 +117,59 @@ def test_windows_sum_to_one_within_their_tail(n, p):
     assert tail == (0.0 if len(ys) == n + 1 else BINOM_TAIL)
     assert len(ys) <= min(n + 1, 2 * binom_halfwidth(n) + 3)
     assert abs(float(pmf.sum()) - 1.0) <= n * 2 * U + tail
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 2000),
+       p=st.one_of(st.floats(1e-6, 1.0, exclude_max=True),
+                   st.floats(-323.0, -6.0).map(lambda e: 10.0 ** e)),
+       cut=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+# pmf(2) = 1e-600 underflows to 0, and every count above it
+@example(n=2000, p=1e-300, cut=1.0, seed=1)
+# pmf(1) = 1.5e-320 is subnormal, pmf(2) and up underflow
+@example(n=3, p=5e-321, cut=1.0, seed=2)
+@example(n=1, p=0.5, cut=1.0, seed=3)
+def test_binom_expect_within_its_abserr(n, p, cut, seed):
+    # random weights in [0, 1), those past a random count 0; the truth sums
+    # the whole row to 60 digits
+    w_all = np.random.default_rng(seed).random(n + 1)
+    w_all[round(cut * n) + 1:] = 0.0
+
+    def weight(y):
+        return w_all[y[:max(round(cut * n) - int(y[0]) + 1, 0)].astype(int)]
+
+    value, abserr = binom_expect(n, p, weight, lambda: 1.0)
+    with mpmath.workdps(60):
+        q = mpmath.mpf(p)
+        truth = mpmath.fsum(mpmath.mpf(float(w)) * mpmath.binomial(n, y) * q ** y
+                            * (1 - q) ** (n - y) for y, w in enumerate(w_all) if w)
+        assert abs(value - truth) <= abserr
+
+
+@pytest.mark.parametrize("p", [1.3e-160, 8.43e-161, 5.2e-162, 3.48e-162])
+def test_binom_expect_counts_the_rounding_of_subnormal_pmfs(p):
+    # pmf(2) = p^2 is subnormal, so it rounds absolutely, by up to 2^-1075;
+    # at weight 1000 that is far above the value's relative errors
+    value, abserr = binom_expect(2, p, lambda y: np.where(y == 2, 1000.0, 0.0), lambda: 1000.0)
+    with mpmath.workdps(60):
+        assert abs(value - 1000 * mpmath.mpf(p) ** 2) <= abserr
+
+
+def test_binom_expect_asks_for_the_largest_weight_only_when_it_needs_it():
+    def never():
+        raise AssertionError("w_max called")
+
+    # a whole window of normal pmfs states its error relative to the value
+    value, abserr = binom_expect(21, 0.5, lambda y: y, never)
+    assert value == pytest.approx(10.5, rel=1e-15) and 0 < abserr < 1e-12
+    # with a tail, or a pmf below 2^-1022, it needs the largest weight
+    for n, p in ((22, 0.5), (3, 1e-300)):
+        assert binom_expect(n, p, lambda y: y, lambda: n)[1] >= 2.0 ** -1074 * n
+    # p = 0 and p = 1 are one exact count, whose one product the bound
+    # still counts
+    value, abserr = binom_expect(5, 0.0, lambda y: y + 1, never)
+    assert value == 1.0 and abserr <= 2.0 ** -51
+    assert binom_expect(5, 1.0, lambda y: y[:0], never) == (0.0, 0.0)
 
 
 def test_small_n_windows_are_whole_rows():
