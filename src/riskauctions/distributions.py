@@ -333,6 +333,12 @@ class RevenueCurveDistribution(Distribution):
         least and greatest price of each segment (the prices at its right and
         left breakpoints), as lists.
 
+        At an inner breakpoint, price is its stored price R/q (hi of the
+        segment it starts), not a/q + b of the segment it ends, which can
+        round an ulp above: sale_probability searches the stored prices, and
+        one ulp above one it solves the segment before, where the sale
+        probability can fall 1e-12 in that ulp.
+
         Where R(1) > 0, q = 1 has a segment of its own, whose price is clamped
         to support[0], so that price(1) is support[0] exactly: the segment
         search runs on breakpoints whose last is the float below 1.  A curve
@@ -359,9 +365,13 @@ class RevenueCurveDistribution(Distribution):
 
     def _price(self, q):
         qs, intercepts, slopes, lo, hi = self._price_arrays
-        idx = np.maximum(np.searchsorted(qs, q, side="left") - 1, 0)
+        right = np.searchsorted(qs, q, side="left")
+        idx = np.maximum(right - 1, 0)
         with np.errstate(divide="ignore", invalid="ignore"):
             v = np.minimum(np.maximum(intercepts[idx] / q + slopes[idx], lo[idx]), hi[idx])
+        # an inner breakpoint has its own price R/q (see _price_segments)
+        right = np.minimum(right, len(qs) - 2)
+        v = np.where(self._qs[right] == q, hi[right], v)
         return np.where(q <= self._qs[1], self._prices[0], v)
 
     def _price_of_float(self, q: float) -> float:
@@ -372,7 +382,10 @@ class RevenueCurveDistribution(Distribution):
         if q <= self._qs_list[1]:
             return self._price0
         qs, intercepts, slopes, lo, hi = self._price_segments
-        j = max(bisect_left(qs, q) - 1, 0)
+        right = bisect_left(qs, q)
+        if right < len(qs) - 1 and self._qs_list[right] == q:
+            return hi[right]
+        j = max(right - 1, 0)
         v = intercepts[j] / q + slopes[j]
         v = v if v > lo[j] or v != v else lo[j]
         return v if v < hi[j] or v != v else hi[j]

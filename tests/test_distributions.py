@@ -311,6 +311,17 @@ class TestScalarPrice:
                 assert d.price(1.0) == d.support[0] > 0.0, (seed, breakpoints)
                 assert d.price(np.array([1.0]))[0] == d.support[0]
 
+    def test_price_at_a_breakpoint_sells_at_it(self):
+        # a/q + b of the segment ending at the kink rounds one ulp above the
+        # kink's price R/q; there that segment's price is within 3.2e-4 of
+        # its slope b, so its sale probability a/(p - b) one ulp above the
+        # kink was 1.1e-12 below q
+        d = make_distribution("revenue-curve:0.0006766393418269345:0.004871378868778844;"
+                              "0.34746352624922205:2.444815376040425;1.0:1.2226418798582317")
+        q = d.breakpoints()[1]
+        assert d.price(q) == d.price(np.array([q]))[0] == 2.444815376040425 / q
+        assert d.sale_probability(d.price(q)) == pytest.approx(q, rel=1e-15)
+
 
 class TestMarginalRevenue:
     def test_closed_forms(self):
