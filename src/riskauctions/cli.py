@@ -242,8 +242,7 @@ def cmd_eval(args) -> int:
     utilities = parse_utilities(args.utility)
     rev, _ = myerson_revenue(d, n, mech.k)
     rows = []
-    for u in utilities:
-        res = evaluate(mech, d, n, u)
+    for u, res in zip(utilities, evaluate(mech, d, n, utilities)):
         res = res.against(u(rev))
         rows.append([args.mech, args.dist, str(n), str(mech.k), u.label,
                      res.method, _fmt(res.mean_utility), _fmt(res.ci_halfwidth),

@@ -13,6 +13,7 @@ independent cross-check; no evaluation here calls it.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from .distributions import Distribution
 from .mechanisms import (Mechanism, PostedPriceMechanism, VcgMechanism, _least_bid,
                          _revenue)
-from .numerics import binom_expect, gauss_kronrod, order_stat_pdf, quad_target
+from .numerics import binom_expect, binom_window, gauss_kronrod, order_stat_pdf, quad_target
 from .report import LemmaReport, report_from_margin
 from .utilities import UtilityFunction, linear, virtual_utility_at_quantile
 
@@ -41,6 +42,7 @@ MC_CHUNK = 65_536
 MC_BUDGET = 2 ** 22
 MC_TILE = 2 ** 17  # uniforms drawn and ranked at a time: 1 MiB, in cache
 MIN_MC_SAMPLES = 1_000
+FAMILY_CHUNK = 2 ** 16  # weights per binomial sum of a utility family: bounds the temporaries
 
 
 @dataclass(frozen=True)
@@ -100,11 +102,29 @@ def eval_posted_exact(d: Distribution, price: float, n: int, k: int,
     """E[u(price * min(k, #bidders at or above price))] by binomial summation.
     u is nondecreasing with u(0) = 0, so the largest weight is u(price *
     min(n, k))."""
+    return _eval_posted(d, price, n, k, (u,))[0]
+
+
+def _eval_posted(d: Distribution, price: float, n: int, k: int,
+                 utilities: Sequence[UtilityFunction]) -> list[EvalResult]:
+    """`eval_posted_exact` for each utility, over one binomial window: the
+    sale probability and the revenue at each count are shared, and the
+    weights are one row per utility, summed FAMILY_CHUNK weights or one row
+    at a time."""
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    mean, err = binom_expect(n, d.sale_probability(price), lambda y: u(price * np.minimum(y, k)),
-                             lambda: u(price * min(n, k)))
-    return EvalResult(mean, "exact", abserr=err)
+    p = d.sale_probability(price)
+    revenue = price * np.minimum(binom_window(n, p)[0], k)  # at binom_expect's counts
+    top = price * min(n, k)
+    rows = max(FAMILY_CHUNK // len(revenue), 1)
+    results = []
+    for i in range(0, len(utilities), rows):
+        group = utilities[i:i + rows]
+        means, errs = binom_expect(n, p, lambda _: np.array([u(revenue) for u in group]),
+                                   lambda: np.array([u(top) for u in group]))
+        results += [EvalResult(mean, "exact", abserr=err)
+                    for mean, err in zip(means.tolist(), errs.tolist())]
+    return results
 
 
 def eval_second_price_exact(d: Distribution, reserve: float, n: int,
@@ -212,11 +232,15 @@ def eval_mc(m: Mechanism, d: Distribution, n: int, u: UtilityFunction,
                       samples)
 
 
-def evaluate(m: Mechanism, d: Distribution, n: int, u: UtilityFunction) -> EvalResult:
-    """The exact E[u(revenue)] of a posted-price or VCG mechanism."""
+def evaluate(m: Mechanism, d: Distribution, n: int,
+             utilities: Sequence[UtilityFunction]) -> list[EvalResult]:
+    """The exact E[u(revenue)] of a posted-price or VCG mechanism for each
+    utility u of a family, in its order: the results of `eval_posted_exact`
+    or `eval_vcg_exact`, bit for bit.  A posted price sums the whole family
+    over one binomial window; VCG evaluates each member in turn."""
     if isinstance(m, PostedPriceMechanism):
-        return eval_posted_exact(d, m.price, n, m.k, u)
-    return eval_vcg_exact(d, n, m.k, u, m.reserve)
+        return _eval_posted(d, m.price, n, m.k, utilities)
+    return [eval_vcg_exact(d, n, m.k, u, m.reserve) for u in utilities]
 
 
 # -- revenue benchmark ----------------------------------------------------------

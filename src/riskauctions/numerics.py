@@ -341,17 +341,20 @@ def binom_window(n: int, p: float) -> tuple[np.ndarray, np.ndarray, float]:
 
     Raises ValueError before allocating anything if n could need a window of
     more than BINOM_BUDGET terms, whatever p is.  The arrays are read-only: the
-    last window is kept, as `eval --utility family:...` asks for the same one
-    once per utility.
+    last window is kept, as a VCG evaluation of a utility family asks for the
+    same one once per member.
     """
     return _window(n, float(p))[:3]
 
 
-def binom_expect(n: int, p: float, weight, w_max) -> tuple[float, float]:
+def binom_expect(n: int, p: float, weight, w_max):
     """(value, abserr): value = sum of weight(y) pmf(y) over the counts y of
     `binom_window(n, p)`.  ``weight`` maps them to weights in [0, W], and may
     return only the first few (the rest weigh 0); ``w_max()``, called only
-    when needed, is W.  abserr bounds |value - E[weight(Y)]|, Y ~ Bin(n, p),
+    when needed, is W.  A 1-d weight gives two floats.  A 2-d weight, one row
+    per expectation over the same counts, gives two arrays, one value per
+    row, with W from ``w_max()`` per row; a row sums to the bits it would
+    alone.  abserr bounds |value - E[weight(Y)]|, Y ~ Bin(n, p),
     by a term per known error: tail W; rel value for the pmfs, rel = (PMF_ERR
     + PMF_ERR_LAMBDA lambda_max) 2^-53, as lambda <= 0.05 - log pmf (Stirling
     terms below 0.042, root factor at most 1; lambda = -log pmf at y = 0, n);
@@ -362,12 +365,13 @@ def binom_expect(n: int, p: float, weight, w_max) -> tuple[float, float]:
     pmf(y) goes as p^y.  rel and the count of small pmfs stay with the window."""
     y, pmf, tail, rel, small = _window(n, float(p))
     w = weight(y)
-    value = float(np.sum(w * pmf[:len(w)]))
-    m = (len(w) + 1) * 2.0 ** -53
-    err = (rel + m / (1.0 - m)) * value + len(w) * 2.0 ** -1075
+    terms = w.shape[-1]
+    value = np.sum(w * pmf[:terms], axis=-1)
+    m = (terms + 1) * 2.0 ** -53
+    err = (rel + m / (1.0 - m)) * value + terms * 2.0 ** -1075
     if tail or small:
         err += (tail + small * 2.0 ** -1074) * w_max()
-    return value, err
+    return (float(value), float(err)) if w.ndim == 1 else (value, err)
 
 
 @functools.lru_cache(maxsize=1)

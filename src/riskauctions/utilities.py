@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -47,10 +47,14 @@ class UtilityFunction:
     param: float | None = None
 
     def __call__(self, x):
+        if isinstance(x, float):  # also np.float64, a float subclass
+            return self._value_of_float(float(x))
         return elementwise(self._value, x)
 
     def derivative(self, x):
         """Right derivative (relevant only for the capped kink)."""
+        if isinstance(x, float):
+            return self._slope_of_float(float(x))
         return elementwise(self._slope, x)
 
     def _value(self, x):
@@ -67,6 +71,29 @@ class UtilityFunction:
             return np.ones_like(x)
         with np.errstate(divide="ignore", over="ignore"):
             return np.where(x > 0, self.param * np.power(x, self.param - 1.0), np.inf)
+
+    # _value and _slope one point at a time, bit-identical to them, without an
+    # array: the single-bidder search calls u and u' on a float once per
+    # bisection step.  The power stays NumPy's, as math.pow rounds some points
+    # differently.
+
+    def _value_of_float(self, x: float) -> float:
+        if self.kind == "linear":
+            return x + 0.0
+        if self.kind == "power":
+            return float(np.power(x, self.param))
+        return min(x, self.param)  # keeps a NaN x, as np.minimum does
+
+    def _slope_of_float(self, x: float) -> float:
+        if self.kind == "capped":
+            return 1.0 if x < self.param else 0.0
+        if self.kind == "linear" or self.param == 1.0:
+            return 1.0
+        if not x > 0:
+            return math.inf
+        if x < 2.0 ** -1022:  # x^(param - 1) may overflow, which _slope silences
+            return elementwise(self._slope, x)
+        return self.param * float(np.power(x, self.param - 1.0))
 
     @property
     def kink(self) -> float | None:
@@ -101,8 +128,10 @@ def capped(eps: float) -> UtilityFunction:
     return UtilityFunction("capped", eps)
 
 
+@cache
 def default_family() -> tuple[UtilityFunction, ...]:
-    """Linear, two powers, and eight caps log-spaced over [1e-4, 1e-1]."""
+    """Linear, two powers, and eight caps log-spaced over [1e-4, 1e-1], built
+    on the first call; every call returns that tuple of frozen members."""
     caps = tuple(capped(e) for e in np.logspace(-4, -1, 8))
     return (linear(), power(0.5), power(1.0 / 3.0)) + caps
 

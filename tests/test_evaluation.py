@@ -50,7 +50,8 @@ from riskauctions import (
 from riskauctions.evaluation import MC_BUDGET, MC_CHUNK, MIN_MC_SAMPLES, _split_points
 from riskauctions import evaluation
 from riskauctions.numerics import (BINOM_TAIL, GK_MAX_PANELS, PMF_ERR, PMF_ERR_LAMBDA,
-                                  binom_window, gauss_kronrod, order_stat_cdf, quad_target)
+                                  binom_expect, binom_window, gauss_kronrod, order_stat_cdf,
+                                  quad_target)
 
 U01 = uniform(0.0, 1.0)
 
@@ -661,11 +662,11 @@ class TestMonteCarlo:
 
 class TestEvaluateDispatch:
     def test_exact_paths(self):
-        assert evaluate(PostedPriceMechanism(0.3, 2), U01, 5, linear()).method == "exact"
-        assert evaluate(VcgMechanism(1, 0.0), U01, 3, linear()).method == "exact"
-        assert evaluate(VcgMechanism(1, 0.4), U01, 3, linear()).method == "exact"
+        assert evaluate(PostedPriceMechanism(0.3, 2), U01, 5, (linear(),))[0].method == "exact"
+        assert evaluate(VcgMechanism(1, 0.0), U01, 3, (linear(),))[0].method == "exact"
+        assert evaluate(VcgMechanism(1, 0.4), U01, 3, (linear(),))[0].method == "exact"
         # supply covering all bidders is a posted offer at the reserve
-        r = evaluate(VcgMechanism(4, 0.4), U01, 3, linear())
+        r = evaluate(VcgMechanism(4, 0.4), U01, 3, (linear(),))[0]
         assert r.method == "exact"
         assert r.mean_utility == pytest.approx(
             eval_posted_exact(U01, 0.4, 3, 3, linear()).mean_utility, abs=1e-12)
@@ -673,17 +674,17 @@ class TestEvaluateDispatch:
     def test_mc_fallback_for_reserved_multiunit(self):
         # there is no Monte Carlo fallback: reserved multi-unit VCG, posted
         # prices and k >= n are exact past the 10,000 bidders that once sampled
-        r = evaluate(VcgMechanism(2, 0.3), U01, 5, linear())
+        r = evaluate(VcgMechanism(2, 0.3), U01, 5, (linear(),))[0]
         assert r.method == "exact" and r.samples == 0
         assert r == eval_vcg_exact(U01, 5, 2, linear(), 0.3)
         n = 10_001
         for m in (VcgMechanism(2, 0.3), PostedPriceMechanism(0.3, 2), VcgMechanism(n, 0.0)):
-            r = evaluate(m, U01, n, linear())
+            r = evaluate(m, U01, n, (linear(),))[0]
             assert r.method == "exact" and r.samples == 0 and r.ci_halfwidth == 0.0
         # all n bidders clear a reserve of 0: k >= n units earn the reserve, 0
-        assert evaluate(VcgMechanism(n, 0.0), U01, n, linear()).mean_utility == 0.0
+        assert evaluate(VcgMechanism(n, 0.0), U01, n, (linear(),))[0].mean_utility == 0.0
         # 0.3 sells to each of n bidders w.p. 0.7, and 2 units nearly surely go
-        r = evaluate(PostedPriceMechanism(0.3, 2), U01, n, linear())
+        r = evaluate(PostedPriceMechanism(0.3, 2), U01, n, (linear(),))[0]
         assert r.mean_utility == pytest.approx(0.6, rel=1e-15)
 
     @pytest.mark.parametrize("n", [10_001, 50_000, 10 ** 6])
@@ -695,12 +696,49 @@ class TestEvaluateDispatch:
                            (VcgMechanism(n // 2, 0.0), U01, n // 2 * (n - n // 2) / (n + 1)),
                            (VcgMechanism(1, 0.4), uniform(0.5, 2.0),
                             0.5 + 1.5 * (n - 1) / (n + 1))):
-            r = evaluate(m, d, n, linear())
+            r = evaluate(m, d, n, (linear(),))[0]
             assert r.method == "exact"
             assert r.mean_utility == pytest.approx(want, rel=1e-8)
 
+    @pytest.mark.parametrize("m, d, n", [
+        (PostedPriceMechanism(0.6, 1), U01, 5),
+        (PostedPriceMechanism(0.6, 7), U01, 5),  # k >= n
+        (PostedPriceMechanism(0.3, 2), U01, 200),  # the window leaves out a tail
+        (PostedPriceMechanism(0.3, 2), U01, 10 ** 6),  # in groups of FAMILY_CHUNK weights
+        (PostedPriceMechanism(0.8, 400), exponential(1.0), 300),
+        (PostedPriceMechanism(740.0, 1), exponential(1.0), 37),  # subnormal sale probability
+        (VcgMechanism(1, 0.0), U01, 4),
+        (VcgMechanism(1, 0.3), U01, 4),
+    ])
+    def test_a_family_gets_each_members_bits(self, m, d, n):
+        # a posted price sums the whole family over one binomial window, yet
+        # each member gets its own evaluator's result, and the 1-d sum's bits
+        fam = default_family() + (power(0.25), capped(5e-324))
+        got = evaluate(m, d, n, fam)
+        assert len(got) == len(fam)
+        for u, r in zip(fam, got):
+            assert type(r.mean_utility) is float and type(r.abserr) is float
+            if isinstance(m, VcgMechanism):
+                want = eval_vcg_exact(d, n, m.k, u, m.reserve)
+                assert (r.mean_utility, r.abserr) == (want.mean_utility, want.abserr)
+                continue
+            q = d.sale_probability(m.price)
+            want = eval_posted_exact(d, m.price, n, m.k, u)
+            alone = binom_expect(n, q, lambda y: u(m.price * np.minimum(y, m.k)),
+                                 lambda: u(m.price * min(n, m.k)))
+            assert (r.mean_utility, r.abserr) == (want.mean_utility, want.abserr) == alone
+            y, pmf, _ = binom_window(n, q)
+            assert r.mean_utility == float(np.sum(u(m.price * np.minimum(y, m.k)) * pmf))
+
+    def test_the_family_cases_reach_their_edges(self):
+        assert binom_window(200, 0.7)[2] > 0.0
+        terms = len(binom_window(10 ** 6, 0.7)[0])
+        assert 1 < evaluation.FAMILY_CHUNK // terms < len(default_family()) + 2
+        assert binom_window(300, exponential(1.0).sale_probability(0.8))[2] > 0.0
+        assert 0.0 < exponential(1.0).sale_probability(740.0) < 2.0 ** -1022
+
     def test_agreement_between_paths(self):
-        exact = evaluate(VcgMechanism(1, 0.4), U01, 3, linear())
+        exact = evaluate(VcgMechanism(1, 0.4), U01, 3, (linear(),))[0]
         mc = eval_mc(VcgMechanism(1, 0.4), U01, 3, linear(),
                      samples=300_000, seed=1)
         assert abs(mc.mean_utility - exact.mean_utility) <= 4 * mc.ci_halfwidth
@@ -712,7 +750,7 @@ class TestManyBidders:
     @pytest.mark.parametrize("n", [10_001, 10 ** 5, 10 ** 6, 10 ** 8])
     def test_reserve_free_second_price(self, n):
         # E of the second highest of n uniforms
-        r = evaluate(VcgMechanism(1, 0.0), U01, n, linear())
+        r = evaluate(VcgMechanism(1, 0.0), U01, n, (linear(),))[0]
         assert r.method == "exact"
         assert r.mean_utility == pytest.approx((n - 1) / (n + 1), rel=1e-8)
 
@@ -741,7 +779,7 @@ class TestManyBidders:
         # k >= n: each of n bidders pays 0.3 w.p. 0.7; the window leaves out
         # mass, which abserr states at its largest weight, u(0.3 n), and adds
         # the rounding of the pmfs and of their sum
-        r = evaluate(PostedPriceMechanism(0.3, n + k_extra), U01, n, linear())
+        r = evaluate(PostedPriceMechanism(0.3, n + k_extra), U01, n, (linear(),))[0]
         want = 0.3 * n * 0.7
         terms = len(binom_window(n, 0.7)[0])
         assert r.method == "exact"
@@ -752,7 +790,7 @@ class TestManyBidders:
 
     def test_monte_carlo_agrees_at_20000_bidders(self):
         m, n = VcgMechanism(2, 0.3), 20_000
-        exact = evaluate(m, U01, n, linear())
+        exact = evaluate(m, U01, n, (linear(),))[0]
         mc = eval_mc(m, U01, n, linear(), samples=1000, seed=11)
         assert mc.ci_halfwidth > 0
         assert abs(mc.mean_utility - exact.mean_utility) <= 4 * mc.ci_halfwidth
@@ -809,7 +847,7 @@ class TestBenchmark:
 def worst_ratio(m, d, n, k, fam) -> float:
     """min over the family of E[u(Rev(m))] / u(benchmark revenue)."""
     rev, _ = myerson_revenue(d, n, k)
-    return min(evaluate(m, d, n, u).mean_utility / float(u(rev)) for u in fam)
+    return min(r.mean_utility / float(u(rev)) for u, r in zip(fam, evaluate(m, d, n, fam)))
 
 
 class TestUniversalRatio:

@@ -67,6 +67,23 @@ class TestUtilityValues:
         u = capped(0.3)
         np.testing.assert_array_equal(u(np.array([0.1, 0.5])), [0.1, 0.3])
         np.testing.assert_array_equal(u.derivative(np.array([0.1, 0.5])), [1.0, 0.0])
+        # a float takes a path of its own (no array), which must answer a
+        # Python float with the array kernel's bits, edges included
+        rng = np.random.default_rng(66)
+        random = np.exp(rng.uniform(math.log(1e-320), math.log(1e300), 2000))
+        edges = [0.0, -0.0, 5e-324, 2.0 ** -1022, 1e308, math.inf, math.nan]
+        utilities = default_family() + (power(1.0), power(1e-300), capped(5e-324),
+                                        capped(1e300))
+        for u in utilities:
+            caps = [] if u.kink is None else [u.kink, math.nextafter(u.kink, 0.0),
+                                              math.nextafter(u.kink, math.inf)]
+            xs = np.concatenate([edges, caps, random])
+            for f in (u, u.derivative):
+                want = f(xs)
+                for x, w in zip(xs.tolist(), want):
+                    got = f(x)
+                    assert type(got) is float, (u.label, x)
+                    assert np.float64(got).tobytes() == w.tobytes(), (u.label, f, x, got, w)
 
     def test_parameter_validation(self):
         for bad in (0.0, 1.2, -0.3):
@@ -90,6 +107,7 @@ class TestDefaultFamily:
         ratios = np.diff(np.log(caps))
         np.testing.assert_allclose(ratios, ratios[0], rtol=1e-9)
         assert fam == parse_utilities("family:default")
+        assert default_family() is fam  # built once, on the first call
 
     def test_members_are_normalized_monotone_concave(self):
         xs = np.linspace(0.0, 2.0, 201)
