@@ -24,22 +24,18 @@ from .distributions import SpecParseError, make_distribution
 from .evaluation import MIN_MC_SAMPLES, evaluate, myerson_revenue
 from .lemmas import SELECTIONS, frontier_search, run_reproduce, run_selections, unmet_floors
 from .mechanisms import hedge_limited_price, hedge_unlimited_price, parse_mechanism
-from .report import CSV_COLUMNS
+from .report import CSV_COLUMNS, fmt
 from .utilities import maximize_single_bidder, parse_utilities, parse_utility
 
 MAX_GRID = 1_000_000
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.12g}"
-
-
 def _fmt_toward_zero(x: float) -> str:
-    """``_fmt`` with the 12 digits rounded toward zero, so a printed price never
-    exceeds the computed one (rounding an atom's price up names a price that
-    never sells)."""
+    """`report.fmt` with the 12 digits rounded toward zero, so a printed
+    price never exceeds the computed one (rounding an atom's price up names a
+    price that never sells)."""
     toward_zero = decimal.Context(prec=12, rounding=decimal.ROUND_DOWN)
-    return _fmt(float(toward_zero.plus(decimal.Decimal(x))))
+    return fmt(float(toward_zero.plus(decimal.Decimal(x))))
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -118,8 +114,8 @@ CSV_BLOCK_ROWS = 4096
 
 def _csv_blocks(table: np.ndarray):
     """CSV text of a float table, CSV_BLOCK_ROWS rows per string, every cell
-    as ``_fmt`` prints a float ('%.12g' and f'{x:.12g}' agree on every float,
-    NaN, infinities and -0 included)."""
+    as `report.fmt` prints a float ('%.12g' and f'{x:.12g}' agree on every
+    float, NaN, infinities and -0 included)."""
     row = ",".join(["%.12g"] * table.shape[1]) + "\r\n"
     for start in range(0, len(table), CSV_BLOCK_ROWS):
         block = table[start:start + CSV_BLOCK_ROWS]
@@ -216,12 +212,12 @@ def cmd_price(args) -> int:
     _resolve(args, {"seed": 42, "format": "csv"})
     d = make_distribution(args.spec)
     p_star, q_star = d.monopoly_price()
-    lines = [f"p_star={_fmt(p_star)}", f"q_star={_fmt(q_star)}"]
+    lines = [f"p_star={fmt(p_star)}", f"q_star={fmt(q_star)}"]
     if d.is_regular():
-        lines.append(f"hedge_unlimited={_fmt(hedge_unlimited_price(d))}")
+        lines.append(f"hedge_unlimited={fmt(hedge_unlimited_price(d))}")
         if args.n is not None:
             k = args.k if args.k is not None else 1
-            lines.append(f"hedge_limited={_fmt(hedge_limited_price(d, args.n, k))}")
+            lines.append(f"hedge_limited={fmt(hedge_limited_price(d, args.n, k))}")
     if args.utility is not None:
         if args.utility.strip().startswith("family"):
             raise SpecParseError("price takes a single utility, not a family")
@@ -245,8 +241,8 @@ def cmd_eval(args) -> int:
     for u, res in zip(utilities, evaluate(mech, d, n, utilities)):
         res = res.against(u(rev))
         rows.append([args.mech, args.dist, str(n), str(mech.k), u.label,
-                     res.method, _fmt(res.mean_utility), _fmt(res.ci_halfwidth),
-                     _fmt(res.benchmark), _fmt(res.ratio)])
+                     res.method, fmt(res.mean_utility), fmt(res.ci_halfwidth),
+                     fmt(res.benchmark), fmt(res.ratio)])
     _write_csv(["mechanism", "dist", "n", "k", "utility", "method",
                 "mean_utility", "ci_halfwidth", "benchmark", "ratio"], rows, args.out)
     return 0
@@ -268,7 +264,7 @@ def cmd_lemmas(args) -> int:
 
 def cmd_reproduce(args) -> int:
     _resolve(args, {"seed": 42, "format": "csv"})
-    rows = [[name, instance, _fmt(r.claimed_bound), _fmt(r.observed), str(r.passed).lower()]
+    rows = [[name, instance, fmt(r.claimed_bound), fmt(r.observed), str(r.passed).lower()]
             for name, instance, r in run_reproduce()]
     _write_csv(["name", "instance", "claimed", "computed", "passed"], rows, args.out)
     return 0 if all(row[4] == "true" for row in rows) else 1

@@ -1,9 +1,10 @@
 """Expected-utility evaluation of mechanisms over i.i.d. bidders.
 
 Both mechanisms are evaluated exactly in quantile space, at any number of
-bidders: posted prices as a capped binomial sum, and k-unit VCG with a
-reserve as a binomial sum plus one order-statistic integral.  A binomial sum
-is `numerics.binom_expect`, whose error bound (the window's tail and the
+bidders, by one evaluator for a whole utility family: a binomial sum over
+the count of bidders at or above the posted price or reserve, plus, for
+k-unit VCG with k < n, one order-statistic integral.  The binomial sum is
+`numerics.binom_expect`, whose error bound (the window's tail and the
 rounding of each pmf, of the sum and of a subnormal sale probability) joins
 the quadrature error in ``abserr``.  Both sides of the virtual-utility
 identity are quantile-space integrals too.  `eval_mc`, chunked Monte Carlo
@@ -19,8 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .distributions import Distribution
-from .mechanisms import (Mechanism, PostedPriceMechanism, VcgMechanism, _least_bid,
-                         _revenue)
+from .mechanisms import Mechanism, VcgMechanism, _least_bid, _revenue
 from .numerics import binom_expect, binom_window, gauss_kronrod, order_stat_pdf, quad_target
 from .report import LemmaReport, report_from_margin
 from .utilities import UtilityFunction, linear, virtual_utility_at_quantile
@@ -102,29 +102,7 @@ def eval_posted_exact(d: Distribution, price: float, n: int, k: int,
     """E[u(price * min(k, #bidders at or above price))] by binomial summation.
     u is nondecreasing with u(0) = 0, so the largest weight is u(price *
     min(n, k))."""
-    return _eval_posted(d, price, n, k, (u,))[0]
-
-
-def _eval_posted(d: Distribution, price: float, n: int, k: int,
-                 utilities: Sequence[UtilityFunction]) -> list[EvalResult]:
-    """`eval_posted_exact` for each utility, over one binomial window: the
-    sale probability and the revenue at each count are shared, and the
-    weights are one row per utility, summed FAMILY_CHUNK weights or one row
-    at a time."""
-    if n < 1 or k < 1:
-        raise ValueError("need n >= 1 and k >= 1")
-    p = d.sale_probability(price)
-    revenue = price * np.minimum(binom_window(n, p)[0], k)  # at binom_expect's counts
-    top = price * min(n, k)
-    rows = max(FAMILY_CHUNK // len(revenue), 1)
-    results = []
-    for i in range(0, len(utilities), rows):
-        group = utilities[i:i + rows]
-        means, errs = binom_expect(n, p, lambda _: np.array([u(revenue) for u in group]),
-                                   lambda: np.array([u(top) for u in group]))
-        results += [EvalResult(mean, "exact", abserr=err)
-                    for mean, err in zip(means.tolist(), errs.tolist())]
-    return results
+    return _exact(d, n, k, price, False, (u,))[0]
 
 
 def eval_second_price_exact(d: Distribution, reserve: float, n: int,
@@ -142,29 +120,46 @@ def eval_vcg_exact(d: Distribution, n: int, k: int, u: UtilityFunction,
     P[Bin(n, q_r) = j]) pay j * reserve in total; otherwise the (k+1)-st
     lowest quantile q lies below q_r and k units sell at price(q).
     """
+    return _exact(d, n, k, reserve, True, (u,))[0]
+
+
+def _exact(d: Distribution, n: int, k: int, price: float, auction: bool,
+           utilities: Sequence[UtilityFunction]) -> list[EvalResult]:
+    """The exact E[u(revenue)] for each utility, in order, of k units sold
+    to n bidders at ``price``: a posted price, or a VCG ``auction``'s reserve.
+    The sale probability q, the binomial window, the revenue at each count
+    and, for an auction of k < n units, the order statistic's density are
+    found once; the weights are one row per utility, summed FAMILY_CHUNK
+    weights or one row at a time."""
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    if reserve < 0:
-        raise ValueError("reserve must be nonnegative")
-    q_r = d.sale_probability(reserve)
-    mean = err = 0.0
-    if q_r < 1.0 or k >= n:  # else all n > k bidders clear the reserve
-        mean, err = binom_expect(  # the counts j <= k weigh u(j reserve)
-            n, q_r, lambda y: u(reserve * y[:max(min(k, n) - int(y[0]) + 1, 0)]),
-            lambda: u(reserve * min(k, n)))
-    if k < n and q_r > 0.0:
+    if not (math.isfinite(price) and price >= 0):
+        raise ValueError(f"the {'reserve' if auction else 'price'} must be finite and nonnegative")
+    q = d.sale_probability(price)
+    # Y ~ Bin(n, q) bidders reach the price.  A posted offer earns price * min(k, Y);
+    # an auction of k < n units earns price * Y if Y <= k, else k times the (k+1)-st bid
+    scarce = auction and k < n
+    means, errs = [0.0] * len(utilities), [0.0] * len(utilities)
+    if q < 1.0 or not scarce:  # else all n > k bidders clear the reserve
+        y = binom_window(n, q)[0]  # binom_expect's counts
+        revenue = price * (y[:max(k - int(y[0]) + 1, 0)] if scarce else np.minimum(y, k))
+        top = price * min(n, k)
+        rows = max(FAMILY_CHUNK // len(y), 1)
+        for i in range(0, len(utilities), rows):
+            group = utilities[i:i + rows]
+            mean, err = binom_expect(n, q, lambda _: np.array([u(revenue) for u in group]),
+                                     lambda: np.array([u(top) for u in group]))
+            means[i:i + rows], errs[i:i + rows] = mean.tolist(), err.tolist()
+    if scarce and q > 0.0:
         pdf = order_stat_pdf(k + 1, n)
-
-        def integrand(q):
-            # q = 0, where the price may be infinite, is a node only when q_r
-            # is subnormal
-            return _weighted(pdf(q), u(k * d.price(q)))
-
-        pts = _split_points(d, u, float(k)) + _peak_points(k + 1, n)
-        val, quad_err = _integrate(integrand, 0.0, q_r, pts)
-        mean += val
-        err += quad_err
-    return EvalResult(mean, "exact", abserr=err)
+        peaks = _peak_points(k + 1, n)
+        for i, u in enumerate(utilities):
+            # x = 0, where the price may be infinite, is a node only when q is subnormal
+            val, quad_err = _integrate(lambda x: _weighted(pdf(x), u(k * d.price(x))), 0.0, q,
+                                       _split_points(d, u, float(k)) + peaks)
+            means[i] += val
+            errs[i] += quad_err
+    return [EvalResult(mean, "exact", abserr=err) for mean, err in zip(means, errs)]
 
 
 def _least_uniform(d: Distribution, level: float) -> float:
@@ -236,11 +231,9 @@ def evaluate(m: Mechanism, d: Distribution, n: int,
              utilities: Sequence[UtilityFunction]) -> list[EvalResult]:
     """The exact E[u(revenue)] of a posted-price or VCG mechanism for each
     utility u of a family, in its order: the results of `eval_posted_exact`
-    or `eval_vcg_exact`, bit for bit.  A posted price sums the whole family
-    over one binomial window; VCG evaluates each member in turn."""
-    if isinstance(m, PostedPriceMechanism):
-        return _eval_posted(d, m.price, n, m.k, utilities)
-    return [eval_vcg_exact(d, n, m.k, u, m.reserve) for u in utilities]
+    or `eval_vcg_exact`, bit for bit, as all three share one evaluator, which
+    sums the whole family over one binomial window."""
+    return _exact(d, n, m.k, _least_bid(m), isinstance(m, VcgMechanism), utilities)
 
 
 # -- revenue benchmark ----------------------------------------------------------

@@ -341,8 +341,8 @@ def binom_window(n: int, p: float) -> tuple[np.ndarray, np.ndarray, float]:
 
     Raises ValueError before allocating anything if n could need a window of
     more than BINOM_BUDGET terms, whatever p is.  The arrays are read-only: the
-    last window is kept, as a VCG evaluation of a utility family asks for the
-    same one once per member.
+    last window is kept, as an exact evaluation asks for its counts and then
+    sums over it, once per group of a utility family's rows.
     """
     return _window(n, float(p))[:3]
 
@@ -366,7 +366,7 @@ def binom_expect(n: int, p: float, weight, w_max):
     y, pmf, tail, rel, small = _window(n, float(p))
     w = weight(y)
     terms = w.shape[-1]
-    value = np.sum(w * pmf[:terms], axis=-1)
+    value = np.add.reduce(w * pmf[:terms], axis=-1)  # np.sum without its wrapper
     m = (terms + 1) * 2.0 ** -53
     err = (rel + m / (1.0 - m)) * value + terms * 2.0 ** -1075
     if tail or small:

@@ -7,6 +7,11 @@ CSV_COLUMNS = ("name", "passed", "claimed_bound", "observed", "margin",
                "instances_checked", "worst_instance")
 
 
+def fmt(x) -> str:
+    """A number as every CSV and ``key=value`` output prints it."""
+    return f"{float(x):.12g}"
+
+
 @dataclass(frozen=True)
 class LemmaReport:
     """Outcome of one numerical check of a claimed bound.
@@ -26,11 +31,8 @@ class LemmaReport:
     worst_instance: str
 
     def csv_row(self) -> list[str]:
-        def num(x: float) -> str:
-            return f"{x:.12g}"
-
         return [self.name, "true" if self.passed else "false",
-                num(self.claimed_bound), num(self.observed), num(self.margin),
+                fmt(self.claimed_bound), fmt(self.observed), fmt(self.margin),
                 str(self.instances_checked), self.worst_instance]
 
 

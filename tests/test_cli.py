@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from riskauctions import Distribution, cli, make_distribution, parse_mechanism
 from riskauctions.cli import MAX_GRID, build_parser, main
 from riskauctions.lemmas import SELECTIONS, run_reproduce
+from riskauctions.report import fmt
 
 
 def run(argv):
@@ -118,17 +119,17 @@ FLOAT_CELLS = st.one_of(
        st.integers(1, 7))
 def test_block_format_is_fmt_cell_by_cell(rows, block_rows):
     table = np.array(rows, dtype=float)
-    want = "".join(",".join(cli._fmt(x) for x in row) + "\r\n" for row in table.tolist())
+    want = "".join(",".join(fmt(x) for x in row) + "\r\n" for row in table.tolist())
     with mock.patch.object(cli, "CSV_BLOCK_ROWS", block_rows):
         assert "".join(cli._csv_blocks(table)) == want
 
 
 def one_fmt_per_cell(table):
-    """The rows through csv.writer, one _fmt call per cell: the route the
+    """The rows through csv.writer, one fmt call per cell: the route the
     block formatter replaced."""
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\r\n").writerows(
-        [cli._fmt(x) for x in row] for row in table.tolist())
+        [fmt(x) for x in row] for row in table.tolist())
     yield buf.getvalue()
 
 

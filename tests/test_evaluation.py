@@ -44,6 +44,7 @@ from riskauctions import (
     make_distribution,
     myerson_revenue,
     power,
+    revenue_curve,
     uniform,
     virtual_utility_identity_stats,
 )
@@ -51,7 +52,7 @@ from riskauctions.evaluation import MC_BUDGET, MC_CHUNK, MIN_MC_SAMPLES, _split_
 from riskauctions import evaluation
 from riskauctions.numerics import (BINOM_TAIL, GK_MAX_PANELS, PMF_ERR, PMF_ERR_LAMBDA,
                                   binom_expect, binom_window, gauss_kronrod, order_stat_cdf,
-                                  quad_target)
+                                  order_stat_pdf, quad_target)
 
 U01 = uniform(0.0, 1.0)
 
@@ -660,6 +661,41 @@ class TestMonteCarlo:
                     MIN_MC_SAMPLES, seed=0)
 
 
+CURVE = revenue_curve([(0.0, 0.0), (0.3, 0.6), (1.0, 0.8)])
+
+
+def vcg_alone(d, n, k, u, reserve) -> tuple[float, float]:
+    """(mean, abserr) of k-unit VCG for the one utility u, summed and
+    integrated on its own: a 1-d binomial sum of u(j reserve) over the
+    counts j <= min(k, n), then, for k < n, the order-statistic integral."""
+    q_r = d.sale_probability(reserve)
+    mean = err = 0.0
+    if q_r < 1.0 or k >= n:
+        mean, err = binom_expect(
+            n, q_r, lambda y: u(reserve * y[:max(min(k, n) - int(y[0]) + 1, 0)]),
+            lambda: u(reserve * min(k, n)))
+    if k < n and q_r > 0.0:
+        pdf = order_stat_pdf(k + 1, n)
+        val, quad_err = evaluation._integrate(
+            lambda q: evaluation._weighted(pdf(q), u(k * d.price(q))), 0.0, q_r,
+            _split_points(d, u, float(k)) + evaluation._peak_points(k + 1, n))
+        mean, err = mean + val, err + quad_err
+    return mean, err
+
+
+@pytest.mark.parametrize("level", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("d", [U01, exponential(1.0), CURVE], ids=["uniform", "exp", "curve"])
+@pytest.mark.parametrize("evaluator", [
+    lambda d, x: eval_posted_exact(d, x, 5, 1, linear()),
+    lambda d, x: eval_vcg_exact(d, 5, 1, linear(), x),
+], ids=["posted", "vcg"])
+def test_a_price_or_reserve_must_be_finite_and_nonnegative(evaluator, d, level):
+    # NaN fails every comparison, so unchecked it reads as no reserve on a
+    # curve and as a value of 0.0 on uniform:0,1; an infinite level gives NaN
+    with pytest.raises(ValueError, match="must be finite and nonnegative"):
+        evaluator(d, level)
+
+
 class TestEvaluateDispatch:
     def test_exact_paths(self):
         assert evaluate(PostedPriceMechanism(0.3, 2), U01, 5, (linear(),))[0].method == "exact"
@@ -709,10 +745,13 @@ class TestEvaluateDispatch:
         (PostedPriceMechanism(740.0, 1), exponential(1.0), 37),  # subnormal sale probability
         (VcgMechanism(1, 0.0), U01, 4),
         (VcgMechanism(1, 0.3), U01, 4),
+        (VcgMechanism(7, 0.4), U01, 5),  # k >= n: a posted offer at the reserve
+        (VcgMechanism(2, 1.2), CURVE, 6),  # the counts 0..2 below k + 1 weigh u(j 1.2)
+        (VcgMechanism(2, 1 - 1e-7), U01, 10 ** 7),  # a reserve sum in groups of rows
     ])
     def test_a_family_gets_each_members_bits(self, m, d, n):
-        # a posted price sums the whole family over one binomial window, yet
-        # each member gets its own evaluator's result, and the 1-d sum's bits
+        # the whole family is summed over one binomial window, yet each
+        # member gets its own evaluator's result, and the 1-d sum's bits
         fam = default_family() + (power(0.25), capped(5e-324))
         got = evaluate(m, d, n, fam)
         assert len(got) == len(fam)
@@ -721,6 +760,7 @@ class TestEvaluateDispatch:
             if isinstance(m, VcgMechanism):
                 want = eval_vcg_exact(d, n, m.k, u, m.reserve)
                 assert (r.mean_utility, r.abserr) == (want.mean_utility, want.abserr)
+                assert (r.mean_utility, r.abserr) == vcg_alone(d, n, m.k, u, m.reserve)
                 continue
             q = d.sale_probability(m.price)
             want = eval_posted_exact(d, m.price, n, m.k, u)
@@ -736,6 +776,30 @@ class TestEvaluateDispatch:
         assert 1 < evaluation.FAMILY_CHUNK // terms < len(default_family()) + 2
         assert binom_window(300, exponential(1.0).sale_probability(0.8))[2] > 0.0
         assert 0.0 < exponential(1.0).sale_probability(740.0) < 2.0 ** -1022
+        assert 0.0 < CURVE.sale_probability(1.2) < 1.0
+        # 14,542 counts: the family of 13 sums its reserve weights 4 rows at a time
+        terms = len(binom_window(10 ** 7, U01.sale_probability(1 - 1e-7))[0])
+        assert evaluation.FAMILY_CHUNK // terms == 4
+
+    def test_a_family_asks_for_the_sale_probability_once(self):
+        class Recording:
+            """A distribution that records the prices it is asked to sell at."""
+
+            def __init__(self, d):
+                self.d, self.asked = d, []
+
+            def sale_probability(self, p):
+                self.asked.append(p)
+                return self.d.sale_probability(p)
+
+            def __getattr__(self, name):
+                return getattr(self.d, name)
+
+        for m in (VcgMechanism(1, 0.3), VcgMechanism(7, 0.3), PostedPriceMechanism(0.3, 2)):
+            d = Recording(U01)
+            evaluate(m, d, 4, default_family())
+            # the capped members' kinks ask at their own prices
+            assert d.asked.count(0.3) == 1
 
     def test_agreement_between_paths(self):
         exact = evaluate(VcgMechanism(1, 0.4), U01, 3, (linear(),))[0]
