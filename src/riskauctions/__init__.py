@@ -22,7 +22,7 @@ from .lemmas import (MHR_BOUND, FrontierResult, check_allocation_bound,
 from .mechanisms import (PostedPriceMechanism, VcgMechanism, allocation_probability,
                          batch_outcomes, batch_revenue, hedge_limited_price,
                          hedge_unlimited_price, parse_mechanism)
-from .report import CSV_COLUMNS, LemmaReport, report_from_margin
+from .report import CSV_COLUMNS, LemmaReport
 from .utilities import (UtilityFunction, capped, check_virtual_utility_monotone,
                         default_family, linear, maximize_single_bidder,
                         optimal_reserve, parse_utilities, parse_utility, power,
@@ -51,5 +51,5 @@ __all__ = [
     "check_half_bound_sweep", "check_hedge_limited", "check_hedge_unlimited",
     "check_mhr_bound", "check_tail", "check_vcg_chain", "check_vcg_discount",
     "frontier_search", "gen_regular", "posted_price_maximin", "run_selections",
-    "CSV_COLUMNS", "LemmaReport", "report_from_margin",
+    "CSV_COLUMNS", "LemmaReport",
 ]

@@ -22,7 +22,7 @@ import numpy as np
 from .distributions import Distribution
 from .mechanisms import Mechanism, VcgMechanism, _least_bid, _revenue
 from .numerics import binom_expect, binom_window, gauss_kronrod, order_stat_pdf, quad_target
-from .report import LemmaReport, report_from_margin
+from .report import LemmaReport
 from .utilities import UtilityFunction, linear, virtual_utility_at_quantile
 
 __all__ = [
@@ -338,7 +338,7 @@ def check_virtual_utility_identity(d: Distribution, m: VcgMechanism,
     """Expected utility equals expected winner virtual utility: the two exact
     sides must agree within the tolerance of `virtual_utility_identity_stats`."""
     st = virtual_utility_identity_stats(d, m, u, n)
-    return report_from_margin(
+    return LemmaReport(
         f"virtual-utility-identity[{d.label}|{u.label}|n={n}]", 0.0,
         0.0 - abs(st["lhs"] - st["rhs"]), st["tolerance"], 1,  # +0, not -0, on a tie
         f"lhs={st['lhs']:.9g} rhs={st['rhs']:.9g} "

@@ -32,7 +32,7 @@ from .evaluation import (check_virtual_utility_identity, eval_posted_exact,
                          eval_vcg_exact, myerson_revenue, virtual_utility_identity_stats)
 from .mechanisms import VcgMechanism, hedge_limited_price, hedge_unlimited_price
 from .numerics import binom_pmf_rows, order_stat_cdf, quad_target
-from .report import LemmaReport, report_from_margin
+from .report import LemmaReport
 from .utilities import (capped, check_virtual_utility_monotone, linear,
                         optimal_reserve, parse_utilities, parse_utility)
 
@@ -59,6 +59,8 @@ def gen_regular(seed: int, breakpoints: int | None = None) -> RevenueCurveDistri
     concavity; any trailing negative-slope run is rescaled so the curve ends
     nonnegative.  Deterministic in (seed, breakpoints).
     """
+    if seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
     rng = np.random.default_rng(seed)
     m = int(rng.integers(2, 65)) if breakpoints is None else int(breakpoints)
     if not 2 <= m <= 64:
@@ -94,7 +96,7 @@ def check_half_bound(d: Distribution) -> LemmaReport:
         raise ValueError("the half bound applies to regular distributions")
     p_star, q_star = d.monopoly_price()
     s = d.sale_probability(p_star * q_star)
-    return report_from_margin(f"half-bound[{d.label}]", 0.5, s, 1e-9, 1, d.label)
+    return LemmaReport(f"half-bound[{d.label}]", 0.5, s, 1e-9, 1, d.label)
 
 
 def check_half_bound_sweep(count: int = 200, seed: int = 0) -> LemmaReport:
@@ -104,8 +106,8 @@ def check_half_bound_sweep(count: int = 200, seed: int = 0) -> LemmaReport:
         r = check_half_bound(gen_regular(seed + i))
         if r.observed < observed:
             observed, worst = r.observed, r.worst_instance
-    return report_from_margin(f"half-bound[gen-regular x{count}]", 0.5,
-                              observed, 1e-9, count, worst or "")
+    return LemmaReport(f"half-bound[gen-regular x{count}]", 0.5,
+                       observed, 1e-9, count, worst or "")
 
 
 def check_mhr_bound(d: Distribution) -> LemmaReport:
@@ -114,7 +116,7 @@ def check_mhr_bound(d: Distribution) -> LemmaReport:
         raise ValueError("the stronger bound needs a nondecreasing hazard")
     p_star, q_star = d.monopoly_price()
     s = d.sale_probability(p_star * q_star)
-    return report_from_margin(f"mhr-bound[{d.label}]", MHR_BOUND, s, 1e-9, 1, d.label)
+    return LemmaReport(f"mhr-bound[{d.label}]", MHR_BOUND, s, 1e-9, 1, d.label)
 
 
 # -- combinatorial bounds used by the limited-supply analysis ---------------------
@@ -137,8 +139,8 @@ def check_capped_binomial(n: int, q: float, k: int) -> LemmaReport:
         raise ValueError("precondition qn >= 0.5k violated")
     qn = q * n
     e = float(_capped_means(n, [q])[1][0])
-    return report_from_margin(f"capped-binomial[n={n},q={q:g},k={k}]",
-                              0.25 * qn, e, 1e-12, 1, f"n={n},q={q:g},k={k}")
+    return LemmaReport(f"capped-binomial[n={n},q={q:g},k={k}]",
+                       0.25 * qn, e, 1e-12, 1, f"n={n},q={q:g},k={k}")
 
 
 def check_capped_binomial_grid(n_max: int = 60, q_step: float = 0.01) -> LemmaReport:
@@ -165,8 +167,8 @@ def check_capped_binomial_grid(n_max: int = 60, q_step: float = 0.01) -> LemmaRe
         if margin[i] < worst_margin:
             worst_margin = margin[i]
             worst = f"n={n},q={qs[i]:g}: E={e[i]:.9g} vs {0.25 * qn[i]:.9g}"
-    return report_from_margin(f"capped-binomial[grid n<={n_max}]", 0.0,
-                              float(worst_margin), 1e-12, instances, worst)
+    return LemmaReport(f"capped-binomial[grid n<={n_max}]", 0.0,
+                       float(worst_margin), 1e-12, instances, worst)
 
 
 def check_allocation_bound(n_max: int = 60) -> LemmaReport:
@@ -204,10 +206,10 @@ def check_allocation_bound(n_max: int = 60) -> LemmaReport:
         if worst is None or num * worst[1] < worst[0] * den:
             worst = (num, den, f"n={n},k={k},q_r={j / 20:g}: a={s_k / (n * total):.9g}")
     margin = worst[0] / worst[1]
-    return LemmaReport(name=f"allocation-bound[grid n<={n_max}]",
-                       passed=worst[0] >= 0, claimed_bound=0.0, observed=margin,
-                       margin=margin, tolerance=0.0, instances_checked=instances,
-                       worst_instance=worst[2])
+    if worst[0] < 0:  # a quotient that underflows to -0 still fails
+        margin = min(margin, -math.ulp(0.0))
+    return LemmaReport(f"allocation-bound[grid n<={n_max}]", 0.0, margin, 0.0,
+                       instances, worst[2])
 
 
 # -- the order-statistic tail bound ------------------------------------------------
@@ -223,14 +225,15 @@ def check_tail(d: Distribution, t: int, n: int) -> LemmaReport:
     ey = eval_vcg_exact(d, n, t - 1, linear()).mean_utility / (t - 1)
     z = d.sale_probability(ey)
     observed = order_stat_cdf(t, n, z)
-    return report_from_margin(f"tail[{d.label}|t={t},n={n}]", 0.25, observed,
-                              1e-6, 1, f"E[Y]={ey:.9g}, q={z:.9g}")
+    return LemmaReport(f"tail[{d.label}|t={t},n={n}]", 0.25, observed,
+                       1e-6, 1, f"E[Y]={ey:.9g}, q={z:.9g}")
 
 
 def check_tail_tight(d: Distribution, t: int, n: int) -> LemmaReport:
-    """`check_tail`, failing too above 0.26: near a worst case, nearly 1/4."""
+    """`check_tail`, failing too above 0.26: near a worst case, nearly 1/4.
+    The margin is to the nearer end of [0.25 - 1e-6, 0.26], with no tolerance."""
     r = check_tail(d, t, n)
-    return replace(r, passed=bool(r.passed and r.observed <= 0.26))
+    return replace(r, tolerance=0.0, margin=min(r.margin + r.tolerance, 0.26 - r.observed))
 
 
 # -- revenue and utility guarantees of the hedged mechanisms -----------------------
@@ -246,7 +249,7 @@ def check_vcg_discount(d: Distribution, n: int, k: int) -> LemmaReport:
     p_star, q_star = d.monopoly_price()
     hedged = eval_vcg_exact(d, n, k, linear(), p_star * q_star).mean_utility
     monopoly = myerson_revenue(d, n, k)[0]
-    return report_from_margin(
+    return LemmaReport(
         f"vcg-discount[{d.label}|n={n},k={k}]", 0.0, hedged - 0.5 * monopoly, 1e-9,
         1, f"hedged={hedged:.9g} monopoly={monopoly:.9g}")
 
@@ -262,8 +265,8 @@ def check_hedge_unlimited(d: Distribution, n: int) -> LemmaReport:
     res = eval_posted_exact(d, price, n, n, u)
     ratio = res.mean_utility / bench
     claimed = MHR_BOUND if d.is_mhr() else 0.5
-    return report_from_margin(f"hedge-unlimited[{d.label}|n={n}]", claimed, ratio,
-                              res.abserr / bench + 2.0 ** -53 * ratio, 1, u.label)
+    return LemmaReport(f"hedge-unlimited[{d.label}|n={n}]", claimed, ratio,
+                       res.abserr / bench + 2.0 ** -53 * ratio, 1, u.label)
 
 
 def check_hedge_limited(d: Distribution, n: int, k: int) -> LemmaReport:
@@ -279,8 +282,8 @@ def check_hedge_limited(d: Distribution, n: int, k: int) -> LemmaReport:
     res = eval_posted_exact(d, price, n, k, u)
     ratio = res.mean_utility / bench
     tolerance = res.abserr / bench + (2.0 ** -53 + quad_target(bench) / bench) * ratio
-    return report_from_margin(f"hedge-limited[{d.label}|n={n},k={k}]", 0.125, ratio,
-                              tolerance, 1, u.label)
+    return LemmaReport(f"hedge-limited[{d.label}|n={n},k={k}]", 0.125, ratio,
+                       tolerance, 1, u.label)
 
 
 @functools.lru_cache(maxsize=1)  # the rows of one instance search once per utility
@@ -299,8 +302,7 @@ def check_vickrey_vs_optimal(d: Distribution, n: int) -> LemmaReport:
     """The least of `vickrey_ratios` is at least 1 - 1/n, within 1e-9."""
     claimed = 1.0 - 1.0 / n
     worst, label = min(vickrey_ratios(d, n), key=lambda item: item[0])
-    return LemmaReport(f"vickrey-vs-optimal[{d.label}|n={n}]", bool(worst >= claimed - 1e-9),
-                       claimed, worst, worst - claimed, 1e-9, 2, label)
+    return LemmaReport(f"vickrey-vs-optimal[{d.label}|n={n}]", claimed, worst, 1e-9, 2, label)
 
 
 def check_vcg_chain(d: Distribution, n: int, k: int) -> LemmaReport:
@@ -309,7 +311,8 @@ def check_vcg_chain(d: Distribution, n: int, k: int) -> LemmaReport:
     for k = 1, `vickrey_ratios` are at least 1 - 1/n; for k < n, the utility
     is at least a quarter of u(B) for every concave u, B = k E[(k+1)-th
     highest bid]; and B covers the benchmark with k fewer bidders.  Every term
-    is exact; the report aggregates the worst slack.  The second term's
+    is exact; the report is the term of least slack, margin plus tolerance
+    (argmin takes a NaN first), so it fails iff one does.  The second term's
     tolerance is abserr plus the targets it and B met; the rest, 1e-9.
     """
     if not 1 <= k < n:
@@ -327,11 +330,9 @@ def check_vcg_chain(d: Distribution, n: int, k: int) -> LemmaReport:
     rev_fewer = myerson_revenue(d, n - k, k)[0]
     if rev_fewer > 0:
         items.append((rev_vcg / rev_fewer - 1.0, 1e-9, "bidder-augmentation"))
-    margin, tolerance, worst = min(items, key=lambda item: item[0])
-    return LemmaReport(name=f"vcg-chain[{d.label}|n={n},k={k}]",
-                       passed=all(m >= -t for m, t, _ in items), claimed_bound=0.0,
-                       observed=margin, margin=margin, tolerance=tolerance,
-                       instances_checked=len(items), worst_instance=worst)
+    margin, tolerance, worst = items[int(np.argmin([m + t for m, t, _ in items]))]
+    return LemmaReport(f"vcg-chain[{d.label}|n={n},k={k}]", 0.0, margin, tolerance,
+                       len(items), worst)
 
 
 # -- the single-bidder price frontier ----------------------------------------------
@@ -392,8 +393,7 @@ def posted_price_maximin(d: Distribution) -> float:
 def check_maximin(d: Distribution, claimed: float, low: float, high: float) -> LemmaReport:
     """`posted_price_maximin` in [low, high]; the margin is how far inside."""
     m = posted_price_maximin(d)
-    return LemmaReport(f"maximin[{d.label}]", bool(low <= m <= high), claimed, m,
-                       min(m - low, high - m), 0.0, 1, d.label)
+    return LemmaReport(f"maximin[{d.label}]", claimed, m, 0.0, 1, d.label, min(m - low, high - m))
 
 
 # -- the table of floors behind `lemmas` --------------------------------------------
@@ -414,8 +414,8 @@ def check_identity_one_bidder(d: Distribution, u) -> LemmaReport:
     st = virtual_utility_identity_stats(d, VcgMechanism(1, p_star), u, 1)
     claimed, tol = float(u(p_star)) * q_star, st["tolerance"]
     off = max(abs(st["lhs"] - claimed), abs(st["rhs"] - claimed))
-    return LemmaReport(f"identity-one-bidder[{d.label}|{u.label}]", bool(off <= tol),
-                       claimed, st["lhs"], -off, tol, 1, f"rhs={st['rhs']:.9g}")
+    return LemmaReport(f"identity-one-bidder[{d.label}|{u.label}]", claimed, st["lhs"],
+                       tol, 1, f"rhs={st['rhs']:.9g}", -off)
 
 
 def _run_cases(cases) -> list[LemmaReport]:

@@ -358,17 +358,18 @@ def binom_expect(n: int, p: float, weight, w_max):
     by a term per known error: tail W; rel value for the pmfs, rel = (PMF_ERR
     + PMF_ERR_LAMBDA lambda_max) 2^-53, as lambda <= 0.05 - log pmf (Stirling
     terms below 0.042, root factor at most 1; lambda = -log pmf at y = 0, n);
-    2^-1074 W per pmf below 2^-1022 and 2^-1075 per product, rounded
-    absolutely if subnormal; gamma_(m+1) value for the sum of m terms, gamma_m
-    = m u / (1 - m u), u = 2^-53 (Higham, Accuracy and Stability, eq. 3.5);
-    and if p is subnormal, so up to 2^-1074 off, y_max 2^-1074 / p in rel, as
-    pmf(y) goes as p^y.  rel and the count of small pmfs stay with the window."""
+    2^-1074 W per pmf below 2^-1022 and 2^-1075 per product, rounded absolutely
+    if subnormal, their sum rounded up to whole 2^-1074s (2^-1075 is 0.0);
+    gamma_(m+1) value for the sum of m terms, gamma_m = m u / (1 - m u), u =
+    2^-53 (Higham, Accuracy and Stability, eq. 3.5); and if p is subnormal, so
+    up to 2^-1074 off, y_max 2^-1074 / p in rel, as pmf(y) goes as p^y.  rel
+    and the count of small pmfs stay with the window."""
     y, pmf, tail, rel, small = _window(n, float(p))
     w = weight(y)
     terms = w.shape[-1]
     value = np.add.reduce(w * pmf[:terms], axis=-1)  # np.sum without its wrapper
     m = (terms + 1) * 2.0 ** -53
-    err = (rel + m / (1.0 - m)) * value + terms * 2.0 ** -1075
+    err = (rel + m / (1.0 - m)) * value + (terms + 1) // 2 * 2.0 ** -1074
     if tail or small:
         err += (tail + small * 2.0 ** -1074) * w_max()
     return (float(value), float(err)) if w.ndim == 1 else (value, err)

@@ -14,32 +14,27 @@ def fmt(x) -> str:
 
 @dataclass(frozen=True)
 class LemmaReport:
-    """Outcome of one numerical check of a claimed bound.
-
-    ``margin`` is observed minus claimed (signed so that negative means the
-    bound was violated); ``passed`` holds iff margin >= -tolerance, with the
-    tolerance recorded here rather than buried in the check.
-    """
+    """Outcome of one numerical check of a claimed bound.  ``margin``, by
+    default observed minus claimed, is negative where the bound is violated;
+    ``passed``, the one verdict rule of every row, is margin >= -tolerance."""
 
     name: str
-    passed: bool
     claimed_bound: float
     observed: float
-    margin: float
     tolerance: float
     instances_checked: int
     worst_instance: str
+    margin: float | None = None
+
+    def __post_init__(self):
+        if self.margin is None:
+            object.__setattr__(self, "margin", self.observed - self.claimed_bound)
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.margin >= -self.tolerance)
 
     def csv_row(self) -> list[str]:
         return [self.name, "true" if self.passed else "false",
                 fmt(self.claimed_bound), fmt(self.observed), fmt(self.margin),
                 str(self.instances_checked), self.worst_instance]
-
-
-def report_from_margin(name: str, claimed: float, observed: float, tolerance: float,
-                       instances: int, worst: str) -> LemmaReport:
-    margin = observed - claimed
-    return LemmaReport(name=name, passed=bool(margin >= -tolerance),
-                       claimed_bound=claimed, observed=observed, margin=margin,
-                       tolerance=tolerance, instances_checked=instances,
-                       worst_instance=worst)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .distributions import Distribution, SpecParseError, parse_spec
 from .numerics import bisect_root, elementwise
-from .report import LemmaReport, report_from_margin
+from .report import LemmaReport
 
 __all__ = [
     "UtilityFunction",
@@ -241,7 +241,5 @@ def check_virtual_utility_monotone(d: Distribution, u: UtilityFunction) -> Lemma
     v_lo, v_hi = d.price(float(q_all[i])), d.price(float(q_all[i + 1]))
     worst = (f"{d.label}|{u.label}: phi({v_lo:.6g})={phi_all[i]:.6g} -> "
              f"phi({v_hi:.6g})={phi_all[i + 1]:.6g}")
-    return report_from_margin(
-        name=f"virtual-utility-monotone[{d.label}|{u.label}]",
-        claimed=0.0, observed=float(diffs[i]), tolerance=float(bound[i]),
-        instances=len(diffs), worst=worst)
+    return LemmaReport(f"virtual-utility-monotone[{d.label}|{u.label}]", 0.0,
+                       float(diffs[i]), float(bound[i]), len(diffs), worst)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from riskauctions import Distribution, cli, make_distribution, parse_mechanism
 from riskauctions.cli import MAX_GRID, build_parser, main
 from riskauctions.lemmas import SELECTIONS, run_reproduce
-from riskauctions.report import fmt
+from riskauctions.report import LemmaReport, fmt
 
 
 def run(argv):
@@ -163,6 +163,17 @@ class TestPrice:
     def test_family_utility_rejected(self, family):
         code, out, err = run(["price", "uniform:0,1", "--utility", family])
         assert (code, out, err) == (2, "", "error: price takes a single utility, not a family\n")
+
+    def test_units_need_bidders(self, tmp_path):
+        # a supply of k units means nothing without the n bidders it is shared by
+        assert run(["price", "uniform:0,1", "--k", "3"]) == (2, "", "error: --k needs --n\n")
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("k = 3\n")
+        assert run(["price", "uniform:0,1", "--config", str(cfg)]) == \
+            (2, "", "error: --k needs --n\n")
+        cfg.write_text("k = 3\nn = 4\n")
+        assert run(["price", "uniform:0,1", "--config", str(cfg)]) == \
+            run(["price", "uniform:0,1", "--n", "4", "--k", "3"])
 
     def test_utility_spec_rejected_as_distribution(self):
         code, _, err = run(["price", "linear"])
@@ -339,6 +350,11 @@ class TestLemmas:
         rows = out.strip().split("\r\n")[1:]
         assert any(",false," in r for r in rows)
         assert any(",true," in r for r in rows)
+
+    def test_negative_seed_is_a_usage_error(self):
+        for argv in (["lemmas", "all"], ["lemmas", "half-bound"]):
+            assert run(argv + ["--seed", "-1"]) == \
+                (2, "", "error: seed must be a nonnegative integer\n")
 
     def test_point_mass_with_a_breakpoint(self):
         # every segment of this curve is constant-price (no density): it
@@ -521,6 +537,14 @@ class TestReproduce:
                  in zip(reproduce_rows, run_reproduce()) if r.name in observed]
         assert len(pairs) == 10  # nine repeats, and tail-quarter-tight's tail
         assert all(computed == obs for computed, obs in pairs), pairs
+
+    def test_exit_code_comes_from_the_reports(self, monkeypatch):
+        # a row fails by its margin against its tolerance, and so does the table
+        rows = [("ok", "a", LemmaReport("x", 0.5, 0.5, 0.0, 1, "")),
+                ("short", "b", LemmaReport("y", 0.5, 0.4, 0.05, 1, ""))]
+        monkeypatch.setattr(cli, "run_reproduce", lambda: rows)
+        assert run(["reproduce"]) == (1, "name,instance,claimed,computed,passed\r\n"
+                                         "ok,a,0.5,0.5,true\r\nshort,b,0.5,0.4,false\r\n", "")
 
     def test_cli_holds_no_check(self):
         # which checks exist, and on which instances, is for lemmas to say

@@ -67,7 +67,7 @@ def stated_abserr(n, p, terms, value, w_max):
     lam = 0.05 - math.log(pmf.min())
     gamma = (terms + 1) * 2.0 ** -53 / (1 - (terms + 1) * 2.0 ** -53)
     return (tail * w_max + ((PMF_ERR + PMF_ERR_LAMBDA * lam) * 2.0 ** -53 + gamma) * value
-            + terms * 2.0 ** -1075)
+            + (terms + 1) // 2 * 2.0 ** -1074)
 
 
 class TestPostedExact:

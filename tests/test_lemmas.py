@@ -41,7 +41,6 @@ from riskauctions import (
     myerson_revenue,
     posted_price_maximin,
     power,
-    report_from_margin,
     run_selections,
     uniform,
 )
@@ -94,7 +93,7 @@ class TestHalfBound:
             s = float(d.sale_probability(np.array([p_star * q_star]))[0])
             if s < observed:
                 observed, worst = s, d.label
-        assert check_half_bound_sweep(200, seed) == report_from_margin(
+        assert check_half_bound_sweep(200, seed) == LemmaReport(
             "half-bound[gen-regular x200]", 0.5, observed, 1e-9, 200, worst)
 
 
@@ -131,17 +130,15 @@ def loop_capped_binomial_grid(n_max, q_step):
             if margin < worst_margin:
                 worst_margin = margin
                 worst = f"n={n},q={q:g}: E={e:.9g} vs {0.25 * qn:.9g}"
-    return LemmaReport(name=f"capped-binomial[grid n<={n_max}]",
-                       passed=bool(worst_margin >= -1e-12), claimed_bound=0.0,
-                       observed=float(worst_margin), margin=float(worst_margin),
-                       tolerance=1e-12, instances_checked=instances,
-                       worst_instance=worst)
+    return LemmaReport(f"capped-binomial[grid n<={n_max}]", 0.0, float(worst_margin),
+                       1e-12, instances, worst)
 
 
 def rational_allocation_bound(n_max):
     """Reference: the allocation bracket over the exact rational allocation
     probabilities of the acceptance suite's mirror, one (n, q_r, k) at a
-    time, with a running strict minimum."""
+    time, with a running strict minimum; and whether the bracket holds,
+    decided on the rationals."""
     worst_margin, worst, instances = None, "", 0
     for n in range(1, n_max + 1):
         for j in range(10, 21):
@@ -151,11 +148,8 @@ def rational_allocation_bound(n_max):
                 if worst_margin is None or margin < worst_margin:
                     worst_margin = margin
                     worst = f"n={n},k={k},q_r={j / 20:g}: a={float(a):.9g}"
-    return LemmaReport(name=f"allocation-bound[grid n<={n_max}]",
-                       passed=worst_margin >= 0, claimed_bound=0.0,
-                       observed=float(worst_margin), margin=float(worst_margin),
-                       tolerance=0.0, instances_checked=instances,
-                       worst_instance=worst)
+    return (LemmaReport(f"allocation-bound[grid n<={n_max}]", 0.0, float(worst_margin),
+                        0.0, instances, worst), worst_margin >= 0)
 
 
 class TestGridChecksMatchPerInstanceLoops:
@@ -170,14 +164,15 @@ class TestGridChecksMatchPerInstanceLoops:
 
     @pytest.mark.parametrize("n_max", [60, 30, 17, 5, 2, 1])
     def test_allocation_bound(self, n_max):
-        assert check_allocation_bound(n_max) == rational_allocation_bound(n_max)
+        rep = check_allocation_bound(n_max)
+        assert (rep, rep.passed) == rational_allocation_bound(n_max)
 
     @pytest.mark.parametrize("n,q,k", [(10, 0.3, 2), (7, 1.0, 3), (5, 0.5, 5),
                                        (60, 0.9, 4), (1, 0.5, 1)])
     def test_single_capped_binomial(self, n, q, k):
         qn = q * n
         e = float(np.sum(np.minimum(np.arange(n + 1), qn) * binom_pmf(n, q)))
-        assert check_capped_binomial(n, q, k) == report_from_margin(
+        assert check_capped_binomial(n, q, k) == LemmaReport(
             f"capped-binomial[n={n},q={q:g},k={k}]", 0.25 * qn, e, 1e-12, 1,
             f"n={n},q={q:g},k={k}")
 
@@ -561,6 +556,10 @@ class TestGenRegular:
         assert qs[0] == 0.0 and qs[-1] == 1.0
         assert max(rs) == pytest.approx(1.0, abs=1e-12)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="^seed must be a nonnegative integer$"):
+            gen_regular(-1)
+
     def test_breakpoint_range_enforced(self):
         for bad in (1, 65, 0):
             with pytest.raises(ValueError):
@@ -707,8 +706,36 @@ class TestReproduceTable:
         assert lemmas.check_tail_tight(left_triangle(1e-4), 2, 2).passed
         loose = check_tail(U01, 2, 2)
         assert loose.passed and loose.observed > 0.26
+        # the same row, failing by how far it is above the ceiling
         assert lemmas.check_tail_tight(U01, 2, 2) == LemmaReport(
-            **{**vars(loose), "passed": False})
+            loose.name, 0.25, loose.observed, 0.0, 1, loose.worst_instance,
+            0.26 - loose.observed)
+        assert not lemmas.check_tail_tight(U01, 2, 2).passed
+
+    @pytest.mark.parametrize("observed, passed", [
+        (0.26, True), (math.nextafter(0.26, 1.0), False), (0.25, True),
+        # 0.25 - 1e-6 rounds below the floor; the next float up is the least passing
+        (0.25 - 1e-6, False), (math.nextafter(0.25 - 1e-6, 1.0), True), (0.0, False),
+        (math.nan, False),
+    ])
+    def test_tail_tight_edges(self, monkeypatch, observed, passed):
+        # each verdict is the one `observed - 0.25 >= -1e-6 and observed <= 0.26` gives
+        assert (observed - 0.25 >= -1e-6 and observed <= 0.26) is passed
+        monkeypatch.setattr(lemmas, "order_stat_cdf", lambda *_: observed)
+        r = lemmas.check_tail_tight(U01, 2, 2)
+        assert r.passed is passed and r.tolerance == 0.0
+        assert (r.margin >= 0) is passed
+
+    @pytest.mark.parametrize("m, low, high", [
+        (0.5, 0.5, 0.5), (math.nextafter(0.5, 0.0), 0.5, 1.0),
+        (math.nextafter(1.0, 2.0), 0.5, 1.0), (5e-324, 0.0, 1.0), (0.0, 5e-324, 1.0),
+        (-5e-324, -math.inf, 0.0), (5e-324, -math.inf, 0.0), (math.inf, 0.5, math.inf),
+        (math.inf, 0.5, 1.0), (math.nan, 0.0, 1.0),
+    ])
+    def test_maximin_edges(self, monkeypatch, m, low, high):
+        monkeypatch.setattr(lemmas, "posted_price_maximin", lambda _: m)
+        r = lemmas.check_maximin(U01, 0.5, low, high)
+        assert r.passed is (low <= m <= high)
 
     def test_vickrey_ratio_is_shared(self):
         ratios = lemmas.vickrey_ratios(U01, 2)
@@ -761,14 +788,39 @@ def test_no_default_is_a_built_utility_or_distribution():
     assert bad == []
 
 
+def _every_report():
+    """The reports of `lemmas all`, of `reproduce`, and of `lemmas all --dist`
+    on built-ins and random curves, then a row that fails by its ceiling."""
+    yield from run_selections(["all"], None, 42)
+    yield from (r for _, _, r in lemmas.run_reproduce())
+    specs = ("uniform:0,1", "exponential:1", "left-triangle:0.01", "irregular-example:0.05",
+             "exponential:1e-300", "uniform:1e300,1.5e300")
+    for d in [*map(make_distribution, specs), *map(gen_regular, range(4))]:
+        yield from run_selections(["all"], d, 42)
+    yield lemmas.check_tail_tight(U01, 2, 2)
+
+
+def test_every_verdict_is_the_margin_against_the_tolerance():
+    reports = list(_every_report())
+    assert not reports[-1].passed and any(not r.passed for r in reports[:-1])
+    for r in reports:
+        assert r.passed is bool(r.margin >= -r.tolerance), r
+
+
 class TestReportPlumbing:
     def test_failure_path(self):
-        rep = report_from_margin("demo", claimed=0.9, observed=0.5,
-                                 tolerance=1e-9, instances=3, worst="x")
+        rep = LemmaReport("demo", 0.9, 0.5, 1e-9, 3, "x")
         assert not rep.passed
         assert rep.margin == pytest.approx(-0.4)
         row = rep.csv_row()
         assert row[1] == "false"
+
+    def test_margin_defaults_to_observed_less_claimed(self):
+        rep = LemmaReport("demo", 0.25, 0.75, 0.0, 1, "x")
+        assert rep.margin == 0.5 and rep.passed
+        assert LemmaReport("demo", 0.25, 0.75, 0.0, 1, "x", -0.5) != rep
+        nan = LemmaReport("demo", 0.0, math.nan, math.inf, 1, "x")
+        assert nan.passed is False
 
     def test_csv_row_formatting(self):
         rep = check_capped_binomial(1, 0.5, 1)

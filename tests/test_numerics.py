@@ -3,6 +3,7 @@ sign-change bisection; the adaptive Gauss-Kronrod quadrature.
 """
 import math
 import tracemalloc
+from fractions import Fraction
 import warnings
 
 import mpmath
@@ -153,6 +154,16 @@ def test_binom_expect_counts_the_rounding_of_subnormal_pmfs(p):
     value, abserr = binom_expect(2, p, lambda y: np.where(y == 2, 1000.0, 0.0), lambda: 1000.0)
     with mpmath.workdps(60):
         assert abs(value - 1000 * mpmath.mpf(p) ** 2) <= abserr
+
+
+def test_binom_expect_counts_the_rounding_of_subnormal_products():
+    # 3 2^-1074 times the pmfs 1/4, 1/2, 1/4: each product is subnormal and
+    # rounds up, so the float sum is 4 units where the exact one is 3
+    w = 3 * 2.0 ** -1074
+    value, abserr = binom_expect(2, 0.5, lambda y: np.full(3, w), lambda: w)
+    exact = sum(Fraction(w) * Fraction(math.comb(2, y), 4) for y in range(3))
+    assert Fraction(value) != exact
+    assert abs(Fraction(value) - exact) <= Fraction(abserr)
 
 
 def test_binom_expect_asks_for_the_largest_weight_only_when_it_needs_it():
