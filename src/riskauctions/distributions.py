@@ -28,12 +28,7 @@ __all__ = [
     "irregular_example", "revenue_curve", "make_distribution", "parse_spec",
 ]
 
-# Relative tolerance of the concavity test on revenue-curve slopes.
-CONCAVITY_TOL = 1e-9
-# The most a breakpoint price may rise, relative: a price r/q from typed
-# decimals is within 3u of r/q exact (q, r and the divide each round once, u =
-# 2^-53), so two prices equal when typed differ by at most 6u.
-PRICE_RISE = 6 * 2.0 ** -53
+U = 2.0 ** -53  # a typed decimal reads, and an IEEE operation rounds, within U relative
 
 
 def _num(x: float) -> str:
@@ -123,6 +118,21 @@ class Distribution:
         """Interior quantiles where price(q) has a kink or a jump; none here."""
         return ()
 
+    _slope_drops = _cross = (np.empty(0), np.empty(0))  # a closed form has no kink or segment
+
+    def slope_drops(self) -> tuple[np.ndarray, np.ndarray]:
+        """The slope drops s_left - s_right of the revenue curve at `breakpoints()`
+        and their allowances, as two arrays.  At (q1, r1), between (q0, r0) and
+        (q2, r2), the drop is det / (q1 - q0) / (q2 - q1), with orient2d det =
+        (r1 - r0)(q2 - q1) - (r2 - r1)(q1 - q0), and the allowance A / (q1 - q0) /
+        (q2 - q1) with A = (4U + 16U^2) T, T = (q2 - q1)(r0 + r1) + (q1 - q0)(r1 + r2)
+        + (q0 + q1)|r2 - r1| + (q1 + q2)|r1 - r0|.  U T bounds det's first-order
+        change as each typed coordinate moves by U relative; its float evaluation
+        error is at most (3U + 16U^2)(|(r1 - r0)(q2 - q1)| + |(r2 - r1)(q1 - q0)|)
+        (Shewchuk 1997), which is at most (3U + 16U^2) T as r >= 0.  Rounded
+        divides are monotone, so a drop below minus its allowance has det < -A."""
+        return self._slope_drops
+
     @property
     def support(self) -> tuple[float, float]:
         raise NotImplementedError
@@ -152,14 +162,17 @@ class Distribution:
         raise NotImplementedError
 
     def is_regular(self) -> bool:
-        """True when the revenue curve is concave (nonstrictly, at kinks too);
-        the closed-form kinds are regular by construction."""
-        return True
+        """True when the revenue curve is concave: no slope drop of `slope_drops`
+        is below minus its allowance (a closed form has no breakpoint)."""
+        drops, allowance = self.slope_drops()
+        return bool((drops >= -allowance).all())
 
     def is_mhr(self) -> bool:
-        """True when the hazard rate is nondecreasing where it is defined;
-        the closed-form kinds have a nondecreasing hazard by construction."""
-        return True
+        """True when the hazard rate is nondecreasing where it is defined.  On a
+        curve segment R = a + b*q with a > 0 the hazard q/a falls as the price rises,
+        so each a must be 0 within the allowance its price-rise check states."""
+        cross, allowance = self._cross
+        return bool((cross <= allowance).all())
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.label}>"
@@ -296,12 +309,16 @@ class RevenueCurveDistribution(Distribution):
         # price, is taken as 0: a/q + b is then nonincreasing in q on every
         # segment, and the stretch counts as constant-price.
         self._intercepts = np.maximum(rs[:-1] - self._slopes * qs[:-1], 0.0)
+        # A segment's intercept a has the sign of r0 q1 - r1 q0 = a (q1 - q0),
+        # within (4U + U^2)(r0 q1 + r1 q0): 2U from typed coordinates, the rest
+        # from floats.  a < 0 beyond that, a price that rises, is invalid.
+        left, right = rs[:-1] * qs[1:], rs[1:] * qs[:-1]
+        self._cross = (left - right, (4 * U + U * U) * (left + right))
+        if (self._cross[0] < -self._cross[1]).any():
+            raise SpecParseError("not a valid distribution: price must be nonincreasing in q")
         # Breakpoint prices; entry 0 is the limit price at q -> 0+ (the atom).
         bp = rs[1:] / qs[1:]
-        prices = np.concatenate((bp[:1], bp))
-        if (prices[1:] - prices[:-1] > PRICE_RISE * prices[:-1]).any():
-            raise SpecParseError("not a valid distribution: price must be nonincreasing in q")
-        self._prices = np.minimum.accumulate(prices)
+        self._prices = np.minimum.accumulate(np.concatenate((bp[:1], bp)))
 
         self._label = label
         # Plain-float copies for the float paths.
@@ -326,6 +343,15 @@ class RevenueCurveDistribution(Distribution):
 
     def breakpoints(self):
         return tuple(self._qs_list[1:-1])
+
+    @cached_property
+    def _slope_drops(self) -> tuple[np.ndarray, np.ndarray]:
+        q, r = self._qs, self._rs
+        dq, dr = q[1:] - q[:-1], r[1:] - r[:-1]
+        sq, sr, adr = q[1:] + q[:-1], r[1:] + r[:-1], np.abs(dr)
+        det = dr[:-1] * dq[1:] - dr[1:] * dq[:-1]
+        t = dq[1:] * sr[:-1] + dq[:-1] * sr[1:] + adr[1:] * sq[:-1] + adr[:-1] * sq[1:]
+        return det / dq[:-1] / dq[1:], (4 * U + 16 * U * U) * t / dq[:-1] / dq[1:]
 
     @cached_property
     def _price_segments(self) -> tuple[list, list, list, list, list]:
@@ -468,25 +494,11 @@ class RevenueCurveDistribution(Distribution):
             raise NotDifferentiableError("no density inside a constant-price stretch")
         return v - self._slopes[j]
 
-    # -- structure ------------------------------------------------------------
-
-    def is_regular(self):
-        s = self._slopes
-        tol = CONCAVITY_TOL * max(1.0, float(np.abs(s).max()))
-        return bool((s[1:] - s[:-1] <= tol).all())
-
-    def is_mhr(self):
-        # On a segment R = a + b*q with a > 0 the hazard is q/a, which rises
-        # with q, i.e. falls as the price rises; only constant-price segments
-        # (a = 0, no density) keep it from decreasing.
-        return not bool(np.any(self._intercepts > 0))
-
     def _find_monopoly(self):
-        # The maximum of a piecewise-linear curve sits on a breakpoint, so
-        # this is exact; argmax picks the smallest q on a flat top.
+        # Exact: a piecewise-linear curve peaks at a breakpoint (argmax takes the
+        # least q of a flat top), whose stored price sells; R/q may round above it.
         i = int(self._rs.argmax())
-        q = float(self._qs[i])
-        return float(self._rs[i] / q), q
+        return float(self._prices[i]), float(self._qs[i])
 
 
 # -- constructors -------------------------------------------------------------

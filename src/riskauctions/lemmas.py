@@ -222,7 +222,8 @@ def check_tail(d: Distribution, t: int, n: int) -> LemmaReport:
         raise ValueError("the tail bound applies to regular distributions")
     if not 1 < t <= n:
         raise ValueError("need 1 < t <= n (the top order statistic may lack a mean)")
-    ey = eval_vcg_exact(d, n, t - 1, linear()).mean_utility / (t - 1)
+    # a mean bid lies in the support; quadrature can round it above a top atom
+    ey = min(eval_vcg_exact(d, n, t - 1, linear()).mean_utility / (t - 1), d.support[1])
     z = d.sale_probability(ey)
     observed = order_stat_cdf(t, n, z)
     return LemmaReport(f"tail[{d.label}|t={t},n={n}]", 0.25, observed,

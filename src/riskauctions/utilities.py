@@ -33,11 +33,6 @@ __all__ = [
     "check_virtual_utility_monotone",
 ]
 
-MONOTONE_GRID = 10_000
-# the rounding bound of phi = u(p) - u'(p) (p - R'(q)) at a point: MONOTONE_ULPS
-# ulps of |u(p)| + |u'(p)| (|p| + |R'(q)|), the size of its terms
-MONOTONE_ULPS = 8
-
 
 @dataclass(frozen=True)
 class UtilityFunction:
@@ -209,37 +204,28 @@ def maximize_single_bidder(d: Distribution, u: UtilityFunction) -> tuple[float, 
 
 
 def check_virtual_utility_monotone(d: Distribution, u: UtilityFunction) -> LemmaReport:
-    """Is the risk-adjusted marginal value nondecreasing on the support?
+    """Is the risk-adjusted marginal value phi_u nondecreasing in the price?
 
-    Guaranteed for concave revenue curves with smooth utilities; the check
-    accepts any input and reports the worst violating bracket when it fails.
-    It walks the revenue curve's linear segments (a closed form is one) in
-    ascending-price order, at points inside each.  A constant-price segment
-    (price equals R' there) has no density, so it is skipped unless every
-    segment is one, as on a point mass.  A step between two points may fall
-    below 0 by the rounding bound of phi at both (MONOTONE_ULPS); the row
-    reports the smallest step, or, if some step falls below its bound, the
-    one furthest below it.
-    """
-    qs = (0.0,) + d.breakpoints() + (1.0,)
-    pieces = list(zip(qs[-2::-1], qs[:0:-1]))
-    dense = [(lo, hi) for lo, hi in pieces if d.price(hi) != d.marginal_revenue(hi)]
-    q_all = np.concatenate([
-        np.linspace(lo, hi, max(int(MONOTONE_GRID * (hi - lo)), 16) + 2)[-2:0:-1]
-        for lo, hi in dense or pieces])
-    # virtual_utility_at_quantile's expression, from terms whose sizes bound
-    # its rounding; u(p), u'(p) and p are >= 0
-    p = d.price(q_all)
-    value, slope, mr = u(p), u.derivative(p), d.marginal_revenue(q_all)
-    phi_all = value - slope * (p - mr)
-    size = value + slope * (p + np.abs(mr))
-    bound = MONOTONE_ULPS * 2.0 ** -53 * (size[1:] + size[:-1])
-
-    diffs = phi_all[1:] - phi_all[:-1]
-    slack = diffs + bound
-    i = int(np.argmin(diffs)) if slack.min() >= 0 else int(np.argmin(slack))
-    v_lo, v_hi = d.price(float(q_all[i])), d.price(float(q_all[i + 1]))
-    worst = (f"{d.label}|{u.label}: phi({v_lo:.6g})={phi_all[i]:.6g} -> "
-             f"phi({v_hi:.6g})={phi_all[i + 1]:.6g}")
-    return LemmaReport(f"virtual-utility-monotone[{d.label}|{u.label}]", 0.0,
-                       float(diffs[i]), float(bound[i]), len(diffs), worst)
+    On a segment R = c + s*q, phi_u = u(p) - u'(p)(p - s) with p - s = c/q >= 0,
+    so inside it dphi_u/dp = -u''(p) c/q >= 0 and at a cap B it steps up by c/q:
+    phi_u falls only at a breakpoint p_b, by u'(p_b) times a negative slope drop.
+    Closed forms have none: dphi_u/dp is 2u' - u''(b - p) on uniform:a,b and
+    u' - u''/rate on exponential:rate.  A drop within its allowance (`slope_drops`)
+    counts as none, so an infinite u'(0) meets no drop of 0.  The row reports the
+    least jump, or 0, and u'(p_b) times its allowance."""
+    drops, allowance = d.slope_drops()
+    falls = np.flatnonzero(drops < -allowance)
+    q = np.array(d.breakpoints())[falls]
+    p = d.price(q)
+    slope = u.derivative(p)
+    jumps = slope * drops[falls]  # 0 where a cap's u' is 0
+    where = f"{d.label}|{u.label}"
+    observed, tolerance, worst = 0.0, 0.0, f"{where}: no fall (breakpoints={len(drops)})"
+    if (jumps < 0).any():
+        i = int(np.argmin(jumps))
+        observed = float(jumps[i])
+        # an infinite u'(0) makes the fall infinite, past any allowance
+        tolerance = float(slope[i] * allowance[falls[i]]) if observed > -math.inf else 0.0
+        worst = f"{where}: phi_u jumps {observed:.6g} at price {p[i]:.6g} (q={q[i]:.6g})"
+    return LemmaReport(f"virtual-utility-monotone[{where}]", 0.0, observed, tolerance,
+                       len(drops), worst)

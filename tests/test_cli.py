@@ -326,6 +326,15 @@ class TestEval:
         assert err.startswith("error: malformed mechanism spec: 'hedge:x,2'")
 
 
+class TestMonopolyPrice:
+    def test_typed_curve_monopoly_price_sells(self):
+        # 0.9/0.3 rounds to 3.0, above the stored price 2.9999999999999996
+        spec = "revenue-curve:0:0;0.1:0.3;0.3:0.9;1:0.5"
+        code, out, err = run(["eval", "--mech", "posted:1,1", "--dist", spec])
+        assert (code, err) == (0, "")
+        assert run(["price", spec])[1].startswith("p_star=3\nq_star=0.3\n")
+
+
 class TestLemmas:
     def test_single_check_to_file(self, tmp_path):
         p = tmp_path / "tail.csv"
@@ -358,15 +367,35 @@ class TestLemmas:
 
     def test_point_mass_with_a_breakpoint(self):
         # every segment of this curve is constant-price (no density): it
-        # must report what the two-point form of the same point mass reports
+        # must report what the two-point form of the same point mass
+        # reports, at 1 breakpoint instead of none
         def rows(spec):
             code, out, err = run(["lemmas", "virtual-utility-monotone", "--dist", spec])
             assert code == 0, err
-            return [r.replace(spec, "SPEC") for r in out.strip().split("\r\n")[1:]]
+            return [r.replace(spec, "SPEC").split(",")[:5]
+                    for r in out.strip().split("\r\n")[1:]]
 
         got = rows("revenue-curve:0:0;0.5:0.5;1:1")
         assert got == rows("revenue-curve:0:0;1:1")
-        assert all(",true,0,0,0," in r for r in got) and len(got) == 3
+        assert all(r[1:] == ["true", "0", "0", "0"] for r in got) and len(got) == 3
+
+    def test_typed_collinear_point_mass_gives_the_point_mass_verdicts(self):
+        # 0.3/0.1, 2.1/0.7 and 3/1 are one price as typed, not in binary
+        def verdicts(spec):
+            code, out, err = run(["lemmas", "all", "--dist", spec])
+            assert err == ""
+            return code, [(name.replace(spec, "SPEC"), passed)
+                          for name, passed, *_ in csv.reader(io.StringIO(out))]
+
+        assert verdicts("revenue-curve:0:0;0.1:0.3;0.7:2.1;1:3") == \
+            verdicts("revenue-curve:0:0;1:3")
+        assert verdicts("revenue-curve:0:0;1:3")[0] == 0
+
+    def test_small_scale_irregular_curve_is_refused(self):
+        code, out, err = run(["lemmas", "half-bound", "--dist",
+                              "revenue-curve:0:0;0.2:5e-13;0.3:5.2e-13;0.6:1e-12;1:5e-13"])
+        assert (code, out) == (2, "")
+        assert "regular" in err
 
     def test_unknown_selection(self):
         code, _, err = run(["lemmas", "nope", "--samples", "2000"])

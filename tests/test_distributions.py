@@ -185,6 +185,29 @@ class TestShapeFlags:
         for seed in (0, 1, 2):
             assert gen_regular(seed).is_regular()
 
+    def test_slope_drops(self):
+        # irregular-example:eps has slopes 1/eps, (eps - 1)/eps, 0 and -1
+        for d in (uniform(0.0, 1.0), exponential(2.0)):
+            assert [a.size for a in d.slope_drops()] == [0, 0]
+        drops, allowance = irregular_example(0.05).slope_drops()
+        assert drops.tolist() == pytest.approx([39.0, -19.0, 1.0], rel=4 * 2.0 ** -53)
+        # the allowance bounds det's error; the two divides round once each
+        assert np.all(np.abs(drops - [39.0, -19.0, 1.0]) <= allowance + 2.0 ** -52 * np.abs(drops))
+        assert np.all((allowance > 0) & (allowance < 1e-13))
+
+    def test_typed_collinear_points_are_one_point_mass(self):
+        # 0.3/0.1 and 2.1/0.7 are not 3 in binary: the drops and intercepts
+        # are rounding, within their allowance of 0
+        d = make_distribution("revenue-curve:0:0;0.1:0.3;0.7:2.1;1:3")
+        drops, allowance = d.slope_drops()
+        assert np.all(np.abs(drops) <= allowance) and drops.any()
+        assert d.is_regular() and d.is_mhr()
+
+    def test_small_scale_irregular_curve_is_irregular(self):
+        # the slope rises from 0.2e-12 to 1.6e-12 at q = 0.3
+        d = make_distribution("revenue-curve:0:0;0.2:5e-13;0.3:5.2e-13;0.6:1e-12;1:5e-13")
+        assert not d.is_regular() and not d.is_mhr()
+
 
 class TestKinks:
     def test_hazard_raises_at_interior_kink(self):
@@ -575,12 +598,13 @@ class TestRevenueCurveConstruction:
         assert np.all(d.price(qs) == 2.9999999999999996)
         assert d.support == (1.0, 2.9999999999999996)
 
-    def test_price_rise_is_allowed_up_to_six_rounding_units(self):
-        # three roundings per typed price r/q, u = 2^-53 each, so 6u between two
-        with pytest.raises(SpecParseError, match="nonincreasing"):
-            revenue_curve([(0.0, 0.0), (0.5, 0.5), (1.0, 1.0 + 1e-13)])
-        with pytest.raises(SpecParseError, match="nonincreasing"):
-            revenue_curve([(0.0, 0.0), (0.5, 0.5), (1.0, 1.0 + 8 * 2.0 ** -52)])
+    def test_price_rise_is_allowed_within_its_rounding(self):
+        # the segment's r0 q1 - r1 q0 = -x/2 may fall below 0 by (4u + u^2)(r0 q1
+        # + r1 q0) ~ 4u, u = 2^-53: a rise x of up to 8u = 4 * 2^-52 is rounding
+        for x in (1e-13, 8 * 2.0 ** -52, 5 * 2.0 ** -52):
+            with pytest.raises(SpecParseError, match="nonincreasing"):
+                revenue_curve([(0.0, 0.0), (0.5, 0.5), (1.0, 1.0 + x)])
+        assert revenue_curve([(0.0, 0.0), (0.5, 0.5), (1.0, 1.0 + 3 * 2.0 ** -52)]).is_mhr()
         d = revenue_curve([(0.0, 0.0), (0.5, 0.5), (1.0, 1.0 + 2.0 ** -52)])
         # the rise is taken out: one price on all of (0, 1]
         assert d.support == (1.0, 1.0)
@@ -594,6 +618,13 @@ class TestRevenueCurveConstruction:
                 bp = d._rs[1:] / d._qs[1:]
                 raw = np.concatenate(([bp[0]], bp))
                 assert np.array_equal(d._prices.view(np.int64), raw.view(np.int64)), seed
+
+    def test_monopoly_price_is_a_stored_price(self):
+        # 0.9/0.3 rounds to 3.0, above the stored price 0.3/0.1 =
+        # 2.9999999999999996 of the same typed stretch, where nothing sells
+        d = make_distribution("revenue-curve:0:0;0.1:0.3;0.3:0.9;1:0.5")
+        assert d.monopoly_price() == (2.9999999999999996, 0.3)
+        assert d.sale_probability(d.monopoly_price()[0]) == 0.3
 
     def test_irregular_example_eps_cap(self):
         with pytest.raises(SpecParseError):

@@ -317,18 +317,79 @@ class TestSingleBidderSearch:
 
 
 class TestMonotoneCheck:
-    def test_passes_on_regular_smooth(self):
-        for d, u in ((uniform(0.0, 1.0), power(0.5)),
-                     (exponential(1.0), power(1.0 / 3.0))):
-            rep = check_virtual_utility_monotone(d, u)
-            assert rep.passed
-            assert rep.instances_checked > 9000
+    """phi_u can fall only at a breakpoint, by u'(p_b) times the slope drop."""
 
-    def test_fails_on_irregular_and_records_bracket(self):
+    @pytest.mark.parametrize("d", [uniform(0.0, 1.0), exponential(1.0), left_triangle(0.01),
+                                   gen_regular(3), gen_regular(4, 64)], ids=lambda d: d.label)
+    def test_passes_on_regular_with_observed_plus_zero(self, d):
+        for u in default_family():
+            rep = check_virtual_utility_monotone(d, u)
+            assert rep.passed and (rep.observed, rep.margin) == (0.0, 0.0)
+            assert math.copysign(1.0, rep.observed) == 1.0  # never prints -0
+            assert rep.instances_checked == len(d.breakpoints())
+
+    def test_fails_on_irregular_at_the_breakpoint(self):
         rep = check_virtual_utility_monotone(irregular_example(0.01), linear())
         assert not rep.passed
-        assert rep.margin < 0
-        assert "phi(" in rep.worst_instance
+        assert rep.margin == rep.observed == pytest.approx(-99.0, rel=1e-15)
+        assert rep.worst_instance.endswith("phi_u jumps -99 at price 0.5 (q=0.02)")
+        assert rep.instances_checked == 3
+
+    @pytest.mark.parametrize("eps,u,slope", [
+        (0.001, capped(2.0), 1.0),  # no point of a 10,000-point grid falls in (0.5, 2)
+        (0.01, power(0.5), 0.5 ** 0.5),  # u'(0.5) = 0.5 * 0.5^-0.5
+        (0.05, linear(), 1.0),
+    ])
+    def test_reports_the_exact_fall(self, eps, u, slope):
+        # at price 0.5 the slope drops from (eps - 1)/eps to 0
+        rep = check_virtual_utility_monotone(irregular_example(eps), u)
+        fall = slope * (eps - 1.0) / eps
+        assert not rep.passed
+        assert abs(rep.observed - fall) <= rep.tolerance + 2.0 ** -50 * abs(fall)
+
+    def test_a_cap_below_the_fall_hides_it(self):
+        # above the cap u' = 0, so phi_u = B is flat across the breakpoint
+        rep = check_virtual_utility_monotone(irregular_example(0.01), capped(0.3))
+        assert rep.passed and math.copysign(1.0, rep.observed) == 1.0
+
+    def test_infinite_slope_at_price_zero_is_no_nan(self):
+        # price 0 from q = 0.7 on: u'(0) is infinite for a power; the drop at
+        # 0.8 is 0 and no jump, the one at 0.7 is -2.5 and an infinite fall
+        d = make_distribution("revenue-curve:0:0;0.5:0.5;0.7:0;0.8:0;1:0")
+        rep = check_virtual_utility_monotone(d, power(0.5))
+        assert not rep.passed and rep.observed == -math.inf and rep.tolerance == 0.0
+        assert check_virtual_utility_monotone(d, linear()).observed == pytest.approx(-2.5)
+
+
+def scaled(d, j: int):
+    """``d`` with every value times 2^j: exact in floats for these inputs."""
+    if d.kind == "uniform":
+        return uniform(math.ldexp(d.a, j), math.ldexp(d.b, j))
+    if d.kind == "exponential":
+        return exponential(math.ldexp(d.rate, -j))
+    return revenue_curve([(q, math.ldexp(r, j)) for q, r in d.points])
+
+
+@pytest.mark.parametrize("spec", [
+    "uniform:0,1", "uniform:0.3,2", "exponential:1", "left-triangle:0.01",
+    "irregular-example:0.01", "irregular-example:0.001",
+    "revenue-curve:0:0;0.2:5e-13;0.3:5.2e-13;0.6:1e-12;1:5e-13",
+    "revenue-curve:0:0;0.1:0.3;0.7:2.1;1:3", "revenue-curve:0:0;0.5:0.5;0.7:0;0.8:0;1:0",
+    curve_spec(7, 8)])
+def test_verdicts_do_not_depend_on_the_value_scale(spec):
+    # is_regular, is_mhr and every monotone verdict stay; linear, and a cap
+    # scaled with the values, are exact, so their observed scales bit for bit
+    d = make_distribution(spec)
+
+    def verdicts(d, j):
+        reps = [check_virtual_utility_monotone(d, u)
+                for u in (linear(), capped(math.ldexp(0.3, j)), power(0.5))]
+        return ([d.is_regular(), d.is_mhr()] + [r.passed for r in reps],
+                [math.ldexp(r.observed, -j) for r in reps[:2]])
+
+    want = verdicts(d, 0)
+    for j in range(-60, 61):
+        assert verdicts(scaled(d, j), j) == want, j
 
 
 class TestParsing:
